@@ -905,36 +905,3 @@ def _row_dot(row, vec, width, zero):
         if a and b:
             acc = acc + a * b
     return acc
-
-
-# ---------------------------------------------------------------------------
-# functional aliases for the operation surface
-
-
-def poly_add(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    return a + b
-
-
-def poly_mul(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    return a * b
-
-
-def poly_exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    return a.exact_div(b)
-
-
-def poly_substitute(a: MultiPoly, v_assign=None, x_assign=None,
-                    order=None) -> XSeries:
-    return a.substitute(v_assign, x_assign, order)
-
-
-def series_mul(a: XSeries, b: XSeries) -> XSeries:
-    return a * b
-
-
-def series_inv(a: XSeries) -> XSeries:
-    return a.inv()
-
-
-def series_pow(a: XSeries, e: int) -> XSeries:
-    return a.pow(e)

@@ -2,15 +2,13 @@
 
 Exit codes: 0 on success, 1 when a checked identity fails, 2 on usage
 errors.  Results go to stdout, diagnostics to stderr.  Output is
-deterministic byte for byte for a given invocation; CONSTEL_THREADS is
-read as a parallelism hint for verify-all and never changes results.
+deterministic byte for byte for a given invocation.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import contfrac, eulerian, hankel, paths, verify
@@ -86,21 +84,6 @@ def _emit_poly(args, payload: dict, poly):
         print(json.dumps(payload, indent=2))
     else:
         print(poly)
-
-
-def _threads() -> int:
-    raw = os.environ.get("CONSTEL_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-        if value < 1:
-            raise ValueError
-        return value
-    except ValueError:
-        print(f"ignoring CONSTEL_THREADS={raw!r}: not a positive integer",
-              file=sys.stderr)
-        return 1
 
 
 def run(argv) -> int:
@@ -228,8 +211,7 @@ def _dispatch(parser, args) -> int:
             _check(parser, p >= 2, "--p values must be >= 2")
         _check(parser, args.n_max >= 0, "--n-max must be >= 0")
         _check(parser, args.order >= 0, "--order must be >= 0")
-        results = verify.run_all(tuple(args.p), args.n_max, args.order,
-                                 threads=_threads())
+        results = verify.run_all(tuple(args.p), args.n_max, args.order)
         for res in results:
             print(res.line())
         failures = sum(1 for r in results if not r.ok)

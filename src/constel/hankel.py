@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .algebra import (Monomial, MultiPoly, NotDivisible, PolyMatrix,
-                      det_division_free)
+                      _perm_sign, det_division_free)
 from .paths import enumerate_paths, f_poly, path_weight
 
 
@@ -157,22 +157,13 @@ def lgv_signed_sum(spec: HankelSpec) -> MultiPoly:
              for j in range(size)] for i in range(size)]
     total = MultiPoly.zero()
     for perm in permutations(range(size)):
-        prod = MultiPoly.const(_sign(perm))
+        prod = MultiPoly.const(_perm_sign(perm))
         for i in range(size):
             prod = prod * sums[i][perm[i]]
             if prod.is_zero():
                 break
         total = total + prod
     return total
-
-
-def _sign(perm) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
 
 
 def nilp_unique(spec: HankelSpec) -> tuple[int, MultiPoly]:

@@ -7,8 +7,10 @@ the weight V_h; the weight of a path is the product over its falls, and
 the polynomials aggregated over fixed endpoints are the raw material for
 the nested fraction expansion and the determinant identities.
 
-``enumerate_paths`` materializes paths for desk-scale oracles; ``f_poly``
-and ``f_mid`` aggregate weights during the walk and never build a list.
+``enumerate_paths`` materializes paths for desk-scale oracles; ``f_poly``,
+``f_mid`` and ``count_paths`` aggregate weights during the walk and never
+build a list.  They share one walk DP, which is generic in the ring of
+the weights, so the solver runs it on series weights as well.
 """
 
 from __future__ import annotations
@@ -117,36 +119,36 @@ def enumerate_paths(p: int, start: tuple[int, int],
     return out
 
 
-def _weight_dp(p: int, nsteps: int, h_start: int, h_end: int) -> MultiPoly:
-    # weight sums by backward sweep; cur[h] covers suffixes of length done
-    if nsteps == 0:
-        return MultiPoly.one() if h_start == h_end else MultiPoly.zero()
-    v_cache: dict[int, MultiPoly] = {}
+def _weight_dp(p: int, nsteps: int, h_start: int, h_end: int, weight, one):
+    """Sum over the p-paths of the product of weight(h) over their falls.
 
-    def v(h):
-        poly = v_cache.get(h)
-        if poly is None:
-            poly = v_cache[h] = MultiPoly.v_var(h)
-        return poly
-
-    cur: dict[int, MultiPoly] = {h_end: MultiPoly.one()}
+    The paths run from height h_start to h_end in nsteps steps; a fall
+    from height h contributes weight(h).  The weights may live in any
+    commutative ring whose unit is ``one``: ints, MultiPoly or XSeries.
+    Only heights that some such path visits are ever passed to weight.
+    """
+    # backward sweep; cur[h] sums the suffixes of length done from height h
+    cur = {h_end: one}
     for done in range(1, nsteps + 1):
         from_start = nsteps - done
         hi = h_start + (p - 1) * from_start
         lo = max(0, h_start - from_start)
-        nxt: dict[int, MultiPoly] = {}
-        for h2, poly in cur.items():
+        nxt = {}
+        for h2, acc in cur.items():
             h = h2 - (p - 1)  # a rise enters h2
             if lo <= h <= hi:
                 prev = nxt.get(h)
-                nxt[h] = poly if prev is None else prev + poly
-            h = h2 + 1  # a fall from h lands at h2, weight V_h
+                nxt[h] = acc if prev is None else prev + acc
+            h = h2 + 1  # a fall from h lands at h2
             if lo <= h <= hi:
-                piece = v(h) * poly
+                piece = weight(h) * acc
                 prev = nxt.get(h)
                 nxt[h] = piece if prev is None else prev + piece
         cur = nxt
-    return cur.get(h_start, MultiPoly.zero())
+    return cur.get(h_start, one - one)  # the ring's zero
+
+
+_v_weight = lru_cache(maxsize=None)(MultiPoly.v_var)
 
 
 @lru_cache(maxsize=None)
@@ -158,10 +160,9 @@ def f_poly(p: int, n: int, r: int) -> MultiPoly:
         raise ValueError("n must be >= 0")
     if not 0 <= r <= p - 1:
         raise ValueError("r must lie in [0, p-1]")
-    return _weight_dp(p, n * p + r, r, 0)
+    return _weight_dp(p, n * p + r, r, 0, _v_weight, MultiPoly.one())
 
 
-@lru_cache(maxsize=None)
 def f_mid(p: int, n: int, i: int) -> MultiPoly:
     """Weight polynomial of the p-paths from (0, i-1) to (np-1, i).
 
@@ -174,7 +175,7 @@ def f_mid(p: int, n: int, i: int) -> MultiPoly:
         raise ValueError("n must be >= 1")
     if i < 1:
         raise ValueError("i must be >= 1")
-    return _weight_dp(p, n * p - 1, i - 1, i)
+    return _weight_dp(p, n * p - 1, i - 1, i, _v_weight, MultiPoly.one())
 
 
 @lru_cache(maxsize=None)
@@ -186,24 +187,7 @@ def count_paths(p: int, n: int, r: int) -> int:
         raise ValueError("n must be >= 0")
     if not 0 <= r <= p:
         raise ValueError("r must lie in [0, p]")
-    nsteps = n * p + r
-    if nsteps == 0:
-        return 1 if r == 0 else 0
-    cur = {0: 1}
-    for done in range(1, nsteps + 1):
-        from_start = nsteps - done
-        hi = r + (p - 1) * from_start
-        lo = max(0, r - from_start)
-        nxt: dict[int, int] = {}
-        for h2, cnt in cur.items():
-            h = h2 - (p - 1)
-            if lo <= h <= hi:
-                nxt[h] = nxt.get(h, 0) + cnt
-            h = h2 + 1
-            if lo <= h <= hi:
-                nxt[h] = nxt.get(h, 0) + cnt
-        cur = nxt
-    return cur.get(r, 0)
+    return _weight_dp(p, n * p + r, r, 0, lambda h: 1, 1)
 
 
 def count_closed3(n: int, r: int) -> int:

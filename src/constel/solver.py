@@ -3,15 +3,25 @@
 With every white face of degree np carrying the weight x_n, each fall
 weight V_i satisfies
 
-    V_i = 1 + V_i * sum_n x_n * (mid-path polynomial at level i)
+    V_i = 1 + V_i * sum_n x_n * (mid-path sum at level i)
 
 and the level-free limit V obeys the closed scalar equation with the
 binomial count of the mid paths.  Both are solved by iterating from the
 all-ones family; one sweep fixes one more total degree in x, so deg
-sweeps are exact.  Weight indices beyond ``index_cap`` are pinned to the
-limit series; the cap is generous enough that the pinning cannot reach
-back into the reported indices at the requested degree, and doubling it
-is the standard stability certificate.
+sweeps are exact.
+
+The per-level sweep needs no pinned tail, because each level reads only
+a bounded window of levels above it.  A mid path at level i runs from
+height i-1 to height i with n rises of p-1, so it falls from at most
+height i-1+(p-1)n, and V_i reads levels 1..i+w with
+w = max(0, (p-1)*kmax - 1).  Start from the all-ones family on levels
+1..imax+w*deg, and let each sweep return the levels whose window it
+holds, 1..len(family)-w.  Claim: after s sweeps the family covers levels
+1..imax+w*(deg-s) and each of them agrees with the true V_i through
+degree s.  For s = 0 every V_i has constant term 1.  For the step, the
+new V_i is 1 plus x_n times products of V_i and of levels up to i+w, all
+held and exact through degree s, so it is exact through degree s+1.
+After deg sweeps, levels 1..imax are exact through the truncation order.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from fractions import Fraction
 from math import comb
 
 from .algebra import XSeries
-from .paths import f_mid, f_poly
+from .paths import _weight_dp, f_poly
 
 
 @dataclass(frozen=True)
@@ -33,7 +43,6 @@ class SolverConfig:
     deg: int
     kmax: int
     imax: int
-    index_cap: int | None = None
 
     def __post_init__(self):
         if self.p < 2:
@@ -44,19 +53,11 @@ class SolverConfig:
             raise ValueError("kmax must be >= 0")
         if self.imax < 1:
             raise ValueError("imax must be >= 1")
-        if self.index_cap is not None and self.index_cap < self.floor_cap:
-            raise ValueError(f"index_cap must be >= {self.floor_cap}")
 
     @property
-    def floor_cap(self) -> int:
-        return self.imax + (self.p - 1) * self.p * self.deg
-
-    @property
-    def cap(self) -> int:
-        if self.index_cap is not None:
-            return self.index_cap
-        # one degree of x_n can pull in indices (p-1)*n away, n <= kmax
-        return self.imax + (self.p - 1) * max(self.p, self.kmax) * self.deg
+    def window(self) -> int:
+        """How many levels above i the update of V_i reads."""
+        return max(0, (self.p - 1) * self.kmax - 1)
 
 
 def v_update(cfg: SolverConfig, v: XSeries) -> XSeries:
@@ -78,24 +79,27 @@ def solve_v(cfg: SolverConfig) -> XSeries:
 
 
 def vi_update(cfg: SolverConfig, family: dict[int, XSeries]) -> dict[int, XSeries]:
-    """One parallel sweep of the per-level fixed point over 1..cap."""
-    tail = solve_v(cfg)
+    """One parallel sweep of the per-level fixed point.
+
+    ``family`` holds levels 1..L; the sweep returns levels 1..L-window,
+    the ones whose mid paths stay inside the family.
+    """
     one = XSeries.const(1, cfg.deg)
+    weight = family.__getitem__
     new = {}
-    for i in range(1, cfg.cap + 1):
+    for i in range(1, len(family) - cfg.window + 1):
         total = XSeries.zero(cfg.deg)
         for n in range(1, cfg.kmax + 1):
-            mid = f_mid(cfg.p, n, i)
-            assign = {j: family.get(j, tail) for j in mid.v_indices()}
-            total = total + XSeries.var(n, cfg.deg) * \
-                mid.substitute(assign, order=cfg.deg)
+            mid = _weight_dp(cfg.p, n * cfg.p - 1, i - 1, i, weight, one)
+            total = total + XSeries.var(n, cfg.deg) * mid
         new[i] = one + family[i] * total
     return new
 
 
 @lru_cache(maxsize=None)
 def _solve_family(cfg: SolverConfig) -> dict[int, XSeries]:
-    family = {i: XSeries.const(1, cfg.deg) for i in range(1, cfg.cap + 1)}
+    top = cfg.imax + cfg.window * cfg.deg
+    family = {i: XSeries.const(1, cfg.deg) for i in range(1, top + 1)}
     for _ in range(cfg.deg):
         family = vi_update(cfg, family)
     return family
@@ -103,12 +107,6 @@ def _solve_family(cfg: SolverConfig) -> dict[int, XSeries]:
 
 def solve_vi(cfg: SolverConfig) -> dict[int, XSeries]:
     """Per-level weights V_1..V_imax as series in x_1..x_kmax."""
-    family = _solve_family(cfg)
-    return {i: family[i] for i in range(1, cfg.imax + 1)}
-
-
-def family_view(cfg: SolverConfig) -> dict[int, XSeries]:
-    """The full solved family through the cap (indices 1..cap)."""
     return dict(_solve_family(cfg))
 
 
@@ -154,7 +152,7 @@ def f1_tutte_check(cfg: SolverConfig, n: int) -> bool:
     need = 2 * (n + cfg.kmax) + 1
     big = cfg if cfg.imax >= need else \
         SolverConfig(cfg.p, cfg.deg, cfg.kmax, need)
-    family = family_view(big)
+    family = solve_vi(big)
 
     def sub(poly):
         if poly.is_zero():

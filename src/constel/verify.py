@@ -1,15 +1,12 @@
 """Cross-module identity checks with first-counterexample reporting.
 
 Each check compares two independently computed objects and reports one
-line per parameter point.  The runner takes a thread count as a hint
-only; results are aggregated in submission order, so the report is
-byte-identical no matter how it was scheduled.
+line per parameter point, in submission order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import contfrac, eulerian, hankel, paths, solver
 from .algebra import MultiPoly
@@ -38,7 +35,7 @@ class CheckPlan:
     def add(self, name: str, params: str, fn):
         self.jobs.append((name, params, fn))
 
-    def run(self, threads: int = 1) -> list[CheckResult]:
+    def run(self) -> list[CheckResult]:
         def execute(job):
             name, params, fn = job
             try:
@@ -48,9 +45,6 @@ class CheckPlan:
             except (IdentityViolation, NonUniqueNILP) as exc:
                 return CheckResult(name, params, False, str(exc))
 
-        if threads > 1 and len(self.jobs) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                return list(pool.map(execute, self.jobs))
         return [execute(job) for job in self.jobs]
 
 
@@ -156,13 +150,13 @@ def plan_solver(order) -> CheckPlan:
         return None if solver.v_update(cfg, v) == v else "V is not a fixed point"
 
     def family_fixed_point():
-        fam = solver.family_view(cfg)
+        fam = solver.solve_vi(replace(cfg, imax=cfg.imax + cfg.window))
         new = solver.vi_update(cfg, fam)
         bad = [i for i in range(1, cfg.imax + 1) if new[i] != fam[i]]
         return f"levels {bad} moved under one more sweep" if bad else None
 
     def substitution_match():
-        fam = solver.family_view(cfg)
+        fam = solver.solve_vi(cfg)
         for n in range(0, 3):
             direct = paths.f_poly(3, n, 0).substitute(fam, order=cfg.deg)
             if direct != solver.f_from_v(cfg, n):
@@ -170,10 +164,8 @@ def plan_solver(order) -> CheckPlan:
         return None
 
     def cap_doubling():
-        doubled = solver.SolverConfig(cfg.p, cfg.deg, cfg.kmax, cfg.imax,
-                                      index_cap=2 * cfg.cap)
         a = solver.solve_vi(cfg)
-        b = solver.solve_vi(doubled)
+        b = solver.solve_vi(replace(cfg, imax=2 * cfg.imax))
         bad = [i for i in a if a[i] != b[i]]
         return f"levels {bad} moved under cap doubling" if bad else None
 
@@ -216,8 +208,7 @@ def plan_euler(order, kmax=2) -> CheckPlan:
     return plan
 
 
-def run_all(p_values=(2, 3, 4), n_max=3, order=10,
-            threads: int = 1) -> list[CheckResult]:
+def run_all(p_values=(2, 3, 4), n_max=3, order=10) -> list[CheckResult]:
     """Run every identity suite; returns one result per parameter point."""
     plan = CheckPlan()
     for sub in (plan_paths(p_values, n_max),
@@ -228,4 +219,4 @@ def run_all(p_values=(2, 3, 4), n_max=3, order=10,
                 plan_solver(order) if p_values else CheckPlan(),
                 plan_euler(min(order, 10)) if p_values else CheckPlan()):
         plan.jobs.extend(sub.jobs)
-    return plan.run(threads)
+    return plan.run()

@@ -18,8 +18,7 @@ from constel.hankel import (HankelSpec, hankel_det, hankel_product,
 from constel.paths import (count_closed3, count_paths, enumerate_paths,
                            f_mid, f_poly, path_weight)
 from constel.solver import (SolverConfig, f1_tutte_check, f_from_v,
-                            family_view, solve_v, solve_vi, v_update,
-                            vi_update)
+                            solve_v, solve_vi, v_update, vi_update)
 
 import _props
 
@@ -123,14 +122,14 @@ def test_criterion_7_degree_marked_solver():
         cfg = SolverConfig(p=3, deg=4, kmax=2, imax=6)
         v = solve_v(cfg)
         assert v_update(cfg, v) == v
-        family = family_view(cfg)
+        family = solve_vi(SolverConfig(p=3, deg=4, kmax=2, imax=9))
         swept = vi_update(cfg, family)
         for i in range(1, cfg.imax + 1):
             assert swept[i] == family[i], i
         for n in range(4):
             direct = f_poly(3, n, 0).substitute(family, order=cfg.deg)
             assert f_from_v(cfg, n) == direct, n
-        wide = SolverConfig(p=3, deg=4, kmax=2, imax=6, index_cap=2 * cfg.cap)
+        wide = SolverConfig(p=3, deg=4, kmax=2, imax=12)
         a, b = solve_vi(cfg), solve_vi(wide)
         for i in range(1, 7):
             assert a[i] == b[i], i
@@ -149,7 +148,7 @@ def test_criterion_8_solvable_cubic_family():
             gap = (limit - v_closed(i, 10)).valuation()
             assert gap is None or gap >= min(i, 11), i
         ctx = make_context(12)
-        family = family_view(SolverConfig(p=3, deg=12, kmax=1, imax=1))
+        family = solve_vi(SolverConfig(p=3, deg=12, kmax=1, imax=9))
         for n in range(5):
             assert f_closed(n, ctx) \
                 == f_poly(3, n, 0).substitute(family, order=12), n

@@ -5,7 +5,7 @@ from constel.eulerian import (EulerContext, UniPoly, f1_closed, f_closed,
                               fib_chebyshev_check, fib_poly, make_context,
                               t_n, v_closed, v_series, verify_det3)
 from constel.paths import count_closed3, f_poly
-from constel.solver import SolverConfig, family_view, solve_v
+from constel.solver import SolverConfig, solve_v, solve_vi
 
 
 ORDER = 12
@@ -95,13 +95,13 @@ class TestLevelWeights:
 
 class TestClosedExcursions:
     def test_base_matches_substituted_walks(self, ctx):
-        family = family_view(SolverConfig(p=3, deg=ORDER, kmax=1, imax=1))
+        family = solve_vi(SolverConfig(p=3, deg=ORDER, kmax=1, imax=9))
         for n in range(5):
             direct = f_poly(3, n, 0).substitute(family, order=ORDER)
             assert f_closed(n, ctx) == direct, n
 
     def test_lifted_matches_substituted_walks(self, ctx):
-        family = family_view(SolverConfig(p=3, deg=ORDER, kmax=1, imax=1))
+        family = solve_vi(SolverConfig(p=3, deg=ORDER, kmax=1, imax=9))
         for n in range(5):
             direct = f_poly(3, n, 1).substitute(family, order=ORDER)
             assert f1_closed(n, ctx) == direct, n

@@ -3,8 +3,7 @@ import pytest
 from constel.algebra import XSeries
 from constel.paths import f_poly
 from constel.solver import (SolverConfig, f1_tutte_check, f_from_v,
-                            family_view, solve_v, solve_vi, v_update,
-                            vi_update)
+                            solve_v, solve_vi, v_update, vi_update)
 
 
 class TestConfig:
@@ -18,18 +17,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(p=3, deg=2, kmax=1, imax=0)
 
-    def test_cap_floor(self):
-        cfg = SolverConfig(p=3, deg=2, kmax=1, imax=4)
-        assert cfg.floor_cap == 4 + 2 * 3 * 2
-        assert cfg.cap == cfg.floor_cap
-        wide = SolverConfig(p=3, deg=2, kmax=5, imax=4)
-        assert wide.cap == 4 + 2 * 5 * 2
-        with pytest.raises(ValueError):
-            SolverConfig(p=3, deg=2, kmax=1, imax=4,
-                         index_cap=cfg.floor_cap - 1)
-        roomy = SolverConfig(p=3, deg=2, kmax=1, imax=4,
-                             index_cap=cfg.floor_cap + 9)
-        assert roomy.cap == cfg.floor_cap + 9
+    def test_window(self):
+        # V_i reads levels up to i-1+(p-1)*kmax; no width is user-set
+        assert SolverConfig(p=3, deg=2, kmax=1, imax=4).window == 1
+        assert SolverConfig(p=3, deg=2, kmax=5, imax=4).window == 9
+        assert SolverConfig(p=4, deg=2, kmax=2, imax=4).window == 5
+        assert SolverConfig(p=2, deg=2, kmax=1, imax=4).window == 0
+        assert SolverConfig(p=3, deg=2, kmax=0, imax=4).window == 0
 
 
 class TestScalarLimit:
@@ -64,10 +58,16 @@ class TestFamily:
         assert vi[1].univar_coeffs(1) == [1, 1, 3, 12]
         assert vi[2].univar_coeffs(1) == [1, 2, 7, 31]
         assert vi[3].univar_coeffs(1) == [1, 2, 8, 39]
+        # no faces: the window clamps from -1 to 0 and every level is 1
+        flat = solve_vi(SolverConfig(p=3, deg=4, kmax=0, imax=5))
+        assert all(flat[i] == XSeries.const(1, 4) for i in range(1, 6))
+        # p=2 with x_1 alone: window 0, every level is 1/(1-x1)
+        geo = solve_vi(SolverConfig(p=2, deg=6, kmax=1, imax=5))
+        assert all(geo[i].univar_coeffs(1) == [1] * 7 for i in range(1, 6))
 
     def test_fixed_point(self):
         cfg = SolverConfig(p=3, deg=3, kmax=2, imax=4)
-        family = family_view(cfg)
+        family = solve_vi(SolverConfig(p=3, deg=3, kmax=2, imax=7))
         swept = vi_update(cfg, family)
         for i in range(1, cfg.imax + 1):
             assert swept[i] == family[i], i
@@ -80,16 +80,14 @@ class TestFamily:
 
     def test_cap_doubling_certificate(self):
         cfg = SolverConfig(p=3, deg=3, kmax=2, imax=3)
-        wide = SolverConfig(p=3, deg=3, kmax=2, imax=3,
-                            index_cap=2 * cfg.cap)
+        wide = SolverConfig(p=3, deg=3, kmax=2, imax=6)
         a, b = solve_vi(cfg), solve_vi(wide)
         for i in range(1, 4):
             assert a[i] == b[i], i
 
-    def test_family_view_extends_to_cap(self):
+    def test_solve_vi_returns_requested_levels(self):
         cfg = SolverConfig(p=3, deg=2, kmax=1, imax=2)
-        view = family_view(cfg)
-        assert set(view) == set(range(1, cfg.cap + 1))
+        assert set(solve_vi(cfg)) == set(range(1, cfg.imax + 1))
 
 
 class TestExcursionsFromLimit:
@@ -99,7 +97,7 @@ class TestExcursionsFromLimit:
 
     def test_matches_substituted_walks(self):
         cfg = SolverConfig(p=3, deg=5, kmax=2, imax=1)
-        family = family_view(cfg)
+        family = solve_vi(SolverConfig(p=3, deg=5, kmax=2, imax=6))
         for n in range(4):
             direct = f_poly(3, n, 0).substitute(family, order=cfg.deg)
             assert f_from_v(cfg, n) == direct, n
@@ -107,7 +105,7 @@ class TestExcursionsFromLimit:
     def test_matches_other_step_sizes(self):
         for p in (2, 4):
             cfg = SolverConfig(p=p, deg=4, kmax=1, imax=1)
-            family = family_view(cfg)
+            family = solve_vi(SolverConfig(p=p, deg=4, kmax=1, imax=6))
             for n in range(3):
                 direct = f_poly(p, n, 0).substitute(family, order=cfg.deg)
                 assert f_from_v(cfg, n) == direct, (p, n)
