@@ -32,7 +32,6 @@ from .algebra import (
 from .contfrac import TSeries, expand_f, expand_fraction
 from .eulerian import (
     EulerContext,
-    UniPoly,
     f1_closed,
     f_closed,
     fib_chebyshev_check,
@@ -74,7 +73,6 @@ __all__ = [
     "SolverConfig",
     "TSeries",
     "UnassignedVariable",
-    "UniPoly",
     "XSeries",
     "count_closed3",
     "count_paths",

@@ -768,15 +768,21 @@ def det_division_free(matrix: PolyMatrix) -> MultiPoly:
     return det_elements(matrix.entries, MultiPoly.one())
 
 
-_COFACTOR_LIMIT = 6
+# Measured crossover (2 cores, Python 3.11).  On Hankel matrices only
+# cofactor finishes in minutes: 6x6 (3,0,5) takes about 1 s and 7x7
+# (2,0,6) 19 s, where Berkowitz passed 1 GiB within 4 minutes.  On the
+# series matrices of eulerian.t_n cofactor is faster up to 7x7, the two
+# tie at 8x8, and Berkowitz wins from 9x9 on (3x at 11x11), because
+# cofactor expands all 2^n minors.
+_COFACTOR_LIMIT = 8
 
 
-def det_elements(rows, one, cofactor_limit: int = _COFACTOR_LIMIT):
+def det_elements(rows, one):
     """Division-free determinant over any commutative ring.
 
     ``rows`` is a square sequence of sequences of ring elements supporting
     +, -, * among themselves; ``one`` is the multiplicative identity.
-    Cofactor expansion with minor memoization up to ``cofactor_limit``,
+    Cofactor expansion with minor memoization up to ``_COFACTOR_LIMIT``,
     a characteristic-polynomial scheme beyond that.
     """
     n = len(rows)
@@ -784,7 +790,7 @@ def det_elements(rows, one, cofactor_limit: int = _COFACTOR_LIMIT):
         raise NonSquare("matrix is not square")
     if n == 0:
         return one
-    if n <= cofactor_limit:
+    if n <= _COFACTOR_LIMIT:
         return _det_cofactor(rows, one)
     return _det_berkowitz(rows, one)
 

@@ -14,7 +14,7 @@ against the direct path aggregation is the core cross-check.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 
 from .algebra import MultiPoly, NonUnitConstant
 
@@ -85,17 +85,6 @@ def _prepend_one(tail: TSeries) -> TSeries:
     return TSeries((MultiPoly.one(),) + tail.coeffs)
 
 
-@lru_cache(maxsize=None)
-def _expand_f(p: int, r: int, shift: int, order: int) -> TSeries:
-    if r == 0:
-        if order == 0:
-            return TSeries.one(0)
-        return _prepend_one(_expand_f(p, p - 1, shift, order - 1))
-    top = _expand_f(p, 0, shift + r, order)
-    rest = _expand_f(p, r - 1, shift, order)
-    return top.mul(rest, order).scale(MultiPoly.v_var(shift + r))
-
-
 def expand_f(p: int, r: int, shift: int = 0, order: int = 0) -> TSeries:
     """Series over t of the (-r, r) to (np, 0) weight polynomials.
 
@@ -110,21 +99,23 @@ def expand_f(p: int, r: int, shift: int = 0, order: int = 0) -> TSeries:
         raise ValueError("shift must be >= 0")
     if order < 0:
         raise ValueError("order must be >= 0")
-    return _expand_f(p, r, shift, order)
 
+    # memo scoped to this call: no caller repeats a whole expansion, and a
+    # process-wide cache would keep every intermediate series alive.  The
+    # memo refers to itself, so it is cleared rather than left to the gc.
+    @cache
+    def series(r, shift, order):
+        if r == 0:
+            if order == 0:
+                return TSeries.one(0)
+            return _prepend_one(series(p - 1, shift, order - 1))
+        top = series(0, shift + r, order)
+        rest = series(r - 1, shift, order)
+        return top.mul(rest, order).scale(MultiPoly.v_var(shift + r))
 
-@lru_cache(maxsize=None)
-def _fraction(p: int, shift: int, depth: int, order: int) -> TSeries:
-    if depth == 0:
-        return TSeries.one(order)
-    prod = None
-    for i in range(1, p):
-        factor = _fraction(p, shift + i, depth - 1, order) \
-            .scale(MultiPoly.v_var(shift + i))
-        prod = factor if prod is None else prod.mul(factor, order)
-    denom = [MultiPoly.one()]
-    denom.extend(-c for c in prod.coeffs[:order])
-    return TSeries(denom).inv_unit()
+    out = series(r, shift, order)
+    series.cache_clear()
+    return out
 
 
 def expand_fraction(p: int, order: int, depth: int | None = None) -> TSeries:
@@ -142,4 +133,20 @@ def expand_fraction(p: int, order: int, depth: int | None = None) -> TSeries:
         depth = order
     if depth < order:
         raise ValueError("depth below order loses exactness")
-    return _fraction(p, 0, depth, order)
+
+    @cache  # scoped to this call, as in expand_f
+    def fraction(shift, depth):
+        if depth == 0:
+            return TSeries.one(order)
+        prod = None
+        for i in range(1, p):
+            factor = fraction(shift + i, depth - 1) \
+                .scale(MultiPoly.v_var(shift + i))
+            prod = factor if prod is None else prod.mul(factor, order)
+        denom = [MultiPoly.one()]
+        denom.extend(-c for c in prod.coeffs[:order])
+        return TSeries(denom).inv_unit()
+
+    out = fraction(0, depth)
+    fraction.cache_clear()
+    return out

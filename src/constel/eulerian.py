@@ -5,8 +5,9 @@ weight V satisfies V = 1 + 2xV^2; the substitution variable y, defined
 through y + 1/y + 2 = 1/(xV), turns each level weight into an explicit
 ratio of the form V (1-y^i)(1-y^{i+4}) / ((1-y^{i+1})(1-y^{i+3})).  The
 banded determinants, rescaled by explicit powers of V, then march along
-a three-term recurrence shared with a Fibonacci-style polynomial family,
-which is what ``verify_det3`` checks end to end.
+a three-term recurrence shared with a Fibonacci-style polynomial family.
+That family is an ordinary ``MultiPoly`` in z = x1, and ``verify_det3``
+substitutes z = xV into it to check the ladder end to end.
 """
 
 from __future__ import annotations
@@ -14,136 +15,41 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import XSeries, det_elements
+from .algebra import MultiPoly, XSeries, det_elements
 from .paths import count_closed3
 from .hankel import qr
 from .solver import SolverConfig, solve_v, solve_vi
 
 
-class UniPoly:
-    """Dense univariate polynomial with integer coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def const(cls, c: int) -> "UniPoly":
-        return cls((c,))
-
-    @classmethod
-    def variable(cls) -> "UniPoly":
-        return cls((0, 1))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = UniPoly.const(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UniPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = UniPoly.const(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return UniPoly(tuple(c * other for c in self.coeffs))
-        if not self.coeffs or not other.coeffs:
-            return UniPoly(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return UniPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        result = UniPoly((1,))
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
-    def shift(self, k: int) -> "UniPoly":
-        """Multiply by the k-th power of the variable."""
-        if not self.coeffs:
-            return self
-        return UniPoly((0,) * k + self.coeffs)
-
-    def eval_series(self, s: XSeries) -> XSeries:
-        out = XSeries.zero(s.order)
-        for c in reversed(self.coeffs):
-            out = out * s + c
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"UniPoly({list(self.coeffs)})"
-
-
 @lru_cache(maxsize=None)
-def fib_poly(n: int) -> UniPoly:
-    """The Fibonacci-style family: f_0 = 0, f_1 = 1, f_{n+2} = f_{n+1} - z f_n."""
+def fib_poly(n: int) -> MultiPoly:
+    """The Fibonacci-style family: f_0 = 0, f_1 = 1, f_{n+2} = f_{n+1} - z f_n.
+
+    Each member is a polynomial in z, written as x1.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return UniPoly(())
-    if n == 1:
-        return UniPoly((1,))
-    return fib_poly(n - 1) - fib_poly(n - 2).shift(1)
+    if n < 2:
+        return MultiPoly.const(n)
+    return fib_poly(n - 1) - MultiPoly.x_var(1) * fib_poly(n - 2)
 
 
 def fib_chebyshev_check(n: int) -> bool:
     """Denominator-cleared substitution identity for fib_poly.
 
     Substituting z = y/(1+y)^2 and clearing (1+y) powers must give
-    (1-y) * (1+y)^(n-1) * f_n = 1 - y^n exactly as polynomials in y.
+    (1-y) * (1+y)^(n-1) * f_n = 1 - y^n exactly as polynomials in y,
+    with y written as x1.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    phi = fib_poly(n)
-    one_plus = UniPoly((1, 1))
-    cleared = UniPoly(())
+    y = MultiPoly.x_var(1)
+    cleared = MultiPoly.zero()
     # sum_j c_j y^j (1+y)^(n-1-2j); the exponent stays >= 0 by the degree bound
-    for j, c in enumerate(phi.coeffs):
-        if c:
-            cleared = cleared + c * (one_plus ** (n - 1 - 2 * j)).shift(j)
-    lhs = UniPoly((1, -1)) * cleared
-    rhs = UniPoly((1,)) - UniPoly((1,)).shift(n)
-    return lhs == rhs
+    for mono, c in fib_poly(n).sorted_terms():
+        j = mono.degree
+        cleared = cleared + c * y ** j * (1 + y) ** (n - 1 - 2 * j)
+    return (1 - y) * cleared == 1 - y ** n
 
 
 @dataclass(frozen=True)
@@ -263,8 +169,9 @@ def verify_det3(kmax: int, order: int) -> bool:
     top = 3 * kmax + 3
     one = XSeries.const(1, ctx.order)
     ts = {n: t_n(n, ctx) for n in range(1, top + 4)}
+    z_at = {1: ctx.xV}
     for n in range(1, top + 1):
-        if ts[n] != fib_poly(n).eval_series(ctx.xV):
+        if ts[n] != fib_poly(n).substitute(x_assign=z_at, order=ctx.order):
             return False
     for n in range(1, top + 1):
         if ts[n + 3] != (one - ctx.xV) * ts[n + 1] - ctx.xV * ts[n]:

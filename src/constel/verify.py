@@ -216,7 +216,7 @@ def run_all(p_values=(2, 3, 4), n_max=3, order=10) -> list[CheckResult]:
                 plan_hankel(p_values, n_max),
                 plan_inversion(p_values, n_max),
                 plan_lgv(p_values, n_max),
-                plan_solver(order) if p_values else CheckPlan(),
-                plan_euler(min(order, 10)) if p_values else CheckPlan()):
+                plan_solver(order),
+                plan_euler(min(order, 10))):
         plan.jobs.extend(sub.jobs)
     return plan.run()

@@ -9,7 +9,8 @@ from itertools import permutations
 from random import Random
 
 from constel.algebra import (Monomial, MultiPoly, NotDivisible, PolyMatrix,
-                             XSeries, det_division_free, det_elements)
+                             XSeries, _det_berkowitz, _det_cofactor,
+                             det_division_free)
 
 
 def rand_monomial(rng: Random, max_idx=4, max_exp=3) -> Monomial:
@@ -105,9 +106,9 @@ def check_det_oracle(seed: int, cases: int) -> int:
                  for _ in range(n)] for _ in range(n)]
         want = perm_expansion_det(rows)
         assert det_division_free(PolyMatrix(rows)) == want
-        # force both engines over the same matrix
-        assert det_elements(rows, one, cofactor_limit=0) == want
-        assert det_elements(rows, one, cofactor_limit=6) == want
+        # both engines over the same matrix, whatever the size cutoff
+        assert _det_cofactor(rows, one) == want
+        assert _det_berkowitz(rows, one) == want
     return cases
 
 

@@ -157,7 +157,8 @@ def test_criterion_8_solvable_cubic_family():
         one = XSeries.const(1, 12)
         ts = {n: t_n(n, ctx) for n in range(1, 16)}
         for n in range(1, 13):
-            assert ts[n] == fib_poly(n).eval_series(ctx.xV), n
+            assert ts[n] == fib_poly(n).substitute(x_assign={1: ctx.xV},
+                                                   order=12), n
             assert ts[n + 3] == (one - ctx.xV) * ts[n + 1] - ctx.xV * ts[n], n
             assert fib_chebyshev_check(n), n
         assert verify_det3(3, 12)

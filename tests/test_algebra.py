@@ -2,7 +2,8 @@ import pytest
 
 from constel.algebra import (Monomial, MultiPoly, NonSquare, NonUnitConstant,
                              NotDivisible, PolyMatrix, UnassignedVariable,
-                             XSeries, det_division_free, det_elements)
+                             XSeries, _det_berkowitz, _det_cofactor,
+                             det_division_free)
 
 import _props
 
@@ -187,8 +188,9 @@ class TestDeterminants:
     def test_engines_agree_on_5x5(self):
         rows = [[V((i + j) % 3 + 1) + C(i * j % 4) for j in range(5)]
                 for i in range(5)]
-        assert det_elements(rows, MultiPoly.one(), cofactor_limit=0) \
-            == det_elements(rows, MultiPoly.one(), cofactor_limit=6)
+        want = _props.perm_expansion_det(rows)
+        assert _det_cofactor(rows, MultiPoly.one()) == want
+        assert _det_berkowitz(rows, MultiPoly.one()) == want
 
 
 # randomized suites; counts well above the hundred-case floor

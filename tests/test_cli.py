@@ -116,7 +116,10 @@ class TestVerifyAll:
         rc, out, _ = capture(["verify-all", "--p", "--n-max", "1",
                               "--order", "3"])
         assert rc == 0
-        assert out.splitlines()[-1].endswith("0 failures")
+        lines = out.splitlines()
+        assert sum(line.startswith("ok   solver.") for line in lines) == 5
+        assert sum(line.startswith("ok   euler.") for line in lines) == 7
+        assert lines[-1] == "12 checks, 0 failures"
 
 
 class TestUsageErrors:

@@ -1,7 +1,7 @@
 import pytest
 
-from constel.algebra import XSeries
-from constel.eulerian import (EulerContext, UniPoly, f1_closed, f_closed,
+from constel.algebra import MultiPoly, XSeries
+from constel.eulerian import (EulerContext, f1_closed, f_closed,
                               fib_chebyshev_check, fib_poly, make_context,
                               t_n, v_closed, v_series, verify_det3)
 from constel.paths import count_closed3, f_poly
@@ -16,40 +16,19 @@ def ctx() -> EulerContext:
     return make_context(ORDER)
 
 
-class TestUniPoly:
-    def test_arithmetic(self):
-        z = UniPoly.variable()
-        p = (1 - z) * (1 + z)
-        assert p == UniPoly((1, 0, -1))
-        assert p.degree == 2
-        assert (z ** 3).coeffs == (0, 0, 0, 1)
-        assert UniPoly.const(0).degree == -1
-
-    def test_trailing_zeros_dropped(self):
-        assert UniPoly((1, 2, 0, 0)) == UniPoly((1, 2))
-
-    def test_shift(self):
-        assert UniPoly((1, 2)).shift(2) == UniPoly((0, 0, 1, 2))
-
-    def test_eval_series(self):
-        s = XSeries.var(1, 4)
-        p = UniPoly((1, -3, 1))
-        got = p.eval_series(s)
-        assert got.univar_coeffs(1) == [1, -3, 1, 0, 0]
-
-
 class TestFibLadder:
     def test_first_members(self):
-        assert fib_poly(0) == UniPoly.const(0)
-        assert fib_poly(1) == UniPoly.const(1)
-        assert fib_poly(2) == UniPoly.const(1)
-        assert fib_poly(3) == UniPoly((1, -1))
-        assert fib_poly(4) == UniPoly((1, -2))
-        assert fib_poly(5) == UniPoly((1, -3, 1))
-        assert fib_poly(6) == UniPoly((1, -4, 3))
+        z = MultiPoly.x_var(1)
+        assert fib_poly(0) == MultiPoly.zero()
+        assert fib_poly(1) == MultiPoly.one()
+        assert fib_poly(2) == MultiPoly.one()
+        assert fib_poly(3) == 1 - z
+        assert fib_poly(4) == 1 - 2 * z
+        assert fib_poly(5) == 1 - 3 * z + z ** 2
+        assert fib_poly(6) == 1 - 4 * z + 3 * z ** 2
 
     def test_recurrence(self):
-        z = UniPoly.variable()
+        z = MultiPoly.x_var(1)
         for n in range(2, 14):
             assert fib_poly(n + 1) == fib_poly(n) - z * fib_poly(n - 1)
 
@@ -131,8 +110,11 @@ class TestTriangularLadder:
         assert got.univar_coeffs(1)[:3] == [1, -3, -5]
 
     def test_equals_fib_ladder(self, ctx):
-        for n in range(1, 13):
-            assert t_n(n, ctx) == fib_poly(n).eval_series(ctx.xV), n
+        # n = 22, 25, 28 are 7x7 and 8x8 determinants (cofactor engine)
+        # and 9x9 (Berkowitz), on both sides of the engine crossover
+        for n in [*range(1, 13), 22, 25, 28]:
+            want = fib_poly(n).substitute(x_assign={1: ctx.xV}, order=ORDER)
+            assert t_n(n, ctx) == want, n
 
     def test_three_term_recurrence(self, ctx):
         one = XSeries.const(1, ORDER)

@@ -3,12 +3,14 @@ from random import Random
 import pytest
 
 import constel.hankel as hankel_mod
-from constel.algebra import MultiPoly, det_elements
+from constel.algebra import MultiPoly, _det_berkowitz, det_elements
 from constel.hankel import (HankelSpec, IdentityViolation, LGVGraph,
                             NonUniqueNILP, check_hankel, hankel_det,
                             hankel_matrix, hankel_product, lgv_signed_sum,
                             nilp_unique, qr, recover_vi)
 from constel.paths import f_poly
+
+import _props
 
 V = MultiPoly.v_var
 
@@ -148,7 +150,7 @@ class TestEngineAgreement:
                  + MultiPoly.const(rng.randint(0, 2)) for _ in range(7)]
                 for _ in range(7)]
         one = MultiPoly.one()
-        slow = det_elements(rows, one, cofactor_limit=8)
-        fast = det_elements(rows, one, cofactor_limit=6)
-        assert slow == fast
-        assert not slow.is_zero()
+        det = det_elements(rows, one)
+        assert det == _det_berkowitz(rows, one)
+        assert det == _props.perm_expansion_det(rows)
+        assert not det.is_zero()
