@@ -19,6 +19,7 @@ Every identity the library relies on has a runnable cross-check in
 """
 
 from .algebra import (
+    ExponentOverflow,
     Monomial,
     MultiPoly,
     NonSquare,
@@ -60,6 +61,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EulerContext",
+    "ExponentOverflow",
     "HankelSpec",
     "IdentityViolation",
     "Monomial",

@@ -8,8 +8,21 @@ which is what the fixed-point solvers produce.  Coefficients are plain
 Python integers, so there is no precision ceiling anywhere and equality
 is literal equality.
 
-Canonical form: zero coefficients are never stored; terms are ordered by
-total degree, then lexicographically on the expanded (family, index)
+Packed monomials: inside both types a monomial is one non-negative
+Python int made of fixed-width fields of ``_WIDTH`` = 16 bits.  Field 0,
+the low bits, holds the total degree; V_i owns field 2i-1 and x_k owns
+field 2k, so the two families interleave and neither index is bounded.
+Multiplying two monomials adds their ints, the degree is
+``key & _FIELD``, and hashing and equality are int operations.  A field
+holds at most 2^16-1, and no exponent exceeds the degree, so a product
+whose factors' degrees sum past that limit raises ``ExponentOverflow``
+(an ``ArithmeticError``) instead of carrying into the next field: one
+degree check per multiply covers every field.  ``Monomial`` is the
+unpacked form used at the boundary: construction, coefficient lookup,
+sorted output, text and JSON.
+
+Canonical form: zero coefficients are never stored; terms print in order
+of total degree, then lexicographically on the expanded (family, index)
 word with V before x.  The empty polynomial prints as "0", the unit
 monomial with coefficient c prints as "c".
 """
@@ -21,6 +34,10 @@ from collections.abc import Iterable, Mapping, Sequence
 
 class NotDivisible(ArithmeticError):
     """Exact polynomial division has no quotient in the integer ring."""
+
+
+class ExponentOverflow(ArithmeticError):
+    """A monomial degree does not fit its packed 16-bit field."""
 
 
 class NonSquare(ValueError):
@@ -36,10 +53,15 @@ class UnassignedVariable(KeyError):
 
 
 # ---------------------------------------------------------------------------
-# exponent tuples: sorted ((index, exp), ...) with index >= 1, exp >= 1
+# packed monomials: one int, a 16-bit field per (family, index), degree low
+
+_WIDTH = 16
+_FIELD = (1 << _WIDTH) - 1  # one field's mask, and the largest degree
+_END = float("inf")  # sorts after every variable index
 
 
 def _as_exponents(data) -> tuple[tuple[int, int], ...]:
+    # sorted ((index, exp), ...) with index >= 1, exp >= 1
     if not data:
         return ()
     items = data.items() if isinstance(data, Mapping) else data
@@ -56,92 +78,136 @@ def _as_exponents(data) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(seen.items()))
 
 
-def _merge_exponents(a, b):
-    # multiply two exponent tuples; both already sorted by index
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        ia, ea = a[i]
-        ib, eb = b[j]
-        if ia == ib:
-            out.append((ia, ea + eb))
-            i += 1
-            j += 1
-        elif ia < ib:
-            out.append(a[i])
-            i += 1
+def _pack(v, x) -> int:
+    # v and x as returned by _as_exponents
+    key = deg = 0
+    for idx, exp in v:
+        key |= exp << (_WIDTH * (2 * idx - 1))
+        deg += exp
+    for idx, exp in x:
+        key |= exp << (_WIDTH * 2 * idx)
+        deg += exp
+    _check_degree(deg)
+    return key | deg
+
+
+def _check_degree(deg: int):
+    if deg > _FIELD:
+        raise ExponentOverflow(f"monomial degree {deg} exceeds the "
+                               f"{_WIDTH}-bit field limit {_FIELD}")
+
+
+def _fields(key):
+    """(field, exp) for every nonzero variable field of a packed key."""
+    key >>= _WIDTH
+    field = 1
+    while key:
+        exp = key & _FIELD
+        if exp:
+            yield field, exp
+        key >>= _WIDTH
+        field += 1
+
+
+def _unpack(key) -> tuple[tuple, tuple]:
+    v, x = [], []
+    for field, exp in _fields(key):
+        if field & 1:
+            v.append(((field + 1) >> 1, exp))
         else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+            x.append((field >> 1, exp))
+    return tuple(v), tuple(x)
 
 
-def _exp_degree(t) -> int:
-    return sum(e for _, e in t)
+def _quotient(a: int, b: int):
+    """Packed a / b, or None when b does not divide a."""
+    rest, shift = b, 0
+    while rest:
+        if rest & _FIELD > (a >> shift) & _FIELD:
+            return None
+        rest >>= _WIDTH
+        shift += _WIDTH
+    return a - b
+
+
+def _graded(key: int):
+    # a multiplication-compatible order, graded so that division is bounded
+    return key & _FIELD, key
+
+
+def _check_term(key, coeff):
+    if not isinstance(coeff, int) or not coeff:
+        raise AssertionError(f"stored coefficient {coeff!r}")
+    # a carry out of any field leaves the degree field off the field sum
+    if key < 0 or sum(e for _, e in _fields(key)) != key & _FIELD:
+        raise AssertionError(f"packed monomial {key:#x} is not canonical")
 
 
 class Monomial:
-    """A product of variables from the two families, e.g. V1^2*V3*x2."""
+    """A product of variables from the two families, e.g. V1^2*V3*x2.
 
-    __slots__ = ("v", "x", "_hash", "_key")
+    The unpacked form: ``v`` and ``x`` are sorted (index, exponent)
+    tuples, and ``key`` is the packed int that the rings store.
+    """
+
+    __slots__ = ("v", "x", "key", "_sort")
 
     def __init__(self, v=(), x=()):
         self.v = v
         self.x = x
-        self._hash = None
-        self._key = None
+        self.key = _pack(v, x)
+        self._sort = None
 
     @classmethod
     def make(cls, v=None, x=None) -> "Monomial":
         return cls(_as_exponents(v), _as_exponents(x))
 
+    @classmethod
+    def _from_key(cls, key: int) -> "Monomial":
+        mono = cls.__new__(cls)
+        mono.v, mono.x = _unpack(key)
+        mono.key = key
+        mono._sort = None
+        return mono
+
     @property
     def degree(self) -> int:
-        return _exp_degree(self.v) + _exp_degree(self.x)
+        return self.key & _FIELD
 
     def sort_key(self):
-        # graded order, ties broken on the expanded (family, index) word
-        key = self._key
+        """Graded order, ties broken on the expanded (family, index) word.
+
+        The word lists V before x, each by index, a letter repeated as
+        often as its exponent.  Two words of one length first differ
+        where one has the larger exponent on the earlier variable, so the
+        key stores (index, -exponent) per variable, with an end marker
+        after the V family that sorts after every index.
+        """
+        key = self._sort
         if key is None:
-            word = []
+            flat = []
             for idx, exp in self.v:
-                word.extend((0, idx) for _ in range(exp))
+                flat += (idx, -exp)
+            flat.append(_END)
             for idx, exp in self.x:
-                word.extend((1, idx) for _ in range(exp))
-            key = (len(word), tuple(word))
-            self._key = key
+                flat += (idx, -exp)
+            key = self._sort = (self.key & _FIELD, tuple(flat))
         return key
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(_merge_exponents(self.v, other.v),
-                        _merge_exponents(self.x, other.x))
+        _check_degree(self.degree + other.degree)
+        return Monomial._from_key(self.key + other.key)
 
     def divide(self, other: "Monomial"):
         """Exact quotient self / other, or None when not divisible."""
-        quo_v = _div_exponents(self.v, other.v)
-        if quo_v is None:
-            return None
-        quo_x = _div_exponents(self.x, other.x)
-        if quo_x is None:
-            return None
-        return Monomial(quo_v, quo_x)
+        key = _quotient(self.key, other.key)
+        return None if key is None else Monomial._from_key(key)
 
     def __eq__(self, other):
-        return (self is other) or (isinstance(other, Monomial)
-                                   and self.v == other.v and self.x == other.x)
+        return isinstance(other, Monomial) and self.key == other.key
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = self._hash = hash((self.v, self.x))
-        return h
+        return hash(self.key)
 
     def __lt__(self, other):
         return self.sort_key() < other.sort_key()
@@ -164,37 +230,20 @@ class Monomial:
         return f"Monomial({self.text()})"
 
 
-def _div_exponents(a, b):
-    if not b:
-        return a
-    d = dict(a)
-    for idx, exp in b:
-        have = d.get(idx, 0)
-        if have < exp:
-            return None
-        if have == exp:
-            del d[idx]
-        else:
-            d[idx] = have - exp
-    return tuple(sorted(d.items()))
-
-
 def _var_text(fam: str, idx: int, exp: int) -> str:
     return f"{fam}{idx}" if exp == 1 else f"{fam}{idx}^{exp}"
-
-
-_MONO_ONE = Monomial()
 
 
 class MultiPoly:
     """Sparse polynomial in Z[V_*; x_*] with exact integer coefficients."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_hash", "_deg")
 
     def __init__(self, terms: dict):
-        # trusts the caller: no zero coefficients, canonical monomials
+        # trusts the caller: packed keys, no zero coefficients
         self._terms = terms
         self._hash = None
+        self._deg = None
 
     # -- constructors -------------------------------------------------
 
@@ -204,29 +253,30 @@ class MultiPoly:
 
     @classmethod
     def one(cls) -> "MultiPoly":
-        return cls({_MONO_ONE: 1})
+        return cls({0: 1})
 
     @classmethod
     def const(cls, c: int) -> "MultiPoly":
-        return cls({_MONO_ONE: c}) if c else cls({})
+        return cls({0: c}) if c else cls({})
 
     @classmethod
     def v_var(cls, i: int, exp: int = 1) -> "MultiPoly":
-        return cls({Monomial.make({i: exp}): 1})
+        return cls({Monomial.make({i: exp}).key: 1})
 
     @classmethod
     def x_var(cls, k: int, exp: int = 1) -> "MultiPoly":
-        return cls({Monomial.make(None, {k: exp}): 1})
+        return cls({Monomial.make(None, {k: exp}).key: 1})
 
     @classmethod
     def from_terms(cls, pairs: Iterable[tuple[Monomial, int]]) -> "MultiPoly":
-        acc: dict[Monomial, int] = {}
+        acc: dict[int, int] = {}
         for mono, coeff in pairs:
-            c = acc.get(mono, 0) + coeff
+            key = mono.key
+            c = acc.get(key, 0) + coeff
             if c:
-                acc[mono] = c
-            elif mono in acc:
-                del acc[mono]
+                acc[key] = c
+            elif key in acc:
+                del acc[key]
         return cls(acc)
 
     # -- inspection ----------------------------------------------------
@@ -239,28 +289,40 @@ class MultiPoly:
         return not self._terms
 
     def constant_term(self) -> int:
-        return self._terms.get(_MONO_ONE, 0)
+        return self._terms.get(0, 0)
 
     def coefficient(self, mono: Monomial) -> int:
-        return self._terms.get(mono, 0)
+        return self._terms.get(mono.key, 0)
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
-        return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
+        pairs = [(Monomial._from_key(k), c) for k, c in self._terms.items()]
+        pairs.sort(key=lambda kv: kv[0].sort_key())
+        return pairs
+
+    def _used(self) -> tuple[tuple, tuple]:
+        # a field is nonzero in the OR of the keys iff some key uses it
+        acc = 0
+        for key in self._terms:
+            acc |= key
+        return _unpack(acc)
 
     def v_indices(self) -> set[int]:
-        out: set[int] = set()
-        for mono in self._terms:
-            out.update(i for i, _ in mono.v)
-        return out
+        return {i for i, _ in self._used()[0]}
 
     def x_indices(self) -> set[int]:
-        out: set[int] = set()
-        for mono in self._terms:
-            out.update(i for i, _ in mono.x)
-        return out
+        return {i for i, _ in self._used()[1]}
 
     def total_degree(self) -> int:
-        return max((m.degree for m in self._terms), default=0)
+        deg = self._deg
+        if deg is None:
+            deg = self._deg = max((k & _FIELD for k in self._terms), default=0)
+        return deg
+
+    def _check(self) -> "MultiPoly":
+        """Assert canonical form: nonzero coefficients, consistent fields."""
+        for key, coeff in self._terms.items():
+            _check_term(key, coeff)
+        return self
 
     # -- ring operations ------------------------------------------------
 
@@ -304,19 +366,24 @@ class MultiPoly:
         a, b = self._terms, other._terms
         if not a or not b:
             return MultiPoly({})
+        # no field of a product exceeds its degree, so one check covers all
+        deg = self.total_degree() + other.total_degree()
+        _check_degree(deg)
         if len(a) > len(b):
             a, b = b, a
-        out: dict[Monomial, int] = {}
+        out: dict[int, int] = {}
         get = out.get
         for ma, ca in a.items():
             for mb, cb in b.items():
-                m = ma * mb
+                m = ma + mb
                 c = get(m, 0) + ca * cb
                 if c:
                     out[m] = c
                 elif m in out:
                     del out[m]
-        return MultiPoly(out)
+        prod = MultiPoly(out)
+        prod._deg = deg  # the top-degree parts cannot cancel over Z
+        return prod
 
     __rmul__ = __mul__
 
@@ -349,18 +416,22 @@ class MultiPoly:
         return bool(self._terms)
 
     def exact_div(self, other: "MultiPoly") -> "MultiPoly":
-        """Exact quotient q with q * other == self; NotDivisible otherwise."""
+        """Exact quotient q with q * other == self; NotDivisible otherwise.
+
+        Leading terms are taken in the graded order of ``_graded``; any
+        multiplication-compatible order gives the same, unique, quotient.
+        """
         if not other._terms:
             raise ZeroDivisionError("exact division by the zero polynomial")
         if not self._terms:
             return MultiPoly({})
-        lead_b = max(other._terms)
+        lead_b = max(other._terms, key=_graded)
         lc_b = other._terms[lead_b]
         rem = dict(self._terms)
-        quo: dict[Monomial, int] = {}
+        quo: dict[int, int] = {}
         while rem:
-            lead_a = max(rem)
-            mono_q = lead_a.divide(lead_b)
+            lead_a = max(rem, key=_graded)
+            mono_q = _quotient(lead_a, lead_b)
             if mono_q is None:
                 raise NotDivisible("leading monomial not divisible")
             lc_a = rem[lead_a]
@@ -368,8 +439,9 @@ class MultiPoly:
             if r:
                 raise NotDivisible("leading coefficient not divisible")
             quo[mono_q] = c
+            # every mono_b is at most lead_b, so no sum passes lead_a's degree
             for mono_b, c_b in other._terms.items():
-                m = mono_q * mono_b
+                m = mono_q + mono_b
                 cc = rem.get(m, 0) - c * c_b
                 if cc:
                     rem[m] = cc
@@ -382,46 +454,41 @@ class MultiPoly:
 
         Every variable appearing in the polynomial must be assigned.  The
         truncation order defaults to the smallest order among the used
-        assignments.
+        assignments.  Powers of each assigned series are shared by all
+        terms, each built from the next lower one by one multiply.
         """
         v_assign = v_assign or {}
         x_assign = x_assign or {}
-        used: list[XSeries] = []
-        for mono in self._terms:
-            for idx, _ in mono.v:
-                s = v_assign.get(idx)
+        used_v, used_x = self._used()
+        base: dict[int, XSeries] = {}
+        for fam, assign, used in (("V", v_assign, used_v), ("x", x_assign, used_x)):
+            for idx, _ in used:
+                s = assign.get(idx)
                 if s is None:
-                    raise UnassignedVariable(f"V{idx}")
-                used.append(s)
-            for idx, _ in mono.x:
-                s = x_assign.get(idx)
-                if s is None:
-                    raise UnassignedVariable(f"x{idx}")
-                used.append(s)
+                    raise UnassignedVariable(f"{fam}{idx}")
+                base[2 * idx - 1 if fam == "V" else 2 * idx] = s
         if order is None:
-            if not used:
+            if not base:
                 raise ValueError("substitute needs an explicit order when "
                                  "no variable is assigned")
-            order = min(s.order for s in used)
-        acc: dict[tuple, int] = {}
-        pow_cache: dict[tuple, XSeries] = {}
-        for mono, coeff in self._terms.items():
-            prod = XSeries.const(coeff, order)
-            for fam, assign in ((0, v_assign), (1, x_assign)):
-                for idx, exp in (mono.v if fam == 0 else mono.x):
-                    key = (fam, idx, exp)
-                    power = pow_cache.get(key)
-                    if power is None:
-                        power = assign[idx].pow(exp).truncate(order)
-                        pow_cache[key] = power
-                    prod = prod * power
+            order = min(s.order for s in base.values())
+        # powers[field][e - 1] is the e-th power of that field's series
+        powers = {field: [s.truncate(order)] for field, s in base.items()}
+        acc: dict[int, int] = {}
+        get = acc.get
+        for key, coeff in self._terms.items():
+            prod = None
+            for field, exp in _fields(key):
+                pw = powers[field]
+                while len(pw) < exp:
+                    pw.append(pw[-1] * pw[0])
+                prod = pw[exp - 1] if prod is None else prod * pw[exp - 1]
+            if prod is None:
+                acc[0] = get(0, 0) + coeff
+                continue
             for xm, c in prod._terms.items():
-                cc = acc.get(xm, 0) + c
-                if cc:
-                    acc[xm] = cc
-                elif xm in acc:
-                    del acc[xm]
-        return XSeries(order, acc)
+                acc[xm] = get(xm, 0) + coeff * c
+        return XSeries(order, {k: c for k, c in acc.items() if c})
 
     # -- text and JSON ---------------------------------------------------
 
@@ -490,7 +557,8 @@ class XSeries:
 
     Every x_k counts one toward the degree regardless of k.  Arithmetic
     truncates at the smaller operand order; equality means same order and
-    identical coefficients through it.
+    identical coefficients through it.  Terms are keyed by packed
+    monomials, as in ``MultiPoly``, with only x fields in use.
     """
 
     __slots__ = ("order", "_terms")
@@ -505,7 +573,7 @@ class XSeries:
 
     @classmethod
     def const(cls, c: int, order: int) -> "XSeries":
-        return cls(order, {(): c} if c else {})
+        return cls(order, {0: c} if c else {})
 
     @classmethod
     def var(cls, k: int, order: int) -> "XSeries":
@@ -513,7 +581,7 @@ class XSeries:
             raise ValueError("x index must be >= 1")
         if order < 1:
             return cls(order, {})
-        return cls(order, {((k, 1),): 1})
+        return cls(order, {_pack((), ((k, 1),)): 1})
 
     @property
     def nterms(self) -> int:
@@ -523,16 +591,16 @@ class XSeries:
         return not self._terms
 
     def constant_term(self) -> int:
-        return self._terms.get((), 0)
+        return self._terms.get(0, 0)
 
     def coeff(self, exponents) -> int:
-        return self._terms.get(_as_exponents(exponents), 0)
+        return self._terms.get(_pack((), _as_exponents(exponents)), 0)
 
     def valuation(self):
         """Smallest total degree with a nonzero coefficient, None if zero."""
         if not self._terms:
             return None
-        return min(_exp_degree(k) for k in self._terms)
+        return min(k & _FIELD for k in self._terms)
 
     def truncate(self, order: int) -> "XSeries":
         if order >= self.order:
@@ -540,19 +608,30 @@ class XSeries:
                 return self
             raise ValueError("cannot extend a truncated series")
         return XSeries(order, {k: c for k, c in self._terms.items()
-                               if _exp_degree(k) <= order})
+                               if k & _FIELD <= order})
 
     def univar_coeffs(self, k: int = 1) -> list[int]:
         """Coefficient list [c_0 .. c_order] for a series in x_k alone."""
+        shift = _WIDTH * 2 * k
         out = [0] * (self.order + 1)
         for key, c in self._terms.items():
-            if not key:
-                out[0] = c
-            elif len(key) == 1 and key[0][0] == k:
-                out[key[0][1]] = c
-            else:
+            e = key & _FIELD
+            if key != (e << shift) | e:
                 raise ValueError(f"series involves more than x{k}")
+            out[e] = c
         return out
+
+    def _check(self) -> "XSeries":
+        """Assert canonical form: as ``MultiPoly._check``, within the order,
+        and x fields only."""
+        for key, coeff in self._terms.items():
+            _check_term(key, coeff)
+            if key & _FIELD > self.order:
+                raise AssertionError(f"term of degree {key & _FIELD} past "
+                                     f"order {self.order}")
+            if _unpack(key)[0]:
+                raise AssertionError(f"V variable in series key {key:#x}")
+        return self
 
     # -- arithmetic ------------------------------------------------------
 
@@ -561,9 +640,9 @@ class XSeries:
         if other is NotImplemented:
             return NotImplemented
         order = min(self.order, other.order)
-        out = {k: c for k, c in self._terms.items() if _exp_degree(k) <= order}
+        out = {k: c for k, c in self._terms.items() if k & _FIELD <= order}
         for key, coeff in other._terms.items():
-            if _exp_degree(key) > order:
+            if key & _FIELD > order:
                 continue
             c = out.get(key, 0) + coeff
             if c:
@@ -595,20 +674,22 @@ class XSeries:
             return NotImplemented
         order = min(self.order, other.order)
         a, b = self._terms, other._terms
+        if not a or not b:
+            return XSeries(order, {})
+        # only products of degree <= order are formed
+        if order > _FIELD:
+            _check_degree(max(k & _FIELD for k in a) + max(k & _FIELD for k in b))
         if len(a) > len(b):
             a, b = b, a
-        out: dict[tuple, int] = {}
+        out: dict[int, int] = {}
         get = out.get
-        b_items = [(k, _exp_degree(k), c) for k, c in b.items()]
+        b_items = sorted((k & _FIELD, k, c) for k, c in b.items())
         for ka, ca in a.items():
-            da = _exp_degree(ka)
-            room = order - da
-            if room < 0:
-                continue
-            for kb, db, cb in b_items:
+            room = order - (ka & _FIELD)
+            for db, kb, cb in b_items:
                 if db > room:
-                    continue
-                k = _merge_exponents(ka, kb)
+                    break
+                k = ka + kb
                 c = get(k, 0) + ca * cb
                 if c:
                     out[k] = c
@@ -624,14 +705,15 @@ class XSeries:
         if c0 not in (1, -1):
             raise NonUnitConstant(f"constant term {c0} is not a unit")
         order = self.order
+        _check_degree(order)  # the inverse has terms up to the order
         by_deg: list[dict] = [dict() for _ in range(order + 1)]
         for key, coeff in self._terms.items():
-            d = _exp_degree(key)
+            d = key & _FIELD
             if d <= order:
                 by_deg[d][key] = coeff
-        inv_layers: list[dict] = [{(): c0}]
+        inv_layers: list[dict] = [{0: c0}]
         for d in range(1, order + 1):
-            acc: dict[tuple, int] = {}
+            acc: dict[int, int] = {}
             for k in range(1, d + 1):
                 layer_a = by_deg[k]
                 if not layer_a:
@@ -639,14 +721,14 @@ class XSeries:
                 layer_b = inv_layers[d - k]
                 for ka, ca in layer_a.items():
                     for kb, cb in layer_b.items():
-                        key = _merge_exponents(ka, kb)
+                        key = ka + kb
                         c = acc.get(key, 0) + ca * cb
                         if c:
                             acc[key] = c
                         elif key in acc:
                             del acc[key]
             inv_layers.append({k: -c0 * c for k, c in acc.items()})
-        out: dict[tuple, int] = {}
+        out: dict[int, int] = {}
         for layer in inv_layers:
             out.update(layer)
         return XSeries(order, out)
@@ -683,19 +765,20 @@ class XSeries:
         if degree > min(self.order, other.order):
             raise ValueError("comparison degree exceeds a truncation order")
         for key in set(self._terms) | set(other._terms):
-            if _exp_degree(key) <= degree and \
+            if key & _FIELD <= degree and \
                     self._terms.get(key, 0) != other._terms.get(key, 0):
                 return False
         return True
 
     # -- text and JSON ----------------------------------------------------
 
-    def sorted_terms(self):
-        return sorted(self._terms.items(),
-                      key=lambda kv: (_exp_degree(kv[0]), kv[0]))
+    def sorted_terms(self) -> list[tuple[tuple, int]]:
+        """(x exponent tuple, coefficient) pairs by degree, then tuple."""
+        rows = sorted((k & _FIELD, _unpack(k)[1], c) for k, c in self._terms.items())
+        return [(xs, c) for _, xs, c in rows]
 
     def __str__(self):
-        pairs = [(Monomial((), key), coeff) for key, coeff in self.sorted_terms()]
+        pairs = [(Monomial((), xs), coeff) for xs, coeff in self.sorted_terms()]
         return _terms_text(pairs)
 
     def __repr__(self):
@@ -704,19 +787,19 @@ class XSeries:
     def to_json(self) -> dict:
         return {
             "truncation_order": self.order,
-            "terms": [{"coeff": str(c), "x": {str(i): e for i, e in key}}
-                      for key, c in self.sorted_terms()],
+            "terms": [{"coeff": str(c), "x": {str(i): e for i, e in xs}}
+                      for xs, c in self.sorted_terms()],
         }
 
     @classmethod
     def from_json(cls, data: Mapping) -> "XSeries":
         order = int(data["truncation_order"])
-        terms: dict[tuple, int] = {}
+        terms: dict[int, int] = {}
         for term in data["terms"]:
-            key = _as_exponents({int(i): int(e)
-                                 for i, e in term.get("x", {}).items()})
+            key = _pack((), _as_exponents({int(i): int(e)
+                                           for i, e in term.get("x", {}).items()}))
             c = int(term["coeff"])
-            if c and _exp_degree(key) <= order:
+            if c and key & _FIELD <= order:
                 terms[key] = terms.get(key, 0) + c
         return cls(order, {k: c for k, c in terms.items() if c})
 

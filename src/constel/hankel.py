@@ -12,6 +12,7 @@ desk-scale checks of the same collapse.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 
 from .algebra import (Monomial, MultiPoly, NotDivisible, PolyMatrix,
@@ -81,7 +82,18 @@ def hankel_matrix(spec: HankelSpec) -> PolyMatrix:
 
 
 def hankel_det(spec: HankelSpec) -> MultiPoly:
-    """Determinant of the banded matrix; the empty case n = -1 gives 1."""
+    """Determinant of the banded matrix; the empty case n = -1 gives 1.
+
+    Memoized: ``recover_vi`` reads each determinant in up to four ratios,
+    and every value is a single monomial.
+    """
+    return _hankel_det(spec, f_poly)
+
+
+@lru_cache(maxsize=128)
+def _hankel_det(spec: HankelSpec, table) -> MultiPoly:
+    # keyed on the walk table as well: with f_poly replaced (a corrupted
+    # table, say) no determinant of the real one is served
     if spec.n == -1:
         return MultiPoly.one()
     return det_division_free(hankel_matrix(spec))
@@ -93,7 +105,7 @@ def hankel_product(spec: HankelSpec) -> MultiPoly:
     for i in range(spec.n + 1):
         for j in range(1, i * spec.p + spec.m + 1):
             exps[j] = exps.get(j, 0) + 1
-    return MultiPoly({Monomial.make(exps): 1})
+    return MultiPoly.from_terms([(Monomial.make(exps), 1)])
 
 
 def check_hankel(spec: HankelSpec) -> MultiPoly:

@@ -74,7 +74,7 @@ class PPath:
 def path_weight(path: PPath) -> MultiPoly:
     """Product of V_h over the falls of the path (a single monomial)."""
     exps = Counter(path.fall_heights())
-    return MultiPoly({Monomial.make(exps): 1})
+    return MultiPoly.from_terms([(Monomial.make(exps), 1)])
 
 
 def _step_counts(p, start, end):

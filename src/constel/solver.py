@@ -22,6 +22,11 @@ degree s.  For s = 0 every V_i has constant term 1.  For the step, the
 new V_i is 1 plus x_n times products of V_i and of levels up to i+w, all
 held and exact through degree s, so it is exact through degree s+1.
 After deg sweeps, levels 1..imax are exact through the truncation order.
+
+The value of a level after s sweeps does not depend on the top either, so
+``solve_vi`` keeps the whole sweep history per (p, deg, kmax) in a
+bounded cache.  A request for a smaller imax reads the levels it needs;
+a larger one sweeps only the new levels of each sweep.
 """
 
 from __future__ import annotations
@@ -78,16 +83,17 @@ def solve_v(cfg: SolverConfig) -> XSeries:
     return v
 
 
-def vi_update(cfg: SolverConfig, family: dict[int, XSeries]) -> dict[int, XSeries]:
+def vi_update(cfg: SolverConfig, family: dict[int, XSeries],
+              start: int = 1) -> dict[int, XSeries]:
     """One parallel sweep of the per-level fixed point.
 
-    ``family`` holds levels 1..L; the sweep returns levels 1..L-window,
+    ``family`` holds levels 1..L; the sweep returns levels start..L-window,
     the ones whose mid paths stay inside the family.
     """
     one = XSeries.const(1, cfg.deg)
     weight = family.__getitem__
     new = {}
-    for i in range(1, len(family) - cfg.window + 1):
+    for i in range(start, len(family) - cfg.window + 1):
         total = XSeries.zero(cfg.deg)
         for n in range(1, cfg.kmax + 1):
             mid = _weight_dp(cfg.p, n * cfg.p - 1, i - 1, i, weight, one)
@@ -96,18 +102,38 @@ def vi_update(cfg: SolverConfig, family: dict[int, XSeries]) -> dict[int, XSerie
     return new
 
 
-@lru_cache(maxsize=None)
-def _solve_family(cfg: SolverConfig) -> dict[int, XSeries]:
-    top = cfg.imax + cfg.window * cfg.deg
-    family = {i: XSeries.const(1, cfg.deg) for i in range(1, top + 1)}
-    for _ in range(cfg.deg):
-        family = vi_update(cfg, family)
-    return family
+def _solve_family(cfg: SolverConfig, sweeps: list) -> dict[int, XSeries]:
+    """Levels 1..imax or more, exact, grown in the history ``sweeps``.
+
+    ``sweeps[s]`` is the family after s sweeps.  A level's value after s
+    sweeps does not depend on how many levels the family holds, so a
+    history serves every smaller imax as it stands and reaches a larger
+    one by sweeping only the new levels.  Pass ``[]`` for a fresh solve.
+    """
+    if len(sweeps) == cfg.deg + 1 and len(sweeps[-1]) >= cfg.imax:
+        return sweeps[-1]
+    if not sweeps:
+        sweeps.append({})
+    ones, one = sweeps[0], XSeries.const(1, cfg.deg)
+    for i in range(len(ones) + 1, cfg.imax + cfg.window * cfg.deg + 1):
+        ones[i] = one
+    for s in range(1, cfg.deg + 1):
+        if len(sweeps) == s:
+            sweeps.append({})
+        sweeps[s].update(vi_update(cfg, sweeps[s - 1], len(sweeps[s]) + 1))
+    return sweeps[-1]
+
+
+@lru_cache(maxsize=32)
+def _sweeps(p: int, deg: int, kmax: int) -> list:
+    # the sweep history of one (p, deg, kmax), shared by every imax
+    return []
 
 
 def solve_vi(cfg: SolverConfig) -> dict[int, XSeries]:
     """Per-level weights V_1..V_imax as series in x_1..x_kmax."""
-    return dict(_solve_family(cfg))
+    family = _solve_family(cfg, _sweeps(cfg.p, cfg.deg, cfg.kmax))
+    return {i: family[i] for i in range(1, cfg.imax + 1)}
 
 
 def f_from_v(cfg: SolverConfig, n: int) -> XSeries:

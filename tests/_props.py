@@ -2,7 +2,12 @@
 
 Each check_* function builds its own seeded Random, runs `cases`
 independent trials, asserts inside, and returns the number of trials it
-actually performed so callers can enforce a minimum.
+actually performed so callers can enforce a minimum.  Every ring result
+they compute passes through ``ok``, the opt-in canonical-form check.
+
+The second half is the tuple-form oracle: the exponent-tuple monomials
+the packed ring replaced, kept as the reference the property tests in
+``test_packed.py`` compare against.
 """
 
 from itertools import permutations
@@ -11,6 +16,11 @@ from random import Random
 from constel.algebra import (Monomial, MultiPoly, NotDivisible, PolyMatrix,
                              XSeries, _det_berkowitz, _det_cofactor,
                              det_division_free)
+
+
+def ok(value):
+    """The value, after its canonical-form check."""
+    return value._check()
 
 
 def rand_monomial(rng: Random, max_idx=4, max_exp=3) -> Monomial:
@@ -48,15 +58,16 @@ def check_ring_laws(seed: int, cases: int) -> int:
     zero, one = MultiPoly.zero(), MultiPoly.one()
     for _ in range(cases):
         a, b, c = (rand_poly(rng) for _ in range(3))
-        assert (a + b) + c == a + (b + c)
-        assert a + b == b + a
-        assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert a - a == zero
-        assert a * one == a and a * zero == zero
-        assert a ** 3 == a * a * a
-        rebuilt = MultiPoly.from_terms(a.sorted_terms())
+        ok(a), ok(b), ok(c)
+        assert ok(ok(a + b) + c) == ok(a + ok(b + c))
+        assert a + b == ok(b + a)
+        assert ok(a * b) == ok(b * a)
+        assert ok(ok(a * b) * c) == ok(a * ok(b * c))
+        assert a * (b + c) == ok(ok(a * b) + ok(a * c))
+        assert ok(a - a) == zero
+        assert ok(a * one) == a and ok(a * zero) == zero
+        assert ok(a ** 3) == a * a * a
+        rebuilt = ok(MultiPoly.from_terms(a.sorted_terms()))
         assert rebuilt == a and hash(rebuilt) == hash(a)
     return cases
 
@@ -66,8 +77,8 @@ def check_exact_div(seed: int, cases: int) -> int:
     for _ in range(cases):
         a = _nonzero_poly(rng)
         b = _nonzero_poly(rng)
-        assert (a * b).exact_div(b) == a
-        assert (a * 2).exact_div(MultiPoly.const(2)) == a
+        assert ok((a * b).exact_div(b)) == a
+        assert ok((a * 2).exact_div(MultiPoly.const(2))) == a
         if b.total_degree() >= 1:
             try:
                 (a * b + MultiPoly.one()).exact_div(b)
@@ -105,10 +116,10 @@ def check_det_oracle(seed: int, cases: int) -> int:
         rows = [[rand_poly(rng, max_terms=2, max_idx=3, max_exp=2)
                  for _ in range(n)] for _ in range(n)]
         want = perm_expansion_det(rows)
-        assert det_division_free(PolyMatrix(rows)) == want
+        assert ok(det_division_free(PolyMatrix(rows))) == ok(want)
         # both engines over the same matrix, whatever the size cutoff
-        assert _det_cofactor(rows, one) == want
-        assert _det_berkowitz(rows, one) == want
+        assert ok(_det_cofactor(rows, one)) == want
+        assert ok(_det_berkowitz(rows, one)) == want
     return cases
 
 
@@ -122,9 +133,9 @@ def check_series_inv(seed: int, cases: int) -> int:
         t = rand_series(rng, order) * XSeries.var(2, order) \
             + XSeries.const(rng.choice((1, -1)), order)
         one = XSeries.const(1, order)
-        assert s * s.inv() == one
-        assert (s * t).inv() == t.inv() * s.inv()
-        assert s.pow(-2) == s.inv() * s.inv()
+        assert ok(s * ok(s.inv())) == one
+        assert ok(ok(s * t).inv()) == ok(ok(t.inv()) * s.inv())
+        assert ok(s.pow(-2)) == s.inv() * s.inv()
     return cases
 
 
@@ -138,10 +149,10 @@ def check_substitute_morphism(seed: int, cases: int) -> int:
         x_assign = {k: rand_series(rng, order) for k in range(1, 3)}
 
         def sub(p):
-            return p.substitute(v_assign, x_assign, order=order)
+            return ok(p.substitute(v_assign, x_assign, order=order))
 
-        assert sub(a + b) == sub(a) + sub(b)
-        assert sub(a * b) == sub(a) * sub(b)
+        assert sub(a + b) == ok(sub(a) + sub(b))
+        assert sub(a * b) == ok(sub(a) * sub(b))
         assert sub(MultiPoly.const(7)) == XSeries.const(7, order)
     return cases
 
@@ -150,8 +161,145 @@ def check_json_roundtrip(seed: int, cases: int) -> int:
     rng = Random(seed)
     for _ in range(cases):
         p = rand_poly(rng)
-        assert MultiPoly.from_json(p.to_json()) == p
-        s = rand_series(rng, rng.randint(2, 6))
-        back = XSeries.from_json(s.to_json())
+        assert ok(MultiPoly.from_json(p.to_json())) == p
+        s = ok(rand_series(rng, rng.randint(2, 6)))
+        back = ok(XSeries.from_json(s.to_json()))
         assert back == s and back.order == s.order
     return cases
+
+
+# ---------------------------------------------------------------------------
+# tuple-form oracle.  A monomial is (v, x), each a sorted ((index, exp), ...)
+# tuple; a polynomial is {monomial: coeff}; a series is {x tuple: coeff}.
+
+
+def t_merge(a, b):
+    out = dict(a)
+    for idx, exp in b:
+        out[idx] = out.get(idx, 0) + exp
+    return tuple(sorted(out.items()))
+
+
+def t_div(a, b):
+    d = dict(a)
+    for idx, exp in b:
+        have = d.get(idx, 0)
+        if have < exp:
+            return None
+        if have == exp:
+            del d[idx]
+        else:
+            d[idx] = have - exp
+    return tuple(sorted(d.items()))
+
+
+def t_degree(t) -> int:
+    return sum(e for _, e in t)
+
+
+def t_word_key(mono):
+    # graded, then the expanded (family, index) word with V before x
+    v, x = mono
+    word = [(0, i) for i, e in v for _ in range(e)]
+    word += [(1, i) for i, e in x for _ in range(e)]
+    return len(word), tuple(word)
+
+
+def t_poly(p: MultiPoly) -> dict:
+    """Tuple form of a MultiPoly, read back through its JSON."""
+    return {(tuple(sorted((int(i), e) for i, e in t["V"].items())),
+             tuple(sorted((int(i), e) for i, e in t["x"].items()))): int(t["coeff"])
+            for t in p.to_json()}
+
+
+def t_to_poly(terms: dict) -> MultiPoly:
+    return MultiPoly.from_terms((Monomial(v, x), c) for (v, x), c in terms.items())
+
+
+def drop_zeros(terms: dict) -> dict:
+    return {m: c for m, c in terms.items() if c}
+
+
+def t_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + c
+    return drop_zeros(out)
+
+
+def t_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for (va, xa), ca in a.items():
+        for (vb, xb), cb in b.items():
+            m = (t_merge(va, vb), t_merge(xa, xb))
+            out[m] = out.get(m, 0) + ca * cb
+    return drop_zeros(out)
+
+
+def t_json(a: dict) -> list:
+    return [{"coeff": str(c), "V": {str(i): e for i, e in v},
+             "x": {str(i): e for i, e in x}}
+            for (v, x), c in sorted(a.items(), key=lambda kv: t_word_key(kv[0]))]
+
+
+def t_exact_div(a: dict, b: dict) -> dict:
+    """Leading-term division in the graded word order; NotDivisible if none."""
+    lead_b = max(b, key=t_word_key)
+    rem = dict(a)
+    quo = {}
+    while rem:
+        lead_a = max(rem, key=t_word_key)
+        mono_q = (t_div(lead_a[0], lead_b[0]), t_div(lead_a[1], lead_b[1]))
+        if None in mono_q:
+            raise NotDivisible("leading monomial")
+        c, r = divmod(rem[lead_a], b[lead_b])
+        if r:
+            raise NotDivisible("leading coefficient")
+        quo[mono_q] = c
+        for (vb, xb), cb in b.items():
+            m = (t_merge(mono_q[0], vb), t_merge(mono_q[1], xb))
+            rem[m] = rem.get(m, 0) - c * cb
+            if not rem[m]:
+                del rem[m]
+    return quo
+
+
+def t_series(s: XSeries) -> dict:
+    """Tuple form of an XSeries, read back through its JSON."""
+    return {tuple(sorted((int(i), e) for i, e in t["x"].items())): int(t["coeff"])
+            for t in s.to_json()["terms"]}
+
+
+def t_to_series(terms: dict, order: int) -> XSeries:
+    return XSeries.from_json({"truncation_order": order, "terms": [
+        {"coeff": str(c), "x": {str(i): e for i, e in key}}
+        for key, c in terms.items()]})
+
+
+def t_truncate(a: dict, order: int) -> dict:
+    return {k: c for k, c in a.items() if t_degree(k) <= order}
+
+
+def t_series_mul(a: dict, b: dict, order: int) -> dict:
+    out: dict = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            if t_degree(ka) + t_degree(kb) <= order:
+                k = t_merge(ka, kb)
+                out[k] = out.get(k, 0) + ca * cb
+    return drop_zeros(out)
+
+
+def t_series_inv(a: dict, order: int) -> dict:
+    # degree d of the inverse: -c0 times degree d of (a - c0) * inverse
+    c0 = a.get((), 0)
+    rest = {k: c for k, c in a.items() if k}
+    inv = {(): c0}
+    for d in range(1, order + 1):
+        layer = t_series_mul(rest, inv, d)
+        inv.update({k: -c0 * c for k, c in layer.items() if t_degree(k) == d})
+    return inv
+
+
+def t_sorted_series(a: dict) -> list:
+    return sorted(a.items(), key=lambda kv: (t_degree(kv[0]), kv[0]))

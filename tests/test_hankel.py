@@ -91,6 +91,23 @@ class TestInversion:
         with pytest.raises(ValueError):
             recover_vi(1, 1)
 
+    def test_sweep_computes_each_determinant_once(self):
+        # recover_vi reads four determinants, most of them shared with
+        # neighbouring i; the memo computes each distinct one once
+        specs = []
+        for i in range(1, 17):
+            n, m = divmod(i, 3)
+            if m:
+                specs += [(m, n), (m - 1, n - 1), (m, n - 1), (m - 1, n)]
+            else:
+                specs += [(0, n), (2, n - 2), (0, n - 1), (2, n - 1)]
+        hankel_mod._hankel_det.cache_clear()
+        for i in range(1, 17):
+            assert recover_vi(3, i) == V(i), i
+        info = hankel_mod._hankel_det.cache_info()
+        assert info.misses == len(set(specs)) == 20
+        assert info.hits == len(specs) - len(set(specs))
+
     def test_corruption_surfaces_as_violation(self, monkeypatch):
         # perturbing a single walk polynomial breaks the telescoping ratio
         real = f_poly

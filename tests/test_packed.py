@@ -1,0 +1,156 @@
+"""The packed-monomial rings against the tuple-form oracle in ``_props``.
+
+Inputs use variable indices up to 200 and exponents up to the field
+limit: each factor's monomials have degree at most half the 16-bit field,
+so every product fits and some reach the limit exactly.  Examples are
+derandomized and bounded, so the suite runs the same cases every time.
+"""
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from constel.algebra import (_FIELD, ExponentOverflow, Monomial, MultiPoly,
+                             NotDivisible, XSeries)
+
+import _props
+from _props import ok
+
+HALF = _FIELD // 2
+
+PACKED = settings(derandomize=True, database=None, deadline=None, max_examples=40,
+                  suppress_health_check=[HealthCheck.too_slow])
+
+INDEX = st.integers(1, 200)
+COEFF = st.one_of(st.integers(-9, 9), st.integers(-(1 << 70), 1 << 70))
+
+
+@st.composite
+def exponents(draw, budget):
+    """A sorted ((index, exp), ...) tuple whose degree is at most budget."""
+    out = {}
+    for idx in draw(st.lists(INDEX, max_size=3, unique=True)):
+        exp = draw(st.integers(0, budget))
+        budget -= exp
+        if exp:
+            out[idx] = exp
+    return tuple(sorted(out.items()))
+
+
+@st.composite
+def monomials(draw, budget=HALF):
+    # degree at most budget over both families
+    budget = draw(st.sampled_from((3, budget)))
+    v = draw(exponents(budget))
+    x = draw(exponents(budget - _props.t_degree(v)))
+    return v, x
+
+
+def polys(budget=HALF, max_size=5):
+    """Tuple-form polynomials: {(v, x): coeff}, no zero coefficients."""
+    return st.dictionaries(monomials(budget), COEFF, max_size=max_size) \
+        .map(_props.drop_zeros)
+
+
+@st.composite
+def series(draw, order=None):
+    """(tuple-form series, order); degrees stay within the order."""
+    if order is None:
+        order = draw(st.sampled_from((0, 1, 3, 6, _FIELD)))
+    budget = min(order, HALF)
+    terms = draw(st.dictionaries(exponents(budget), COEFF, max_size=5))
+    return _props.drop_zeros(terms), order
+
+
+@PACKED
+@given(polys(), polys())
+def test_mul_and_add_match_oracle(a, b):
+    pa, pb = ok(_props.t_to_poly(a)), ok(_props.t_to_poly(b))
+    assert _props.t_poly(ok(pa * pb)) == _props.t_mul(a, b)
+    assert _props.t_poly(ok(pa + pb)) == _props.t_add(a, b)
+    assert _props.t_poly(ok(pa - pb)) == _props.t_add(
+        a, {m: -c for m, c in b.items()})
+
+
+@PACKED
+@given(polys())
+def test_sorted_terms_and_json_match_oracle(a):
+    p = _props.t_to_poly(a)
+    assert [(m.v, m.x) for m, _ in p.sorted_terms()] == \
+        sorted(a, key=_props.t_word_key)
+    assert p.to_json() == _props.t_json(a)
+    assert ok(MultiPoly.from_json(p.to_json())) == p
+
+
+@PACKED
+@given(polys(), polys(max_size=3))
+def test_exact_div_of_a_product(a, b):
+    pa, pb = _props.t_to_poly(a), _props.t_to_poly(b)
+    if pb.is_zero():
+        return
+    assert ok((pa * pb).exact_div(pb)) == pa
+
+
+@PACKED
+@given(polys(budget=3), polys(budget=3, max_size=3))
+def test_exact_div_matches_oracle(a, b):
+    # small degrees: a failing division may sweep many remainder terms
+    if not b:
+        return
+    pa, pb = _props.t_to_poly(a), _props.t_to_poly(b)
+    try:
+        want = _props.t_exact_div(a, b)
+    except NotDivisible:
+        with pytest.raises(NotDivisible):
+            pa.exact_div(pb)
+    else:
+        assert _props.t_poly(ok(pa.exact_div(pb))) == want
+
+
+@PACKED
+@given(series(), series())
+def test_series_ring_and_truncate_match_oracle(sa, sb):
+    (a, oa), (b, ob) = sa, sb
+    xa, xb = ok(_props.t_to_series(a, oa)), ok(_props.t_to_series(b, ob))
+    order = min(oa, ob)
+    prod = ok(xa * xb)
+    assert prod.order == order
+    assert _props.t_series(prod) == _props.t_series_mul(a, b, order)
+    assert _props.t_series(ok(xa + xb)) == _props.t_add(
+        _props.t_truncate(a, order), _props.t_truncate(b, order))
+    assert _props.t_series(ok(xa.truncate(order))) == _props.t_truncate(a, order)
+    assert xa.sorted_terms() == _props.t_sorted_series(a)
+
+
+@PACKED
+@given(series(order=6), st.sampled_from((1, -1)))
+def test_series_inv_matches_oracle(sa, unit):
+    a, order = sa
+    a = dict(a)
+    a[()] = unit
+    s = ok(_props.t_to_series(a, order))
+    assert _props.t_series(ok(s.inv())) == _props.t_series_inv(a, order)
+
+
+def test_product_at_the_field_limit():
+    top = MultiPoly.v_var(1, HALF + 1) * MultiPoly.v_var(1, HALF)
+    assert ok(top) == MultiPoly.v_var(1, _FIELD)
+    assert Monomial.make({200: HALF}) * Monomial.make({200: HALF + 1}) \
+        == Monomial.make({200: _FIELD})
+    assert ok(XSeries.var(200, _FIELD).pow(_FIELD)).coeff({200: _FIELD}) == 1
+
+
+def test_product_past_the_field_raises():
+    with pytest.raises(ExponentOverflow):
+        MultiPoly.v_var(1, _FIELD) * MultiPoly.v_var(2)
+    with pytest.raises(ExponentOverflow):
+        MultiPoly.x_var(200, HALF + 1) * MultiPoly.x_var(200, HALF + 1)
+    with pytest.raises(ExponentOverflow):
+        Monomial.make({1: _FIELD}) * Monomial.make(x={1: 1})
+    with pytest.raises(ExponentOverflow):
+        Monomial.make({1: _FIELD + 1})
+    # past the field only an order above it could keep the product
+    big = XSeries.var(1, _FIELD + 1).pow(HALF + 1)
+    with pytest.raises(ExponentOverflow):
+        big * big
+    assert issubclass(ExponentOverflow, ArithmeticError)
+

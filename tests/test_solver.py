@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import pytest
 
 from constel.algebra import XSeries
 from constel.paths import f_poly
-from constel.solver import (SolverConfig, f1_tutte_check, f_from_v,
-                            solve_v, solve_vi, v_update, vi_update)
+import constel.solver as solver_mod
+from constel.solver import (SolverConfig, _solve_family, f1_tutte_check,
+                            f_from_v, solve_v, solve_vi, v_update, vi_update)
 
 
 class TestConfig:
@@ -81,9 +84,24 @@ class TestFamily:
     def test_cap_doubling_certificate(self):
         cfg = SolverConfig(p=3, deg=3, kmax=2, imax=3)
         wide = SolverConfig(p=3, deg=3, kmax=2, imax=6)
-        a, b = solve_vi(cfg), solve_vi(wide)
+        # the wide side is a fresh solve, never a slice of the cached one
+        a, b = solve_vi(cfg), _solve_family(wide, [])
         for i in range(1, 4):
             assert a[i] == b[i], i
+
+    def test_growing_imax_sweeps_each_level_once(self):
+        # the v_series ladder asks for imax 1, 2, ..., 8 in turn
+        cfg = SolverConfig(p=3, deg=6, kmax=1, imax=8)
+        solver_mod._sweeps.cache_clear()
+        ladder = [solve_vi(replace(cfg, imax=i)) for i in range(1, 9)]
+        history = solver_mod._sweeps(3, 6, 1)
+        assert solver_mod._sweeps.cache_info().misses == 1
+        assert [len(f) for f in history] == \
+            [8 + cfg.window * (cfg.deg - s) for s in range(cfg.deg + 1)]
+        fresh = _solve_family(cfg, [])
+        for i, fam in enumerate(ladder, 1):
+            assert sorted(fam) == list(range(1, i + 1))
+            assert all(fam[j] == fresh[j] for j in fam), i
 
     def test_solve_vi_returns_requested_levels(self):
         cfg = SolverConfig(p=3, deg=2, kmax=1, imax=2)
