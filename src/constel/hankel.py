@@ -81,19 +81,13 @@ def hankel_matrix(spec: HankelSpec) -> PolyMatrix:
     return PolyMatrix(rows)
 
 
+@lru_cache(maxsize=128)
 def hankel_det(spec: HankelSpec) -> MultiPoly:
     """Determinant of the banded matrix; the empty case n = -1 gives 1.
 
-    Memoized: ``recover_vi`` reads each determinant in up to four ratios,
-    and every value is a single monomial.
+    Memoized per spec: ``recover_vi`` reads each determinant in up to four
+    ratios, and every value is a single monomial.
     """
-    return _hankel_det(spec, f_poly)
-
-
-@lru_cache(maxsize=128)
-def _hankel_det(spec: HankelSpec, table) -> MultiPoly:
-    # keyed on the walk table as well: with f_poly replaced (a corrupted
-    # table, say) no determinant of the real one is served
     if spec.n == -1:
         return MultiPoly.one()
     return det_division_free(hankel_matrix(spec))

@@ -26,7 +26,8 @@ After deg sweeps, levels 1..imax are exact through the truncation order.
 The value of a level after s sweeps does not depend on the top either, so
 ``solve_vi`` keeps the whole sweep history per (p, deg, kmax) in a
 bounded cache.  A request for a smaller imax reads the levels it needs;
-a larger one sweeps only the new levels of each sweep.
+a larger one sweeps only the new levels of each sweep.  ``solve_family``
+runs the same solve without the cache.
 """
 
 from __future__ import annotations
@@ -102,13 +103,13 @@ def vi_update(cfg: SolverConfig, family: dict[int, XSeries],
     return new
 
 
-def _solve_family(cfg: SolverConfig, sweeps: list) -> dict[int, XSeries]:
-    """Levels 1..imax or more, exact, grown in the history ``sweeps``.
+def _grow(cfg: SolverConfig, sweeps: list) -> dict[int, XSeries]:
+    """Extend the sweep history ``sweeps`` until it holds levels 1..imax.
 
     ``sweeps[s]`` is the family after s sweeps.  A level's value after s
     sweeps does not depend on how many levels the family holds, so a
     history serves every smaller imax as it stands and reaches a larger
-    one by sweeping only the new levels.  Pass ``[]`` for a fresh solve.
+    one by sweeping only the new levels.
     """
     if len(sweeps) == cfg.deg + 1 and len(sweeps[-1]) >= cfg.imax:
         return sweeps[-1]
@@ -124,6 +125,15 @@ def _solve_family(cfg: SolverConfig, sweeps: list) -> dict[int, XSeries]:
     return sweeps[-1]
 
 
+def solve_family(cfg: SolverConfig) -> dict[int, XSeries]:
+    """Levels 1..imax solved from the all-ones family, with no cache.
+
+    The cap-doubling certificates compare ``solve_vi`` with this, so that
+    their two sides come from independent solves.
+    """
+    return _grow(cfg, [])
+
+
 @lru_cache(maxsize=32)
 def _sweeps(p: int, deg: int, kmax: int) -> list:
     # the sweep history of one (p, deg, kmax), shared by every imax
@@ -132,7 +142,7 @@ def _sweeps(p: int, deg: int, kmax: int) -> list:
 
 def solve_vi(cfg: SolverConfig) -> dict[int, XSeries]:
     """Per-level weights V_1..V_imax as series in x_1..x_kmax."""
-    family = _solve_family(cfg, _sweeps(cfg.p, cfg.deg, cfg.kmax))
+    family = _grow(cfg, _sweeps(cfg.p, cfg.deg, cfg.kmax))
     return {i: family[i] for i in range(1, cfg.imax + 1)}
 
 

@@ -165,8 +165,7 @@ def plan_solver(order) -> CheckPlan:
 
     def cap_doubling():
         a = solver.solve_vi(cfg)
-        # a fresh solve, so the certificate compares two independent ones
-        b = solver._solve_family(replace(cfg, imax=2 * cfg.imax), [])
+        b = solver.solve_family(replace(cfg, imax=2 * cfg.imax))
         bad = [i for i in a if a[i] != b[i]]
         return f"levels {bad} moved under cap doubling" if bad else None
 

@@ -17,8 +17,9 @@ from constel.hankel import (HankelSpec, hankel_det, hankel_product,
                             lgv_signed_sum, nilp_unique, recover_vi)
 from constel.paths import (count_closed3, count_paths, enumerate_paths,
                            f_mid, f_poly, path_weight)
-from constel.solver import (SolverConfig, _solve_family, f1_tutte_check,
-                            f_from_v, solve_v, solve_vi, v_update, vi_update)
+from constel.solver import (SolverConfig, f1_tutte_check, f_from_v,
+                            solve_family, solve_v, solve_vi, v_update,
+                            vi_update)
 
 import _props
 
@@ -130,7 +131,7 @@ def test_criterion_7_degree_marked_solver():
             direct = f_poly(3, n, 0).substitute(family, order=cfg.deg)
             assert f_from_v(cfg, n) == direct, n
         wide = SolverConfig(p=3, deg=4, kmax=2, imax=12)
-        a, b = solve_vi(cfg), _solve_family(wide, [])  # b is a fresh solve
+        a, b = solve_vi(cfg), solve_family(wide)  # b is a fresh solve
         for i in range(1, 7):
             assert a[i] == b[i], i
         for n in range(3):

@@ -3,7 +3,6 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
-import constel.hankel as hankel_mod
 from constel.algebra import MultiPoly, XSeries
 from constel.cli import run
 from constel.paths import f_poly
@@ -81,9 +80,8 @@ class TestLGVCommand:
         assert payload["disjoint_count"] == 1
         assert payload["signed_sum"] == payload["determinant"]
 
-    def test_corrupted_tables_exit_one(self, monkeypatch):
-        monkeypatch.setattr(hankel_mod, "f_poly",
-                            lambda p, n, r: MultiPoly.one())
+    def test_corrupted_tables_exit_one(self, crooked_walks):
+        crooked_walks(lambda p, n, r: MultiPoly.one())
         rc, out, err = capture(["lgv", "--p", "3", "--m", "1", "--n", "1"])
         assert rc == 1
         assert "identity violation" in err

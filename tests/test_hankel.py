@@ -2,7 +2,6 @@ from random import Random
 
 import pytest
 
-import constel.hankel as hankel_mod
 from constel.algebra import MultiPoly, _det_berkowitz, det_elements
 from constel.hankel import (HankelSpec, IdentityViolation, LGVGraph,
                             NonUniqueNILP, check_hankel, hankel_det,
@@ -69,11 +68,10 @@ class TestCollapse:
         # prod_{i<=1} prod_{j<=3i+1} V_j = V1 * (V1 V2 V3 V4)
         assert got == V(1, 2) * V(2) * V(3) * V(4)
 
-    def test_check_passes_and_reports_corruption(self, monkeypatch):
+    def test_check_passes_and_reports_corruption(self, crooked_walks):
         assert check_hankel(HankelSpec(3, 1, 1)) == hankel_product(
             HankelSpec(3, 1, 1))
-        monkeypatch.setattr(hankel_mod, "f_poly",
-                            lambda p, n, r: MultiPoly.one())
+        crooked_walks(lambda p, n, r: MultiPoly.one())
         with pytest.raises(IdentityViolation) as err:
             check_hankel(HankelSpec(3, 1, 1))
         assert "p=3 m=1 n=1" in str(err.value)
@@ -101,14 +99,14 @@ class TestInversion:
                 specs += [(m, n), (m - 1, n - 1), (m, n - 1), (m - 1, n)]
             else:
                 specs += [(0, n), (2, n - 2), (0, n - 1), (2, n - 1)]
-        hankel_mod._hankel_det.cache_clear()
+        hankel_det.cache_clear()
         for i in range(1, 17):
             assert recover_vi(3, i) == V(i), i
-        info = hankel_mod._hankel_det.cache_info()
+        info = hankel_det.cache_info()
         assert info.misses == len(set(specs)) == 20
         assert info.hits == len(specs) - len(set(specs))
 
-    def test_corruption_surfaces_as_violation(self, monkeypatch):
+    def test_corruption_surfaces_as_violation(self, crooked_walks):
         # perturbing a single walk polynomial breaks the telescoping ratio
         real = f_poly
 
@@ -116,7 +114,7 @@ class TestInversion:
             base = real(p, n, r)
             return base + 1 if (n, r) == (1, 0) else base
 
-        monkeypatch.setattr(hankel_mod, "f_poly", crooked)
+        crooked_walks(crooked)
         with pytest.raises(IdentityViolation):
             recover_vi(3, 3)
 

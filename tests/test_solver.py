@@ -5,8 +5,9 @@ import pytest
 from constel.algebra import XSeries
 from constel.paths import f_poly
 import constel.solver as solver_mod
-from constel.solver import (SolverConfig, _solve_family, f1_tutte_check,
-                            f_from_v, solve_v, solve_vi, v_update, vi_update)
+from constel.solver import (SolverConfig, f1_tutte_check, f_from_v,
+                            solve_family, solve_v, solve_vi, v_update,
+                            vi_update)
 
 
 class TestConfig:
@@ -76,8 +77,11 @@ class TestFamily:
             assert swept[i] == family[i], i
 
     def test_imax_does_not_disturb_low_indices(self):
-        lo = solve_vi(SolverConfig(p=3, deg=4, kmax=1, imax=2))
-        hi = solve_vi(SolverConfig(p=3, deg=4, kmax=1, imax=6))
+        # two fresh solves: solve_vi serves both from one cached history,
+        # which relies on exactly this property
+        lo = solve_family(SolverConfig(p=3, deg=4, kmax=1, imax=2))
+        hi = solve_family(SolverConfig(p=3, deg=4, kmax=1, imax=6))
+        assert len(lo) == 2 and len(hi) == 6
         for i in (1, 2):
             assert lo[i] == hi[i]
 
@@ -85,7 +89,7 @@ class TestFamily:
         cfg = SolverConfig(p=3, deg=3, kmax=2, imax=3)
         wide = SolverConfig(p=3, deg=3, kmax=2, imax=6)
         # the wide side is a fresh solve, never a slice of the cached one
-        a, b = solve_vi(cfg), _solve_family(wide, [])
+        a, b = solve_vi(cfg), solve_family(wide)
         for i in range(1, 4):
             assert a[i] == b[i], i
 
@@ -98,7 +102,7 @@ class TestFamily:
         assert solver_mod._sweeps.cache_info().misses == 1
         assert [len(f) for f in history] == \
             [8 + cfg.window * (cfg.deg - s) for s in range(cfg.deg + 1)]
-        fresh = _solve_family(cfg, [])
+        fresh = solve_family(cfg)
         for i, fam in enumerate(ladder, 1):
             assert sorted(fam) == list(range(1, i + 1))
             assert all(fam[j] == fresh[j] for j in fam), i
