@@ -845,18 +845,59 @@ class PolyMatrix:
 
 
 def det_division_free(matrix: PolyMatrix) -> MultiPoly:
-    """Determinant of a square MultiPoly matrix, computed without division."""
+    """Determinant of a square MultiPoly matrix, never leaving the ring.
+
+    Elimination runs first while every pivot is a single term c*m that
+    divides each entry below it exactly, so every entry stays a
+    polynomial; the Hankel matrices of ``constel.hankel`` pass at every
+    size tested.  Otherwise the input goes unchanged to the division-free
+    ``det_elements``.
+    """
     if matrix.nrows != matrix.ncols:
         raise NonSquare(f"{matrix.nrows}x{matrix.ncols} matrix")
-    return det_elements(matrix.entries, MultiPoly.one())
+    det = _det_term_pivots(matrix.entries)
+    if det is None:
+        det = det_elements(matrix.entries, MultiPoly.one())
+    return det
 
 
-# Measured crossover (2 cores, Python 3.11).  On Hankel matrices only
-# cofactor finishes in minutes: 6x6 (3,0,5) takes about 1 s and 7x7
-# (2,0,6) 19 s, where Berkowitz passed 1 GiB within 4 minutes.  On the
-# series matrices of eulerian.t_n cofactor is faster up to 7x7, the two
-# tie at 8x8, and Berkowitz wins from 9x9 on (3x at 11x11), because
-# cofactor expands all 2^n minors.
+def _det_term_pivots(rows):
+    """Elimination on single-term pivots: their product, or None.
+
+    None at a zero or multi-term pivot, or at an entry below a pivot that
+    it does not divide.  The multipliers make up L, the pivots the
+    diagonal of U, in rows = L*U; ``rows`` is left as it was.
+    """
+    a = [list(row) for row in rows]
+    det = MultiPoly.one()
+    for k, row_k in enumerate(a):
+        pivot = row_k[k]
+        if pivot.nterms != 1:
+            return None
+        (mono, coeff), = pivot._terms.items()
+        for row_i in a[k + 1:]:
+            quo = {}
+            for key, c in row_i[k]._terms.items():
+                q_key = _quotient(key, mono)
+                q, r = divmod(c, coeff)
+                if q_key is None or r:
+                    return None
+                quo[q_key] = q
+            if quo:
+                mult = MultiPoly(quo)
+                for j in range(k + 1, len(a)):
+                    if row_k[j]:
+                        row_i[j] = row_i[j] - mult * row_k[j]
+        det = det * pivot
+    return det
+
+
+# Measured (2 cores, Python 3.11) on eulerian's series matrices, which
+# call det_elements directly: cofactor is faster up to 7x7, the two tie
+# at 8x8, Berkowitz wins from 9x9 (3x at 11x11).  Hankel matrices get
+# here only as the fallback of the single-term elimination, which takes
+# hankel_det (3,1,6), 7x7, in 0.27 s (5.5 s on cofactor) and (2,0,8),
+# 9x9, in 1.6 s (Berkowitz not done after 120 s).
 _COFACTOR_LIMIT = 8
 
 

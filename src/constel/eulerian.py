@@ -21,7 +21,7 @@ from .hankel import qr
 from .solver import SolverConfig, solve_v, solve_vi
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def fib_poly(n: int) -> MultiPoly:
     """The Fibonacci-style family: f_0 = 0, f_1 = 1, f_{n+2} = f_{n+1} - z f_n.
 

@@ -85,8 +85,13 @@ def hankel_matrix(spec: HankelSpec) -> PolyMatrix:
 def hankel_det(spec: HankelSpec) -> MultiPoly:
     """Determinant of the banded matrix; the empty case n = -1 gives 1.
 
-    Memoized per spec: ``recover_vi`` reads each determinant in up to four
-    ratios, and every value is a single monomial.
+    Each leading minor of the matrix is the determinant of a smaller n,
+    a single monomial, so the pivots of ``det_division_free``'s
+    elimination are single monomials (ratios of neighbouring minors) and
+    multiply to ``hankel_product``.  Its multipliers have divided exactly
+    at every size tested, so it never leaves the ring; should one not,
+    the division-free engines take over.  Memoized per spec:
+    ``recover_vi`` reads each determinant in up to four ratios.
     """
     if spec.n == -1:
         return MultiPoly.one()

@@ -151,7 +151,7 @@ def _weight_dp(p: int, nsteps: int, h_start: int, h_end: int, weight, one):
 _v_weight = lru_cache(maxsize=None)(MultiPoly.v_var)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def f_poly(p: int, n: int, r: int) -> MultiPoly:
     """Weight polynomial of the p-paths from (-r, r) to (np, 0)."""
     if p < 2:
@@ -178,7 +178,7 @@ def f_mid(p: int, n: int, i: int) -> MultiPoly:
     return _weight_dp(p, n * p - 1, i - 1, i, _v_weight, MultiPoly.one())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def count_paths(p: int, n: int, r: int) -> int:
     """Number of p-paths from (-r, r) to (np, 0); r may reach p."""
     if p < 2:

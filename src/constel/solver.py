@@ -75,7 +75,7 @@ def v_update(cfg: SolverConfig, v: XSeries) -> XSeries:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def solve_v(cfg: SolverConfig) -> XSeries:
     """The level-free limit weight as a series in x_1..x_kmax."""
     v = XSeries.const(1, cfg.deg)

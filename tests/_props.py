@@ -15,7 +15,7 @@ from random import Random
 
 from constel.algebra import (Monomial, MultiPoly, NotDivisible, PolyMatrix,
                              XSeries, _det_berkowitz, _det_cofactor,
-                             det_division_free)
+                             _det_term_pivots, det_division_free)
 
 
 def ok(value):
@@ -120,6 +120,39 @@ def check_det_oracle(seed: int, cases: int) -> int:
         # both engines over the same matrix, whatever the size cutoff
         assert ok(_det_cofactor(rows, one)) == want
         assert ok(_det_berkowitz(rows, one)) == want
+    return cases
+
+
+def _rand_term(rng: Random) -> MultiPoly:
+    coeff = rng.choice((-3, -2, -1, 1, 2, 3))
+    return MultiPoly.from_terms([(rand_monomial(rng, 3, 2), coeff)])
+
+
+def check_lu_elimination(seed: int, cases: int) -> int:
+    """L*U up to 6x6, L unit lower and U upper on single-term diagonals.
+
+    Elimination on single-term pivots must run to the end on such a
+    product (its multipliers are L's entries) and give U's diagonal
+    product, which the Leibniz expansion confirms.
+    """
+    rng = Random(seed)
+    zero, one = MultiPoly.zero(), MultiPoly.one()
+    for _ in range(cases):
+        n = rng.randint(1, 6)
+        lower = [[one if i == j else
+                  rand_poly(rng, max_terms=2, max_idx=3, max_exp=1)
+                  if j < i else zero for j in range(n)] for i in range(n)]
+        upper = [[_rand_term(rng) if i == j else
+                  rand_poly(rng, max_terms=2, max_idx=3, max_exp=1)
+                  if j > i else zero for j in range(n)] for i in range(n)]
+        rows = [[ok(sum((lower[i][k] * upper[k][j] for k in range(n)), zero))
+                 for j in range(n)] for i in range(n)]
+        want = one
+        for k in range(n):
+            want = want * upper[k][k]
+        assert ok(_det_term_pivots(rows)) == want
+        assert ok(det_division_free(PolyMatrix(rows))) == want
+        assert ok(perm_expansion_det(rows)) == want
     return cases
 
 

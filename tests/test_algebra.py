@@ -3,7 +3,7 @@ import pytest
 from constel.algebra import (Monomial, MultiPoly, NonSquare, NonUnitConstant,
                              NotDivisible, PolyMatrix, UnassignedVariable,
                              XSeries, _det_berkowitz, _det_cofactor,
-                             det_division_free)
+                             _det_term_pivots, det_division_free)
 
 import _props
 
@@ -192,6 +192,27 @@ class TestDeterminants:
         assert _det_cofactor(rows, MultiPoly.one()) == want
         assert _det_berkowitz(rows, MultiPoly.one()) == want
 
+    @pytest.mark.parametrize("pivot, below", [
+        (C(0), V(1)),              # zero pivot
+        (V(1) + V(2), V(3)),       # two-term pivot
+        (V(2), V(1)),              # pivot monomial does not divide
+        (V(1) * 3, V(1) * 2),      # pivot coefficient does not divide
+    ])
+    def test_elimination_falls_back_unchanged(self, pivot, below):
+        # step 0 eliminates on the unit pivot and leaves `pivot` at (1, 1)
+        # over `below`, where step 1 has to give up; the single terms V5 and
+        # V1 left in column 2 would let a step 1 that went on end in a
+        # wrong single-term product
+        rows = [[C(1), V(2), V(3)],
+                [V(4), V(4) * V(2) + pivot, V(4) * V(3) + V(5)],
+                [V(6), V(6) * V(2) + below, V(6) * V(3) + V(1)]]
+        before = [[dict(e._terms) for e in row] for row in rows]
+        assert _det_term_pivots(rows) is None
+        got = det_division_free(PolyMatrix(rows))
+        assert got == _det_cofactor(rows, MultiPoly.one())
+        assert got == _props.perm_expansion_det(rows)
+        assert [[e._terms for e in row] for row in rows] == before
+
 
 # randomized suites; counts well above the hundred-case floor
 def test_prop_ring_laws():
@@ -204,6 +225,10 @@ def test_prop_exact_div():
 
 def test_prop_det_oracle():
     assert _props.check_det_oracle(seed=303, cases=120) >= 100
+
+
+def test_prop_lu_elimination():
+    assert _props.check_lu_elimination(seed=707, cases=120) >= 100
 
 
 def test_prop_series_inv():

@@ -2,7 +2,8 @@ from random import Random
 
 import pytest
 
-from constel.algebra import MultiPoly, _det_berkowitz, det_elements
+from constel.algebra import (MultiPoly, _det_berkowitz, _det_cofactor,
+                             _det_term_pivots, det_division_free, det_elements)
 from constel.hankel import (HankelSpec, IdentityViolation, LGVGraph,
                             NonUniqueNILP, check_hankel, hankel_det,
                             hankel_matrix, hankel_product, lgv_signed_sum,
@@ -159,6 +160,25 @@ class TestLGV:
 
 
 class TestEngineAgreement:
+    def test_elimination_matches_cofactor(self):
+        # every pivot of a banded Hankel matrix is a single term, so the
+        # elimination, not its fallback, gives det_division_free's value
+        one = MultiPoly.one()
+        specs = [HankelSpec(p, m, n) for p in (2, 3, 4) for m in range(p)
+                 for n in range(5)] + [HankelSpec(3, 1, 5)]
+        for spec in specs:
+            mat = hankel_matrix(spec)
+            det = _det_term_pivots(mat.entries)
+            assert det is not None, spec
+            assert det == det_division_free(mat), spec
+            assert det == _det_cofactor(mat.entries, one), spec
+
+    def test_large_determinants_collapse(self):
+        # 9x9 is past the cofactor limit, where Berkowitz does not finish
+        # in minutes; the 7x7 took 5 s by cofactor
+        for spec in (HankelSpec(2, 0, 8), HankelSpec(3, 1, 6)):
+            assert hankel_det(spec) == hankel_product(spec), spec
+
     def test_seven_by_seven(self):
         rng = Random(7)
         rows = [[V(rng.randint(1, 3)) * rng.randint(-2, 2)
