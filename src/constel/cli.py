@@ -1,8 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 when a checked identity fails, 2 on usage
-errors.  Results go to stdout, diagnostics to stderr.  Output is
-deterministic byte for byte for a given invocation.
+errors and on inputs too large to compute (out of memory, or a monomial
+degree past its packed field).  Results go to stdout, diagnostics to
+stderr.  Output is deterministic byte for byte for a given invocation.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 import sys
 
 from . import contfrac, eulerian, hankel, paths, verify
-from .algebra import NonUnitConstant
+from .algebra import ExponentOverflow, NonUnitConstant
 from .hankel import HankelSpec, IdentityViolation, NonUniqueNILP
 
 
@@ -97,6 +98,10 @@ def run(argv) -> int:
     except (IdentityViolation, NonUniqueNILP, NonUnitConstant) as exc:
         print(f"identity violation: {exc}", file=sys.stderr)
         return 1
+    except (MemoryError, ExponentOverflow) as exc:
+        print(f"input too large: {str(exc) or 'out of memory'}",
+              file=sys.stderr)
+        return 2
 
 
 def _dispatch(parser, args) -> int:

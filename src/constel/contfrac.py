@@ -8,15 +8,18 @@ factor.  ``expand_fraction`` instead expands the nested fraction
 
     1 / (1 - t * prod_i V_{s+i} * [same shape at shift s+i])
 
-with the tail below the requested depth replaced by 1.  Matching the two
-against the direct path aggregation is the core cross-check.
+with the tail below the requested depth replaced by 1.  Every level of
+the fraction contributes a factor t, so the level k below the top is
+computed only through t^(order-k), the order that can still reach the
+result.  Matching the two against the direct path aggregation is the
+core cross-check.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from .algebra import MultiPoly, NonUnitConstant
+from .algebra import MultiPoly, NonUnitConstant, _sum_products
 
 
 class TSeries:
@@ -38,31 +41,26 @@ class TSeries:
         return self.coeffs[n]
 
     def mul(self, other: "TSeries", order: int) -> "TSeries":
-        out = [MultiPoly.zero()] * (order + 1)
-        for i, a in enumerate(self.coeffs):
-            if i > order or a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j > order:
-                    break
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return TSeries(out)
+        """Product through t^order; either operand may be the shorter."""
+        a, b = self.coeffs, other.coeffs
+        return TSeries(
+            _sum_products((a[i], b[n - i])
+                          for i in range(max(0, n - len(b) + 1),
+                                         min(n, len(a) - 1) + 1))
+            for n in range(order + 1))
 
     def scale(self, poly: MultiPoly) -> "TSeries":
         return TSeries([poly * c for c in self.coeffs])
 
     def inv_unit(self) -> "TSeries":
         """Inverse of a series with constant coefficient exactly 1."""
-        if self.coeffs[0] != MultiPoly.one():
+        c = self.coeffs
+        if c[0] != MultiPoly.one():
             raise NonUnitConstant("t-series constant coefficient is not 1")
         out = [MultiPoly.one()]
         for n in range(1, self.order + 1):
-            acc = MultiPoly.zero()
-            for k in range(1, n + 1):
-                if k < len(self.coeffs) and not self.coeffs[k].is_zero():
-                    acc = acc + self.coeffs[k] * out[n - k]
-            out.append(-acc)
+            out.append(-_sum_products((c[k], out[n - k])
+                                      for k in range(1, n + 1)))
         return TSeries(out)
 
     def __eq__(self, other):
@@ -124,6 +122,11 @@ def expand_fraction(p: int, order: int, depth: int | None = None) -> TSeries:
     The tail below level ``depth`` (default: order, which is already
     enough) is replaced by 1; deeper nesting cannot change coefficients
     0..order because every level contributes at least one power of t.
+
+    For the same reason each level is computed only through the t-order
+    it can still reach: the level k below the top only matters through
+    t^(order-k).  This is exact because coefficient n of 1/(1 - t*P)
+    reads P only through t^(n-1).
     """
     if p < 2:
         raise ValueError("p must be >= 2")
@@ -133,18 +136,20 @@ def expand_fraction(p: int, order: int, depth: int | None = None) -> TSeries:
         depth = order
     if depth < order:
         raise ValueError("depth below order loses exactness")
+    top = depth
 
-    @cache  # scoped to this call, as in expand_f
+    @cache  # scoped to this call, as in expand_f; m follows from depth
     def fraction(shift, depth):
-        if depth == 0:
-            return TSeries.one(order)
+        m = order - (top - depth)
+        if depth == 0 or m <= 0:
+            return TSeries.one(max(m, 0))
         prod = None
         for i in range(1, p):
             factor = fraction(shift + i, depth - 1) \
                 .scale(MultiPoly.v_var(shift + i))
-            prod = factor if prod is None else prod.mul(factor, order)
+            prod = factor if prod is None else prod.mul(factor, m - 1)
         denom = [MultiPoly.one()]
-        denom.extend(-c for c in prod.coeffs[:order])
+        denom.extend(-c for c in prod.coeffs[:m])
         return TSeries(denom).inv_unit()
 
     out = fraction(0, depth)

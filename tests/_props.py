@@ -5,17 +5,22 @@ independent trials, asserts inside, and returns the number of trials it
 actually performed so callers can enforce a minimum.  Every ring result
 they compute passes through ``ok``, the opt-in canonical-form check.
 
+``full_order_fraction`` is the nested fraction with every level at the
+full t-order, the oracle of ``expand_fraction``.
+
 The second half is the tuple-form oracle: the exponent-tuple monomials
 the packed ring replaced, kept as the reference the property tests in
 ``test_packed.py`` compare against.
 """
 
+from functools import cache
 from itertools import permutations
 from random import Random
 
 from constel.algebra import (Monomial, MultiPoly, NotDivisible, PolyMatrix,
                              XSeries, _det_berkowitz, _det_cofactor,
                              _det_term_pivots, det_division_free)
+from constel.contfrac import TSeries
 
 
 def ok(value):
@@ -65,6 +70,7 @@ def check_ring_laws(seed: int, cases: int) -> int:
         assert ok(ok(a * b) * c) == ok(a * ok(b * c))
         assert a * (b + c) == ok(ok(a * b) + ok(a * c))
         assert ok(a - a) == zero
+        assert ok(a - b) == ok(a + ok(-b)) and ok(3 - a) == 3 + ok(-a)
         assert ok(a * one) == a and ok(a * zero) == zero
         assert ok(a ** 3) == a * a * a
         rebuilt = ok(MultiPoly.from_terms(a.sorted_terms()))
@@ -199,6 +205,86 @@ def check_json_roundtrip(seed: int, cases: int) -> int:
         back = ok(XSeries.from_json(s.to_json()))
         assert back == s and back.order == s.order
     return cases
+
+
+def _rand_tseries(rng: Random, max_len=5) -> TSeries:
+    # rand_poly is zero one time in five; one coefficient is zeroed outright
+    coeffs = [rand_poly(rng, max_terms=3) for _ in range(rng.randint(1, max_len))]
+    coeffs[rng.randrange(len(coeffs))] = MultiPoly.zero()
+    return TSeries(coeffs)
+
+
+def naive_tseries_mul(a: TSeries, b: TSeries, order: int) -> list:
+    out = [MultiPoly.zero()] * (order + 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            if i + j <= order:
+                out[i + j] = out[i + j] + x * y
+    return out
+
+
+def naive_inv_unit(s: TSeries) -> list:
+    out = [MultiPoly.one()]
+    for n in range(1, s.order + 1):
+        acc = MultiPoly.zero()
+        for k in range(1, n + 1):
+            acc = acc + s.coeffs[k] * out[n - k]
+        out.append(-acc)
+    return out
+
+
+def check_tseries_kernel(seed: int, cases: int) -> int:
+    """TSeries.mul and inv_unit against double loops over MultiPoly + and *.
+
+    Operands have unequal lengths and zero coefficients, and the requested
+    order runs up to two past the full product.
+    """
+    rng = Random(seed)
+    for _ in range(cases):
+        a, b = _rand_tseries(rng), _rand_tseries(rng)
+        order = rng.randint(0, a.order + b.order + 2)
+        got = a.mul(b, order)
+        assert got.order == order
+        assert [ok(c) for c in got.coeffs] == naive_tseries_mul(a, b, order)
+        unit = TSeries((MultiPoly.one(),) + a.coeffs)
+        inv = unit.inv_unit()
+        assert [ok(c) for c in inv.coeffs] == naive_inv_unit(unit)
+        assert unit.mul(inv, unit.order) == TSeries.one(unit.order)
+    return cases
+
+
+def full_order_fraction(p: int, order: int, depth: int | None = None) -> TSeries:
+    """Expansion of the nested fraction, exact through t^order.
+
+    The oracle of ``constel.contfrac.expand_fraction``: the same fraction
+    with every level computed through the full t-order, as it was before
+    each level was cut to the order it can still reach.
+    """
+    if p < 2:
+        raise ValueError("p must be >= 2")
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    if depth is None:
+        depth = order
+    if depth < order:
+        raise ValueError("depth below order loses exactness")
+
+    @cache  # scoped to this call, as in expand_f
+    def fraction(shift, depth):
+        if depth == 0:
+            return TSeries.one(order)
+        prod = None
+        for i in range(1, p):
+            factor = fraction(shift + i, depth - 1) \
+                .scale(MultiPoly.v_var(shift + i))
+            prod = factor if prod is None else prod.mul(factor, order)
+        denom = [MultiPoly.one()]
+        denom.extend(-c for c in prod.coeffs[:order])
+        return TSeries(denom).inv_unit()
+
+    out = fraction(0, depth)
+    fraction.cache_clear()
+    return out
 
 
 # ---------------------------------------------------------------------------

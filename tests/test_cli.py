@@ -3,7 +3,10 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
-from constel.algebra import MultiPoly, XSeries
+import pytest
+
+from constel import contfrac
+from constel.algebra import ExponentOverflow, MultiPoly, XSeries
 from constel.cli import run
 from constel.paths import f_poly
 
@@ -110,6 +113,18 @@ class TestVerifyAll:
         assert hashlib.sha256(out.encode()).hexdigest() == \
             "cfc1b27977a32fcb37bc48c4d4884ba2f68d4f52dc4ad16e883c24cbfb4586fb"
 
+    def test_contfrac_bytes_are_pinned(self):
+        # digests of the text and JSON expansions; the per-level truncation
+        # order of the nested fraction must not change a byte of either
+        for argv, digest in (
+                (["contfrac", "--p", "3", "--order", "9"],
+                 "eff36123bce9e10ab4e14836be96736f1510b2eef8ecca4e15e61665ab36dd6c"),
+                (["contfrac", "--p", "2", "--order", "10", "--json"],
+                 "baf1feeab0d634417651bd0a1e61e510eb1eb954fd173d54a66e8d46ba9d5b13")):
+            rc, out, err = capture(argv)
+            assert rc == 0 and err == ""
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
     def test_no_p_values_still_runs_shared_suites(self):
         rc, out, _ = capture(["verify-all", "--p", "--n-max", "1",
                               "--order", "3"])
@@ -140,3 +155,16 @@ class TestUsageErrors:
         assert capture(["euler-series", "--what", "t", "--n", "0",
                         "--order", "4"])[0] == 2
         assert capture(["verify-all", "--p", "2", "1"])[0] == 2
+
+
+class TestResourceErrors:
+    @pytest.mark.parametrize("error", [MemoryError(),
+                                       ExponentOverflow("degree 70000")])
+    def test_exit_two_with_one_line(self, monkeypatch, error):
+        def fail(*args, **kwargs):
+            raise error
+        monkeypatch.setattr(contfrac, "expand_fraction", fail)
+        rc, out, err = capture(["contfrac", "--p", "3", "--order", "4"])
+        assert rc == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("input too large: ")
+        assert "Traceback" not in err

@@ -1,6 +1,8 @@
+import _props
 import pytest
 
-from constel.algebra import Monomial, MultiPoly, NonUnitConstant
+from constel.algebra import (ExponentOverflow, Monomial, MultiPoly,
+                             NonUnitConstant, _sum_products)
 from constel.contfrac import TSeries, expand_f, expand_fraction
 from constel.paths import f_poly
 
@@ -45,6 +47,24 @@ class TestTSeries:
     def test_json_shape(self):
         data = TSeries.one(1).to_json()
         assert data["order"] == 1 and len(data["coeffs"]) == 2
+
+    def test_kernel_matches_naive_loops(self):
+        assert _props.check_tseries_kernel(seed=808, cases=150) >= 100
+
+    def test_kernel_degree_overflow(self):
+        # V1^40000 squared has degree 80000, past the 16-bit field
+        big = TSeries((MultiPoly.one(), V(1, 40000), MultiPoly.zero()))
+        with pytest.raises(ExponentOverflow):
+            big.mul(big, 2)
+        with pytest.raises(ExponentOverflow):
+            big.inv_unit()
+
+    def test_sum_of_products_leaves_degree_unset(self):
+        # the degree-2 products cancel, so the sum has degree 1
+        total = _sum_products([(V(1), V(1)), (V(1), -V(1)),
+                               (V(2), MultiPoly.const(2))])
+        assert _props.ok(total) == 2 * V(2)
+        assert total.total_degree() == 1
 
 
 class TestRecursiveExpansion:
@@ -99,5 +119,17 @@ class TestNestedFraction:
             expand_fraction(3, 4, depth=3)
 
     def test_agrees_with_splitting_recursion(self):
+        # order 4, then the benchmark sizes
+        for p, order in ((2, 4), (3, 4), (4, 4), (2, 12), (3, 8), (4, 6)):
+            assert expand_fraction(p, order) == expand_f(p, 0, 0, order), \
+                (p, order)
+
+    def test_shrinking_order_matches_full_order_oracle(self):
         for p in (2, 3, 4):
-            assert expand_fraction(p, 4) == expand_f(p, 0, 0, 4)
+            for order in range(7):
+                for depth in range(order, order + 4):
+                    got = expand_fraction(p, order, depth)
+                    assert got == _props.full_order_fraction(p, order, depth), \
+                        (p, order, depth)
+                    for c in got.coeffs:
+                        _props.ok(c)
