@@ -449,6 +449,27 @@ class MultiPoly:
                     del rem[m]
         return MultiPoly(quo)
 
+    def _divider(self):
+        """Division by this polynomial as an elimination pivot, or None.
+
+        The pivot must be a single term c*m.  The callable returns
+        entry / (c*m), or None when m or c fails to divide some term.
+        """
+        if len(self._terms) != 1:
+            return None
+        (mono, coeff), = self._terms.items()
+
+        def divide(entry):
+            quo = {}
+            for key, c in entry._terms.items():
+                q_key = _quotient(key, mono)
+                q, r = divmod(c, coeff)
+                if q_key is None or r:
+                    return None
+                quo[q_key] = q
+            return MultiPoly(quo)
+        return divide
+
     def substitute(self, v_assign=None, x_assign=None, order=None) -> "XSeries":
         """Map V_i and x_k to XSeries values; the result is an XSeries.
 
@@ -676,16 +697,18 @@ class XSeries:
 
     # -- arithmetic ------------------------------------------------------
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
+        # self + sign*other, as one copy of self and one pass over other
         other = _coerce_series(other, self.order)
         if other is NotImplemented:
             return NotImplemented
         order = min(self.order, other.order)
         out = {k: c for k, c in self._terms.items() if k & _FIELD <= order}
+        get = out.get
         for key, coeff in other._terms.items():
             if key & _FIELD > order:
                 continue
-            c = out.get(key, 0) + coeff
+            c = get(key, 0) + sign * coeff
             if c:
                 out[key] = c
             elif key in out:
@@ -698,16 +721,13 @@ class XSeries:
         return XSeries(self.order, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
-        other = _coerce_series(other, self.order)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
         other = _coerce_series(other, self.order)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other.__add__(self, -1)
 
     def __mul__(self, other):
         other = _coerce_series(other, self.order)
@@ -773,6 +793,16 @@ class XSeries:
         for layer in inv_layers:
             out.update(layer)
         return XSeries(order, out)
+
+    def _divider(self):
+        """Division by this series as an elimination pivot, or None.
+
+        The pivot must be a unit, constant term +1 or -1; the callable
+        multiplies by its inverse and never leaves the ring.
+        """
+        if self.constant_term() not in (1, -1):
+            return None
+        return self.inv().__mul__
 
     def pow(self, e: int) -> "XSeries":
         if e < 0:
@@ -888,76 +918,60 @@ class PolyMatrix:
 def det_division_free(matrix: PolyMatrix) -> MultiPoly:
     """Determinant of a square MultiPoly matrix, never leaving the ring.
 
-    Elimination runs first while every pivot is a single term c*m that
-    divides each entry below it exactly, so every entry stays a
-    polynomial; the Hankel matrices of ``constel.hankel`` pass at every
-    size tested.  Otherwise the input goes unchanged to the division-free
-    ``det_elements``.
+    ``det_elements`` over the polynomial ring: elimination while every
+    pivot is a single term c*m that divides each entry below it exactly,
+    which the Hankel matrices of ``constel.hankel`` pass at every size
+    tested, and cofactor expansion otherwise.
     """
-    if matrix.nrows != matrix.ncols:
-        raise NonSquare(f"{matrix.nrows}x{matrix.ncols} matrix")
-    det = _det_term_pivots(matrix.entries)
-    if det is None:
-        det = det_elements(matrix.entries, MultiPoly.one())
-    return det
-
-
-def _det_term_pivots(rows):
-    """Elimination on single-term pivots: their product, or None.
-
-    None at a zero or multi-term pivot, or at an entry below a pivot that
-    it does not divide.  The multipliers make up L, the pivots the
-    diagonal of U, in rows = L*U; ``rows`` is left as it was.
-    """
-    a = [list(row) for row in rows]
-    det = MultiPoly.one()
-    for k, row_k in enumerate(a):
-        pivot = row_k[k]
-        if pivot.nterms != 1:
-            return None
-        (mono, coeff), = pivot._terms.items()
-        for row_i in a[k + 1:]:
-            quo = {}
-            for key, c in row_i[k]._terms.items():
-                q_key = _quotient(key, mono)
-                q, r = divmod(c, coeff)
-                if q_key is None or r:
-                    return None
-                quo[q_key] = q
-            if quo:
-                mult = MultiPoly(quo)
-                for j in range(k + 1, len(a)):
-                    if row_k[j]:
-                        row_i[j] = row_i[j] - mult * row_k[j]
-        det = det * pivot
-    return det
-
-
-# Measured (2 cores, Python 3.11) on eulerian's series matrices, which
-# call det_elements directly: cofactor is faster up to 7x7, the two tie
-# at 8x8, Berkowitz wins from 9x9 (3x at 11x11).  Hankel matrices get
-# here only as the fallback of the single-term elimination, which takes
-# hankel_det (3,1,6), 7x7, in 0.27 s (5.5 s on cofactor) and (2,0,8),
-# 9x9, in 1.6 s (Berkowitz not done after 120 s).
-_COFACTOR_LIMIT = 8
+    return det_elements(matrix.entries, MultiPoly.one())
 
 
 def det_elements(rows, one):
-    """Division-free determinant over any commutative ring.
+    """Determinant of a square matrix of MultiPoly or XSeries entries.
 
-    ``rows`` is a square sequence of sequences of ring elements supporting
-    +, -, * among themselves; ``one`` is the multiplicative identity.
-    Cofactor expansion with minor memoization up to ``_COFACTOR_LIMIT``,
-    a characteristic-polynomial scheme beyond that.
+    ``one`` is the ring's identity, returned for the empty matrix.
+    ``_det_eliminate`` runs first, with each ring's pivot rule: a single
+    term for ``MultiPoly``, constant term +1 or -1 for ``XSeries``.  When
+    some pivot breaks the rule, the unchanged input goes to the
+    division-free cofactor expansion.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
-        raise NonSquare("matrix is not square")
+        raise NonSquare(f"{n}-row matrix is not square")
     if n == 0:
         return one
-    if n <= _COFACTOR_LIMIT:
-        return _det_cofactor(rows, one)
-    return _det_berkowitz(rows, one)
+    det = _det_eliminate(rows)
+    return _det_cofactor(rows, one) if det is None else det
+
+
+def _det_eliminate(rows):
+    """Gaussian elimination inside the ring: the pivots' product, or None.
+
+    Each pivot's ``_divider()`` gives the ring's exact division by it.
+    None when a pivot has none (``MultiPoly``: zero or several terms;
+    ``XSeries``: constant term other than +1 or -1), or when an entry
+    below a pivot has no quotient in the ring.  The multipliers make up
+    L, the pivots the diagonal of U, in rows = L*U; ``rows`` is left as
+    it was, and the empty matrix gives None.
+    """
+    a = [list(row) for row in rows]
+    det = None
+    for k, row_k in enumerate(a):
+        pivot = row_k[k]
+        divide = pivot._divider()
+        if divide is None:
+            return None
+        for row_i in a[k + 1:]:
+            if not row_i[k]:
+                continue
+            mult = divide(row_i[k])
+            if mult is None:
+                return None
+            for j in range(k + 1, len(a)):
+                if row_k[j]:
+                    row_i[j] = row_i[j] - mult * row_k[j]
+        det = pivot if det is None else det * pivot
+    return det
 
 
 def _weight(element) -> int:
@@ -1032,47 +1046,3 @@ def _masks(n, size):
         for c in combo:
             mask |= 1 << c
         yield mask
-
-
-def _det_berkowitz(rows, one):
-    # characteristic polynomial vector by Toeplitz products; no division
-    n = len(rows)
-    zero = one - one
-    coeffs = [one, -rows[0][0]]
-    for k in range(2, n + 1):
-        a = rows[k - 1][k - 1]
-        r_vec = [rows[k - 1][j] for j in range(k - 1)]
-        c_vec = [rows[i][k - 1] for i in range(k - 1)]
-        toep = [one, -a]
-        v = c_vec
-        for _ in range(k - 1):
-            dot = zero
-            for rr, vv in zip(r_vec, v):
-                if rr and vv:
-                    dot = dot + rr * vv
-            toep.append(-dot)
-            v = [_row_dot(rows[i], v, k - 1, zero) for i in range(k - 1)]
-        new = []
-        for i in range(k + 1):
-            acc = coeffs[i] if i <= k - 1 else zero
-            for j in range(max(0, i - k), min(i, k - 1) + 1):
-                if j == i:
-                    continue  # toep[0] handled above
-                t = toep[i - j]
-                p = coeffs[j]
-                if t and p:
-                    acc = acc + t * p
-            new.append(acc)
-        coeffs = new
-    det = coeffs[n]
-    return det if n % 2 == 0 else -det
-
-
-def _row_dot(row, vec, width, zero):
-    acc = zero
-    for j in range(width):
-        a = row[j]
-        b = vec[j]
-        if a and b:
-            acc = acc + a * b
-    return acc

@@ -131,7 +131,9 @@ def t_n(n: int, ctx: EulerContext) -> XSeries:
 
     The size-k banded determinant with entries from f_closed/f1_closed is
     divided by an explicit power of V (and, on the third branch, carries
-    the extra factor 1 - xV).
+    the extra factor 1 - xV).  Each leading minor of the matrix is the
+    determinant of a smaller n on the same branch, with constant term 1,
+    so ``det_elements`` eliminates on unit pivots all the way.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -90,7 +90,7 @@ def hankel_det(spec: HankelSpec) -> MultiPoly:
     elimination are single monomials (ratios of neighbouring minors) and
     multiply to ``hankel_product``.  Its multipliers have divided exactly
     at every size tested, so it never leaves the ring; should one not,
-    the division-free engines take over.  Memoized per spec:
+    the cofactor expansion takes over.  Memoized per spec:
     ``recover_vi`` reads each determinant in up to four ratios.
     """
     if spec.n == -1:

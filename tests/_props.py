@@ -18,8 +18,8 @@ from itertools import permutations
 from random import Random
 
 from constel.algebra import (Monomial, MultiPoly, NotDivisible, PolyMatrix,
-                             XSeries, _det_berkowitz, _det_cofactor,
-                             _det_term_pivots, det_division_free)
+                             XSeries, _det_cofactor, _det_eliminate,
+                             det_division_free, det_elements)
 from constel.contfrac import TSeries
 
 
@@ -102,12 +102,13 @@ def _perm_sign(perm) -> int:
     return -1 if inv % 2 else 1
 
 
-def perm_expansion_det(rows) -> MultiPoly:
-    """Textbook Leibniz determinant, the independent oracle."""
+def perm_expansion_det(rows, one=MultiPoly.one()):
+    """Textbook Leibniz determinant over the ring of ``one``, the
+    independent oracle."""
     n = len(rows)
-    total = MultiPoly.zero()
+    total = one - one
     for perm in permutations(range(n)):
-        prod = MultiPoly.const(_perm_sign(perm))
+        prod = one * _perm_sign(perm)
         for i, j in enumerate(perm):
             prod = prod * rows[i][j]
         total = total + prod
@@ -123,9 +124,11 @@ def check_det_oracle(seed: int, cases: int) -> int:
                  for _ in range(n)] for _ in range(n)]
         want = perm_expansion_det(rows)
         assert ok(det_division_free(PolyMatrix(rows))) == ok(want)
-        # both engines over the same matrix, whatever the size cutoff
+        assert ok(det_elements(rows, one)) == want
+        # the cofactor fallback on every matrix, whatever the elimination does
         assert ok(_det_cofactor(rows, one)) == want
-        assert ok(_det_berkowitz(rows, one)) == want
+        det = _det_eliminate(rows)
+        assert det is None or ok(det) == want
     return cases
 
 
@@ -156,9 +159,47 @@ def check_lu_elimination(seed: int, cases: int) -> int:
         want = one
         for k in range(n):
             want = want * upper[k][k]
-        assert ok(_det_term_pivots(rows)) == want
+        assert ok(_det_eliminate(rows)) == want
         assert ok(det_division_free(PolyMatrix(rows))) == want
         assert ok(perm_expansion_det(rows)) == want
+    return cases
+
+
+def _rand_unit_series(rng: Random, order: int) -> XSeries:
+    # constant term +1 or -1 plus random terms of degree >= 1
+    return rand_series(rng, order) * XSeries.var(rng.randint(1, 2), order) \
+        + XSeries.const(rng.choice((1, -1)), order)
+
+
+def check_series_lu_elimination(seed: int, cases: int) -> int:
+    """L*U over XSeries up to 6x6, L unit lower and U upper on unit diagonals.
+
+    The series form of ``check_lu_elimination``: every pivot of such a
+    product is a unit of the truncated ring, so the elimination runs to
+    the end and gives U's diagonal product, which ``det_elements``, the
+    cofactor expansion and the Leibniz expansion confirm.
+    """
+    rng = Random(seed)
+    for _ in range(cases):
+        order = rng.randint(3, 7)
+        n = rng.randint(1, 6)
+        zero, one = XSeries.zero(order), XSeries.const(1, order)
+        lower = [[one if i == j else rand_series(rng, order) if j < i else zero
+                  for j in range(n)] for i in range(n)]
+        upper = [[_rand_unit_series(rng, order) if i == j else
+                  rand_series(rng, order) if j > i else zero
+                  for j in range(n)] for i in range(n)]
+        rows = [[ok(sum((lower[i][k] * upper[k][j] for k in range(n)), zero))
+                 for j in range(n)] for i in range(n)]
+        want = one
+        for k in range(n):
+            want = want * upper[k][k]
+        det = _det_eliminate(rows)
+        assert det is not None
+        assert ok(det) == want
+        assert ok(det_elements(rows, one)) == want
+        assert ok(_det_cofactor(rows, one)) == want
+        assert ok(perm_expansion_det(rows, one)) == want
     return cases
 
 

@@ -1,6 +1,7 @@
 # keeps tests/ importable for the shared _props helpers
 import pytest
 
+from constel import algebra
 import constel.hankel as hankel_mod
 
 
@@ -17,3 +18,15 @@ def crooked_walks(monkeypatch):
         monkeypatch.setattr(hankel_mod, "f_poly", table)
     yield install
     hankel_mod.hankel_det.cache_clear()
+
+
+@pytest.fixture
+def no_cofactor(monkeypatch):
+    """Make the cofactor fallback of ``det_elements`` raise.
+
+    A determinant computed under this fixture comes from the elimination.
+    """
+    def refuse(rows, one):
+        raise AssertionError(f"{len(rows)}x{len(rows)} determinant fell back "
+                             "to cofactor expansion")
+    monkeypatch.setattr(algebra, "_det_cofactor", refuse)

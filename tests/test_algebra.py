@@ -2,14 +2,19 @@ import pytest
 
 from constel.algebra import (Monomial, MultiPoly, NonSquare, NonUnitConstant,
                              NotDivisible, PolyMatrix, UnassignedVariable,
-                             XSeries, _det_berkowitz, _det_cofactor,
-                             _det_term_pivots, det_division_free)
+                             XSeries, _det_cofactor, _det_eliminate,
+                             det_division_free, det_elements)
 
 import _props
 
 V = MultiPoly.v_var
 X = MultiPoly.x_var
 C = MultiPoly.const
+ORDER = 4
+
+
+def S(k):
+    return XSeries.var(k, ORDER)
 
 
 class TestMonomial:
@@ -189,28 +194,36 @@ class TestDeterminants:
         rows = [[V((i + j) % 3 + 1) + C(i * j % 4) for j in range(5)]
                 for i in range(5)]
         want = _props.perm_expansion_det(rows)
+        assert det_elements(rows, MultiPoly.one()) == want
         assert _det_cofactor(rows, MultiPoly.one()) == want
-        assert _det_berkowitz(rows, MultiPoly.one()) == want
 
     @pytest.mark.parametrize("pivot, below", [
         (C(0), V(1)),              # zero pivot
         (V(1) + V(2), V(3)),       # two-term pivot
         (V(2), V(1)),              # pivot monomial does not divide
         (V(1) * 3, V(1) * 2),      # pivot coefficient does not divide
+        (S(1), S(2)),              # series pivot, constant term 0
+        (S(1) + 2, S(2)),          # series pivot, constant term 2
     ])
     def test_elimination_falls_back_unchanged(self, pivot, below):
         # step 0 eliminates on the unit pivot and leaves `pivot` at (1, 1)
-        # over `below`, where step 1 has to give up; the single terms V5 and
-        # V1 left in column 2 would let a step 1 that went on end in a
-        # wrong single-term product
-        rows = [[C(1), V(2), V(3)],
-                [V(4), V(4) * V(2) + pivot, V(4) * V(3) + V(5)],
-                [V(6), V(6) * V(2) + below, V(6) * V(3) + V(1)]]
+        # over `below`, where step 1 has to give up; the single terms var(5)
+        # and var(1) left in column 2 would let a step 1 that went on end in
+        # a wrong single-term product
+        if isinstance(pivot, MultiPoly):
+            var, one = V, MultiPoly.one()
+        else:
+            var, one = S, XSeries.const(1, ORDER)
+        rows = [[one, var(2), var(3)],
+                [var(4), var(4) * var(2) + pivot, var(4) * var(3) + var(5)],
+                [var(6), var(6) * var(2) + below, var(6) * var(3) + var(1)]]
         before = [[dict(e._terms) for e in row] for row in rows]
-        assert _det_term_pivots(rows) is None
-        got = det_division_free(PolyMatrix(rows))
-        assert got == _det_cofactor(rows, MultiPoly.one())
-        assert got == _props.perm_expansion_det(rows)
+        assert _det_eliminate(rows) is None
+        got = det_elements(rows, one)
+        assert got == _det_cofactor(rows, one)
+        assert got == _props.perm_expansion_det(rows, one)
+        if isinstance(pivot, MultiPoly):
+            assert got == det_division_free(PolyMatrix(rows))
         assert [[e._terms for e in row] for row in rows] == before
 
 
@@ -229,6 +242,10 @@ def test_prop_det_oracle():
 
 def test_prop_lu_elimination():
     assert _props.check_lu_elimination(seed=707, cases=120) >= 100
+
+
+def test_prop_series_lu_elimination():
+    assert _props.check_series_lu_elimination(seed=808, cases=120) >= 100
 
 
 def test_prop_series_inv():

@@ -125,6 +125,23 @@ class TestVerifyAll:
             assert rc == 0 and err == ""
             assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
+    def test_series_determinant_bytes_are_pinned(self):
+        # digests of the cubic-case determinant ladder: euler-verify, and
+        # t_n at n = 22, 28, 31, the 7x7, 9x9 and 10x10 series determinants
+        for argv, digest in (
+                (["euler-verify"],
+                 "e445fe86eb5935ea8e22be72aeb2a81358f828fe1b64c4167622dc28f68c90f3"),
+                (["euler-series", "--what", "t", "--n", "22", "--order", "10"],
+                 "0e7ecfaead0a9888c379e6d2b6a94bca5eb58b7987acf38e0b8a3947683cbe15"),
+                (["euler-series", "--what", "t", "--n", "28", "--order", "10",
+                  "--json"],
+                 "2f16008ac58d64085e52de0f9004a4d8df3603aea042ae77cef597613cf9608b"),
+                (["euler-series", "--what", "t", "--n", "31", "--order", "8"],
+                 "a2c10b8f6c38a13e3be8e594f2dd7fcbf78fd32e8e547b120d9cff92fd4f6212")):
+            rc, out, err = capture(argv)
+            assert rc == 0 and err == ""
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
     def test_no_p_values_still_runs_shared_suites(self):
         rc, out, _ = capture(["verify-all", "--p", "--n-max", "1",
                               "--order", "3"])

@@ -109,10 +109,10 @@ class TestTriangularLadder:
         assert got == want
         assert got.univar_coeffs(1)[:3] == [1, -3, -5]
 
-    def test_equals_fib_ladder(self, ctx):
-        # n = 22, 25, 28 are 7x7 and 8x8 determinants (cofactor engine)
-        # and 9x9 (Berkowitz), on both sides of the engine crossover
-        for n in [*range(1, 13), 22, 25, 28]:
+    def test_equals_fib_ladder(self, ctx, no_cofactor):
+        # n = 22, 25, 28 and 31 are 7x7 to 10x10 determinants; every pivot
+        # is a smaller t determinant, a unit series, so none falls back
+        for n in [*range(1, 13), 22, 25, 28, 31]:
             want = fib_poly(n).substitute(x_assign={1: ctx.xV}, order=ORDER)
             assert t_n(n, ctx) == want, n
 

@@ -115,8 +115,12 @@ def test_series_ring_and_truncate_match_oracle(sa, sb):
     prod = ok(xa * xb)
     assert prod.order == order
     assert _props.t_series(prod) == _props.t_series_mul(a, b, order)
-    assert _props.t_series(ok(xa + xb)) == _props.t_add(
-        _props.t_truncate(a, order), _props.t_truncate(b, order))
+    ta, tb = _props.t_truncate(a, order), _props.t_truncate(b, order)
+    assert _props.t_series(ok(xa + xb)) == _props.t_add(ta, tb)
+    assert _props.t_series(ok(xa - xb)) == _props.t_add(
+        ta, {k: -c for k, c in tb.items()})
+    assert _props.t_series(ok(5 - xa)) == _props.t_add(
+        {(): 5}, {k: -c for k, c in a.items()})
     assert _props.t_series(ok(xa.truncate(order))) == _props.t_truncate(a, order)
     assert xa.sorted_terms() == _props.t_sorted_series(a)
 
