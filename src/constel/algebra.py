@@ -18,18 +18,27 @@ holds at most 2^16-1, and no exponent exceeds the degree, so a product
 whose factors' degrees sum past that limit raises ``ExponentOverflow``
 (an ``ArithmeticError``) instead of carrying into the next field: one
 degree check per multiply covers every field.  ``Monomial`` is the
-unpacked form used at the boundary: construction, coefficient lookup,
-sorted output, text and JSON.
+unpacked form used at construction and coefficient lookup.
 
 Canonical form: zero coefficients are never stored; terms print in order
 of total degree, then lexicographically on the expanded (family, index)
 word with V before x.  The empty polynomial prints as "0", the unit
-monomial with coefficient c prints as "c".
+monomial with coefficient c prints as "c".  Sorted output, text and JSON
+read the keys in C (``_decode``): each is padded to the width of the OR
+of all keys, and its bytes, cast to native 16-bit fields, give the
+degree, the V fields (odd) and the x fields (even) as lists of one
+length.  Two words of one degree first differ where one has the larger
+exponent on the earlier variable, so the canonical order is descending
+(-degree, V fields, x fields); ``Monomial`` compares by the same sort.
 """
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Mapping, Sequence
+from functools import reduce, total_ordering
+from itertools import compress, count
+from operator import or_
 
 
 class NotDivisible(ArithmeticError):
@@ -57,7 +66,7 @@ class UnassignedVariable(KeyError):
 
 _WIDTH = 16
 _FIELD = (1 << _WIDTH) - 1  # one field's mask, and the largest degree
-_END = float("inf")  # sorts after every variable index
+_NAMES: list[str] = []  # _NAMES[j] is str(j + 1), grown by _decode
 
 
 def _as_exponents(data) -> tuple[tuple[int, int], ...]:
@@ -109,14 +118,36 @@ def _fields(key):
         field += 1
 
 
+def _decode(terms: dict) -> list:
+    """(-degree, V fields, x fields, coeff, key) per term, in dict order.
+
+    Every key is padded to the width of the OR of all keys, so the field
+    lists have one length, and the keys are read in C: one ``to_bytes``
+    in native byte order and one 16-bit ``cast`` for all of them.
+    """
+    nfields = reduce(or_, terms, 0).bit_length() // _WIDTH + 1
+    while len(_NAMES) < nfields:
+        _NAMES.append(str(len(_NAMES) + 1))
+    f = memoryview(b"".join([k.to_bytes(2 * nfields, sys.byteorder) for k in terms])) \
+        .cast("H").tolist()
+    return [(-f[j], f[j + 1:j + nfields:2], f[j + 2:j + nfields:2], c, k)
+            for j, (k, c) in zip(range(0, len(f), nfields), terms.items())]
+
+
+def _canonical(terms: dict) -> list:
+    # the keys are unique, so the sort never compares past the x fields
+    return sorted(_decode(terms), reverse=True)
+
+
+def _nonzero(fields, index):
+    # (index, exp) for every nonzero entry of a V or x field list: index
+    # is count(1), or _NAMES for index strings (grown by _decode)
+    return zip(compress(index, fields), compress(fields, fields))
+
+
 def _unpack(key) -> tuple[tuple, tuple]:
-    v, x = [], []
-    for field, exp in _fields(key):
-        if field & 1:
-            v.append(((field + 1) >> 1, exp))
-        else:
-            x.append((field >> 1, exp))
-    return tuple(v), tuple(x)
+    _, v, x, _, _ = _decode({key: 0})[0]
+    return tuple(_nonzero(v, count(1))), tuple(_nonzero(x, count(1)))
 
 
 def _quotient(a: int, b: int):
@@ -143,20 +174,21 @@ def _check_term(key, coeff):
         raise AssertionError(f"packed monomial {key:#x} is not canonical")
 
 
+@total_ordering
 class Monomial:
     """A product of variables from the two families, e.g. V1^2*V3*x2.
 
     The unpacked form: ``v`` and ``x`` are sorted (index, exponent)
-    tuples, and ``key`` is the packed int that the rings store.
+    tuples, and ``key`` is the packed int that the rings store.  The
+    order is the canonical term order.
     """
 
-    __slots__ = ("v", "x", "key", "_sort")
+    __slots__ = ("v", "x", "key")
 
     def __init__(self, v=(), x=()):
         self.v = v
         self.x = x
         self.key = _pack(v, x)
-        self._sort = None
 
     @classmethod
     def make(cls, v=None, x=None) -> "Monomial":
@@ -167,32 +199,11 @@ class Monomial:
         mono = cls.__new__(cls)
         mono.v, mono.x = _unpack(key)
         mono.key = key
-        mono._sort = None
         return mono
 
     @property
     def degree(self) -> int:
         return self.key & _FIELD
-
-    def sort_key(self):
-        """Graded order, ties broken on the expanded (family, index) word.
-
-        The word lists V before x, each by index, a letter repeated as
-        often as its exponent.  Two words of one length first differ
-        where one has the larger exponent on the earlier variable, so the
-        key stores (index, -exponent) per variable, with an end marker
-        after the V family that sorts after every index.
-        """
-        key = self._sort
-        if key is None:
-            flat = []
-            for idx, exp in self.v:
-                flat += (idx, -exp)
-            flat.append(_END)
-            for idx, exp in self.x:
-                flat += (idx, -exp)
-            key = self._sort = (self.key & _FIELD, tuple(flat))
-        return key
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         _check_degree(self.degree + other.degree)
@@ -210,28 +221,22 @@ class Monomial:
         return hash(self.key)
 
     def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
-
-    def __gt__(self, other):
-        return self.sort_key() > other.sort_key()
-
-    def __le__(self, other):
-        return self.sort_key() <= other.sort_key()
-
-    def __ge__(self, other):
-        return self.sort_key() >= other.sort_key()
+        # self comes first in the canonical order of the pair
+        return self.key != other.key and \
+            _canonical({self.key: 0, other.key: 0})[0][4] == self.key
 
     def text(self) -> str:
-        parts = [_var_text("V", i, e) for i, e in self.v]
-        parts += [_var_text("x", i, e) for i, e in self.x]
-        return "*".join(parts) or "1"
+        return _text(self.v, self.x)
 
     def __repr__(self):
         return f"Monomial({self.text()})"
 
 
-def _var_text(fam: str, idx: int, exp: int) -> str:
-    return f"{fam}{idx}" if exp == 1 else f"{fam}{idx}^{exp}"
+def _text(v, x) -> str:
+    # v and x as (index, exp) pairs, the index an int or its string
+    parts = [f"V{i}" if e == 1 else f"V{i}^{e}" for i, e in v]
+    parts += [f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in x]
+    return "*".join(parts) or "1"
 
 
 class MultiPoly:
@@ -295,16 +300,12 @@ class MultiPoly:
         return self._terms.get(mono.key, 0)
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
-        pairs = [(Monomial._from_key(k), c) for k, c in self._terms.items()]
-        pairs.sort(key=lambda kv: kv[0].sort_key())
-        return pairs
+        return [(Monomial._from_key(k), c)
+                for _, _, _, c, k in _canonical(self._terms)]
 
     def _used(self) -> tuple[tuple, tuple]:
         # a field is nonzero in the OR of the keys iff some key uses it
-        acc = 0
-        for key in self._terms:
-            acc |= key
-        return _unpack(acc)
+        return _unpack(reduce(or_, self._terms, 0))
 
     def v_indices(self) -> set[int]:
         return {i for i, _ in self._used()[0]}
@@ -514,20 +515,16 @@ class MultiPoly:
     # -- text and JSON ---------------------------------------------------
 
     def __str__(self):
-        return _terms_text(self.sorted_terms())
+        return _terms_text((_text(_nonzero(v, _NAMES), _nonzero(x, _NAMES)), c)
+                           for _, v, x, c, _ in _canonical(self._terms))
 
     def __repr__(self):
         return f"MultiPoly({self})"
 
     def to_json(self) -> list[dict]:
-        out = []
-        for mono, coeff in self.sorted_terms():
-            out.append({
-                "coeff": str(coeff),
-                "V": {str(i): e for i, e in mono.v},
-                "x": {str(i): e for i, e in mono.x},
-            })
-        return out
+        return [{"coeff": str(c), "V": dict(_nonzero(v, _NAMES)),
+                 "x": dict(_nonzero(x, _NAMES))}
+                for _, v, x, c, _ in _canonical(self._terms)]
 
     @classmethod
     def from_json(cls, data: Sequence[Mapping]) -> "MultiPoly":
@@ -590,24 +587,16 @@ def _coerce(value):
 
 
 def _terms_text(pairs) -> str:
-    if not pairs:
-        return "0"
+    # pairs of (monomial text, coeff) in order
     chunks = []
-    for mono, coeff in pairs:
-        body = mono.text()
+    for body, coeff in pairs:
         mag = abs(coeff)
-        if body == "1":
-            term = str(mag)
-        elif mag == 1:
-            term = body
-        else:
-            term = f"{mag}*{body}"
-        chunks.append(("-" if coeff < 0 else "+", term))
-    sign, term = chunks[0]
-    out = ("-" if sign == "-" else "") + term
-    for sign, term in chunks[1:]:
-        out += f" {sign} {term}"
-    return out
+        term = str(mag) if body == "1" else body if mag == 1 else f"{mag}*{body}"
+        chunks.append((" - " if coeff < 0 else " + ") + term)
+    if not chunks:
+        return "0"
+    text = "".join(chunks)
+    return ("-" if text[1] == "-" else "") + text[3:]
 
 
 # ---------------------------------------------------------------------------
@@ -845,12 +834,12 @@ class XSeries:
 
     def sorted_terms(self) -> list[tuple[tuple, int]]:
         """(x exponent tuple, coefficient) pairs by degree, then tuple."""
-        rows = sorted((k & _FIELD, _unpack(k)[1], c) for k, c in self._terms.items())
+        rows = sorted((-d, tuple(_nonzero(x, count(1))), c)
+                      for d, _, x, c, _ in _decode(self._terms))
         return [(xs, c) for _, xs, c in rows]
 
     def __str__(self):
-        pairs = [(Monomial((), xs), coeff) for xs, coeff in self.sorted_terms()]
-        return _terms_text(pairs)
+        return _terms_text((_text((), xs), c) for xs, c in self.sorted_terms())
 
     def __repr__(self):
         return f"XSeries(order={self.order}, {self})"

@@ -125,8 +125,9 @@ def expand_fraction(p: int, order: int, depth: int | None = None) -> TSeries:
 
     For the same reason each level is computed only through the t-order
     it can still reach: the level k below the top only matters through
-    t^(order-k).  This is exact because coefficient n of 1/(1 - t*P)
-    reads P only through t^(n-1).
+    t^(order-k).  This is exact because coefficient n of Q = 1/(1 - t*P)
+    reads P only through t^(n-1): Q_n = sum_{k=1..n} P_(k-1) Q_(n-k),
+    which is how Q is expanded, straight from P.
     """
     if p < 2:
         raise ValueError("p must be >= 2")
@@ -145,13 +146,19 @@ def expand_fraction(p: int, order: int, depth: int | None = None) -> TSeries:
             return TSeries.one(max(m, 0))
         prod = None
         for i in range(1, p):
-            factor = fraction(shift + i, depth - 1) \
-                .scale(MultiPoly.v_var(shift + i))
+            factor = scaled(shift + i, depth - 1)
             prod = factor if prod is None else prod.mul(factor, m - 1)
-        denom = [MultiPoly.one()]
-        denom.extend(-c for c in prod.coeffs[:m])
-        return TSeries(denom).inv_unit()
+        c = prod.coeffs
+        q = [MultiPoly.one()]
+        for n in range(1, m + 1):
+            q.append(_sum_products((c[k - 1], q[n - k]) for k in range(1, n + 1)))
+        return TSeries(q)
+
+    @cache  # V_shift times the level at shift, shared by its p-1 parents
+    def scaled(shift, depth):
+        return fraction(shift, depth).scale(MultiPoly.v_var(shift))
 
     out = fraction(0, depth)
     fraction.cache_clear()
+    scaled.cache_clear()
     return out

@@ -13,7 +13,7 @@ substitutes z = xV into it to check the ladder end to end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .algebra import MultiPoly, XSeries, det_elements
 from .paths import count_closed3
@@ -137,6 +137,19 @@ def t_n(n: int, ctx: EulerContext) -> XSeries:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    return _t_n(n, ctx, _entries(ctx))
+
+
+def _entries(ctx: EulerContext):
+    # entry (q, r) of a t_n matrix, each built once: a memo for one call,
+    # as a ladder of matrices repeats a few dozen entries thousands of times
+    @cache
+    def entry(q, r):
+        return f_closed(q, ctx) if r == 0 else f1_closed(q, ctx)
+    return entry
+
+
+def _t_n(n: int, ctx: EulerContext, entry) -> XSeries:
     k, s = divmod(n - 1, 3)
     one = XSeries.const(1, ctx.order)
     if k == 0:
@@ -145,9 +158,7 @@ def t_n(n: int, ctx: EulerContext) -> XSeries:
         rows = []
         for i in range(k):
             q, r = qr(i + s, 3)
-            row = [f_closed(q + j, ctx) if r == 0 else f1_closed(q + j, ctx)
-                   for j in range(k)]
-            rows.append(row)
+            rows.append([entry(q + j, r) for j in range(k)])
         det = det_elements(rows, one)
     if s == 0:
         exponent = k * (3 * k - 1) // 2
@@ -170,7 +181,8 @@ def verify_det3(kmax: int, order: int) -> bool:
     ctx = make_context(order)
     top = 3 * kmax + 3
     one = XSeries.const(1, ctx.order)
-    ts = {n: t_n(n, ctx) for n in range(1, top + 4)}
+    entry = _entries(ctx)
+    ts = {n: _t_n(n, ctx, entry) for n in range(1, top + 4)}
     z_at = {1: ctx.xV}
     for n in range(1, top + 1):
         if ts[n] != fib_poly(n).substitute(x_assign=z_at, order=ctx.order):

@@ -365,6 +365,21 @@ def t_word_key(mono):
     return len(word), tuple(word)
 
 
+def t_text(a: dict) -> str:
+    """The text form, written term by term in t_word_key order."""
+    out = ""
+    for (v, x), c in sorted(a.items(), key=lambda kv: t_word_key(kv[0])):
+        body = "*".join([f"{fam}{i}" + (f"^{e}" if e > 1 else "")
+                         for fam, t in (("V", v), ("x", x)) for i, e in t])
+        mag = abs(c)
+        term = f"{mag}*{body}" if body and mag > 1 else body or str(mag)
+        if out:
+            out += (" - " if c < 0 else " + ") + term
+        else:
+            out = ("-" if c < 0 else "") + term
+    return out or "0"
+
+
 def t_poly(p: MultiPoly) -> dict:
     """Tuple form of a MultiPoly, read back through its JSON."""
     return {(tuple(sorted((int(i), e) for i, e in t["V"].items())),

@@ -125,6 +125,18 @@ class TestVerifyAll:
             assert rc == 0 and err == ""
             assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
+    def test_fn_bytes_are_pinned(self):
+        # digests of a 2187-term JSON and a 2048-term text polynomial: the
+        # decoding of packed keys must not move a term or change a byte
+        for argv, digest in (
+                (["fn", "--p", "3", "--n", "8", "--json"],
+                 "6038b4e0fcae895de2afd3c65fa175ddccc80d840b37ba7b0bb2476e482dc278"),
+                (["fn", "--p", "2", "--n", "12"],
+                 "3d1dd0f9b0519e7a1191c00f5f8e011f60c31828b37b8f028e08ca96ed9ecab3")):
+            rc, out, err = capture(argv)
+            assert rc == 0 and err == ""
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
     def test_series_determinant_bytes_are_pinned(self):
         # digests of the cubic-case determinant ladder: euler-verify, and
         # t_n at n = 22, 28, 31, the 7x7, 9x9 and 10x10 series determinants

@@ -81,6 +81,41 @@ def test_sorted_terms_and_json_match_oracle(a):
     assert ok(MultiPoly.from_json(p.to_json())) == p
 
 
+@st.composite
+def wide_polys(draw):
+    """36 terms: every product of six V parts with six x parts.
+
+    The parts of one family share their exponents, placed on six
+    rotations of a permutation of (1, 2, 3, 4, 199, 200), so every tie on
+    the V part is a tie of degree too, and the keys of the tied terms
+    differ in width.  Exponents reach past one byte.
+    """
+    def parts():
+        exps = draw(st.lists(st.one_of(st.integers(1, 3), st.integers(255, 400)),
+                             min_size=1, max_size=3))
+        idx = draw(st.permutations((1, 2, 3, 4, 199, 200)))
+        return [tuple(sorted(zip(idx[i:] + idx[:i], exps))) for i in range(6)]
+    vs, xs = parts(), parts()
+    return {(v, x): draw(COEFF.filter(bool)) for v in vs for x in xs}
+
+
+@PACKED
+@given(polys())
+def test_text_matches_oracle(a):
+    assert str(_props.t_to_poly(a)) == _props.t_text(a)
+
+
+@PACKED
+@given(wide_polys())
+def test_wide_polys_match_oracle(a):
+    # keys of one polynomial differ in width; the order must not
+    p = _props.t_to_poly(a)
+    assert str(p) == _props.t_text(a)
+    assert [(m.v, m.x) for m, _ in p.sorted_terms()] == \
+        sorted(a, key=_props.t_word_key)
+    assert p.to_json() == _props.t_json(a)
+
+
 @PACKED
 @given(polys(), polys(max_size=3))
 def test_exact_div_of_a_product(a, b):
