@@ -25,10 +25,9 @@ from .algebra import (
     NonSquare,
     NonUnitConstant,
     NotDivisible,
-    PolyMatrix,
     UnassignedVariable,
     XSeries,
-    det_division_free,
+    det_elements,
 )
 from .contfrac import TSeries, expand_f, expand_fraction
 from .eulerian import (
@@ -71,14 +70,13 @@ __all__ = [
     "NonUnitConstant",
     "NotDivisible",
     "PPath",
-    "PolyMatrix",
     "SolverConfig",
     "TSeries",
     "UnassignedVariable",
     "XSeries",
     "count_closed3",
     "count_paths",
-    "det_division_free",
+    "det_elements",
     "enumerate_paths",
     "expand_f",
     "expand_fraction",

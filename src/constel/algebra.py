@@ -6,7 +6,8 @@ weights.  ``MultiPoly`` is the exact sparse polynomial type; ``XSeries``
 is a power series in the x family truncated at a total-degree bound,
 which is what the fixed-point solvers produce.  Coefficients are plain
 Python integers, so there is no precision ceiling anywhere and equality
-is literal equality.
+is literal equality.  ``det_elements`` is the one determinant, over
+either ring: a list of rows in, the ring element out.
 
 Packed monomials: inside both types a monomial is one non-negative
 Python int made of fixed-width fields of ``_WIDTH`` = 16 bits.  Field 0,
@@ -873,64 +874,24 @@ def _coerce_series(value, order):
 
 
 # ---------------------------------------------------------------------------
-# matrices and division-free determinants
+# division-free determinants
 
 
-class PolyMatrix:
-    """Immutable rectangular matrix of MultiPoly entries."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        rows = tuple(tuple(row) for row in entries)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged matrix")
-        self.entries = rows
-
-    @property
-    def nrows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    def __eq__(self, other):
-        return isinstance(other, PolyMatrix) and self.entries == other.entries
-
-    def __repr__(self):
-        return f"PolyMatrix({self.nrows}x{self.ncols})"
-
-
-def det_division_free(matrix: PolyMatrix) -> MultiPoly:
-    """Determinant of a square MultiPoly matrix, never leaving the ring.
-
-    ``det_elements`` over the polynomial ring: elimination while every
-    pivot is a single term c*m that divides each entry below it exactly,
-    which the Hankel matrices of ``constel.hankel`` pass at every size
-    tested, and cofactor expansion otherwise.
-    """
-    return det_elements(matrix.entries, MultiPoly.one())
-
-
-def det_elements(rows, one):
+def det_elements(rows):
     """Determinant of a square matrix of MultiPoly or XSeries entries.
 
-    ``one`` is the ring's identity, returned for the empty matrix.
-    ``_det_eliminate`` runs first, with each ring's pivot rule: a single
-    term for ``MultiPoly``, constant term +1 or -1 for ``XSeries``.  When
-    some pivot breaks the rule, the unchanged input goes to the
-    division-free cofactor expansion.
+    The one determinant entry point, for both rings.  ``_det_eliminate``
+    runs first, with each ring's pivot rule: a single term for
+    ``MultiPoly``, constant term +1 or -1 for ``XSeries``.  When some
+    pivot breaks the rule, the unchanged input goes to the division-free
+    cofactor expansion.  An empty or ragged matrix raises ``NonSquare``:
+    callers return their own ring's one for the empty case.
     """
     n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise NonSquare(f"{n}-row matrix is not square")
-    if n == 0:
-        return one
+    if n == 0 or any(len(r) != n for r in rows):
+        raise NonSquare("determinant needs a non-empty square matrix")
     det = _det_eliminate(rows)
-    return _det_cofactor(rows, one) if det is None else det
+    return _det_cofactor(rows) if det is None else det
 
 
 def _det_eliminate(rows):
@@ -984,7 +945,7 @@ def _perm_sign(perm) -> int:
     return sign
 
 
-def _det_cofactor(rows, one):
+def _det_cofactor(rows):
     # Heavy lines should only ever multiply fully collapsed minors, so the
     # expansion is reordered: transpose if that makes the off-heavy mass
     # smaller, then sort lines by weight descending (line 0 enters last).
@@ -999,6 +960,7 @@ def _det_cofactor(rows, one):
     sign = _perm_sign(order)
     grid = [grid[i] for i in order]
 
+    one = grid[0][0] ** 0  # the ring's one: MultiPoly or XSeries at its order
     zero = one - one
     # minors[mask] = det of the last popcount(mask) lines on columns in mask
     minors = {0: one}

@@ -8,18 +8,17 @@ factor.  ``expand_fraction`` instead expands the nested fraction
 
     1 / (1 - t * prod_i V_{s+i} * [same shape at shift s+i])
 
-with the tail below the requested depth replaced by 1.  Every level of
-the fraction contributes a factor t, so the level k below the top is
-computed only through t^(order-k), the order that can still reach the
-result.  Matching the two against the direct path aggregation is the
-core cross-check.
+Every level of the fraction contributes a factor t, so the level k below
+the top is computed only through t^(order-k), the order that can still
+reach the result, and the level order deep is 1.  Matching the two
+against the direct path aggregation is the core cross-check.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from .algebra import MultiPoly, NonUnitConstant, _sum_products
+from .algebra import MultiPoly, _sum_products
 
 
 class TSeries:
@@ -51,17 +50,6 @@ class TSeries:
 
     def scale(self, poly: MultiPoly) -> "TSeries":
         return TSeries([poly * c for c in self.coeffs])
-
-    def inv_unit(self) -> "TSeries":
-        """Inverse of a series with constant coefficient exactly 1."""
-        c = self.coeffs
-        if c[0] != MultiPoly.one():
-            raise NonUnitConstant("t-series constant coefficient is not 1")
-        out = [MultiPoly.one()]
-        for n in range(1, self.order + 1):
-            out.append(-_sum_products((c[k], out[n - k])
-                                      for k in range(1, n + 1)))
-        return TSeries(out)
 
     def __eq__(self, other):
         return isinstance(other, TSeries) and self.coeffs == other.coeffs
@@ -116,37 +104,29 @@ def expand_f(p: int, r: int, shift: int = 0, order: int = 0) -> TSeries:
     return out
 
 
-def expand_fraction(p: int, order: int, depth: int | None = None) -> TSeries:
+def expand_fraction(p: int, order: int) -> TSeries:
     """Expansion of the nested fraction, exact through t^order.
 
-    The tail below level ``depth`` (default: order, which is already
-    enough) is replaced by 1; deeper nesting cannot change coefficients
-    0..order because every level contributes at least one power of t.
-
-    For the same reason each level is computed only through the t-order
-    it can still reach: the level k below the top only matters through
-    t^(order-k).  This is exact because coefficient n of Q = 1/(1 - t*P)
-    reads P only through t^(n-1): Q_n = sum_{k=1..n} P_(k-1) Q_(n-k),
-    which is how Q is expanded, straight from P.
+    Every level contributes at least one power of t, so the level k below
+    the top only matters through t^(order-k), and each level is computed
+    through that order alone; the level order deep is 1, and nesting
+    deeper cannot change coefficients 0..order.  This is exact because
+    coefficient n of Q = 1/(1 - t*P) reads P only through t^(n-1):
+    Q_n = sum_{k=1..n} P_(k-1) Q_(n-k), which is how Q is expanded,
+    straight from P.
     """
     if p < 2:
         raise ValueError("p must be >= 2")
     if order < 0:
         raise ValueError("order must be >= 0")
-    if depth is None:
-        depth = order
-    if depth < order:
-        raise ValueError("depth below order loses exactness")
-    top = depth
 
-    @cache  # scoped to this call, as in expand_f; m follows from depth
-    def fraction(shift, depth):
-        m = order - (top - depth)
-        if depth == 0 or m <= 0:
-            return TSeries.one(max(m, 0))
+    @cache  # scoped to this call, as in expand_f; m is the level's t-order
+    def fraction(shift, m):
+        if m == 0:
+            return TSeries.one(0)
         prod = None
         for i in range(1, p):
-            factor = scaled(shift + i, depth - 1)
+            factor = scaled(shift + i, m - 1)
             prod = factor if prod is None else prod.mul(factor, m - 1)
         c = prod.coeffs
         q = [MultiPoly.one()]
@@ -155,10 +135,10 @@ def expand_fraction(p: int, order: int, depth: int | None = None) -> TSeries:
         return TSeries(q)
 
     @cache  # V_shift times the level at shift, shared by its p-1 parents
-    def scaled(shift, depth):
-        return fraction(shift, depth).scale(MultiPoly.v_var(shift))
+    def scaled(shift, m):
+        return fraction(shift, m).scale(MultiPoly.v_var(shift))
 
-    out = fraction(0, depth)
+    out = fraction(0, order)
     fraction.cache_clear()
     scaled.cache_clear()
     return out

@@ -133,7 +133,8 @@ def t_n(n: int, ctx: EulerContext) -> XSeries:
     divided by an explicit power of V (and, on the third branch, carries
     the extra factor 1 - xV).  Each leading minor of the matrix is the
     determinant of a smaller n on the same branch, with constant term 1,
-    so ``det_elements`` eliminates on unit pivots all the way.
+    so ``det_elements`` eliminates on unit pivots all the way.  For
+    n <= 3 the matrix is empty and the determinant is the series 1.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -159,7 +160,7 @@ def _t_n(n: int, ctx: EulerContext, entry) -> XSeries:
         for i in range(k):
             q, r = qr(i + s, 3)
             rows.append([entry(q + j, r) for j in range(k)])
-        det = det_elements(rows, one)
+        det = det_elements(rows)
     if s == 0:
         exponent = k * (3 * k - 1) // 2
     elif s == 1:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
-from .algebra import (Monomial, MultiPoly, NotDivisible, PolyMatrix,
-                      _perm_sign, det_division_free)
+from . import algebra
+from .algebra import Monomial, MultiPoly, NotDivisible, _perm_sign
 from .paths import enumerate_paths, f_poly, path_weight
 
 
@@ -70,15 +70,13 @@ class LGVGraph:
         return cls(spec.p, tuple(sources), tuple(sinks))
 
 
-def hankel_matrix(spec: HankelSpec) -> PolyMatrix:
-    """The (n+1) x (n+1) matrix of path polynomials for (p, m, n)."""
-    if spec.n < 0:
-        return PolyMatrix(())
+def hankel_matrix(spec: HankelSpec) -> list[list[MultiPoly]]:
+    """Rows of the (n+1) x (n+1) matrix of path polynomials for (p, m, n)."""
     rows = []
     for i in range(spec.n + 1):
         q, r = qr(spec.m + i, spec.p)
         rows.append([f_poly(spec.p, q + j, r) for j in range(spec.n + 1)])
-    return PolyMatrix(rows)
+    return rows
 
 
 @lru_cache(maxsize=128)
@@ -86,16 +84,17 @@ def hankel_det(spec: HankelSpec) -> MultiPoly:
     """Determinant of the banded matrix; the empty case n = -1 gives 1.
 
     Each leading minor of the matrix is the determinant of a smaller n,
-    a single monomial, so the pivots of ``det_division_free``'s
-    elimination are single monomials (ratios of neighbouring minors) and
-    multiply to ``hankel_product``.  Its multipliers have divided exactly
-    at every size tested, so it never leaves the ring; should one not,
-    the cofactor expansion takes over.  Memoized per spec:
-    ``recover_vi`` reads each determinant in up to four ratios.
+    a single monomial, so the pivots of the elimination in
+    ``algebra.det_elements`` are single monomials (ratios of neighbouring
+    minors) and multiply to ``hankel_product``.  Its multipliers have
+    divided exactly at every size tested, so it never leaves the ring;
+    should one not, the cofactor expansion takes over.  Memoized per
+    spec: ``recover_vi`` reads each determinant in up to four ratios.
     """
     if spec.n == -1:
         return MultiPoly.one()
-    return det_division_free(hankel_matrix(spec))
+    # through the module, the binding perfbench's tracer wraps
+    return algebra.det_elements(hankel_matrix(spec))
 
 
 def hankel_product(spec: HankelSpec) -> MultiPoly:

@@ -36,16 +36,15 @@ class CheckPlan:
         self.jobs.append((name, params, fn))
 
     def run(self) -> list[CheckResult]:
-        def execute(job):
-            name, params, fn = job
+        results = []
+        for name, params, fn in self.jobs:
             try:
                 detail = fn()
-                return CheckResult(name, params, detail is None,
-                                   detail or "")
+                results.append(CheckResult(name, params, detail is None,
+                                           detail or ""))
             except (IdentityViolation, NonUniqueNILP) as exc:
-                return CheckResult(name, params, False, str(exc))
-
-        return [execute(job) for job in self.jobs]
+                results.append(CheckResult(name, params, False, str(exc)))
+        return results
 
 
 def _diff(kind, a, b):

@@ -1,9 +1,8 @@
 import pytest
 
 from constel.algebra import (Monomial, MultiPoly, NonSquare, NonUnitConstant,
-                             NotDivisible, PolyMatrix, UnassignedVariable,
-                             XSeries, _det_cofactor, _det_eliminate,
-                             det_division_free, det_elements)
+                             NotDivisible, UnassignedVariable, XSeries,
+                             _det_cofactor, _det_eliminate, det_elements)
 
 import _props
 
@@ -171,31 +170,33 @@ class TestXSeries:
 class TestDeterminants:
     def test_two_by_two(self):
         a, b, c, d = V(1), V(2), V(3), V(4)
-        got = det_division_free(PolyMatrix([[a, b], [c, d]]))
+        got = det_elements([[a, b], [c, d]])
         assert got == a * d - b * c
 
     def test_identity_and_zero_row(self):
         one, zero = MultiPoly.one(), MultiPoly.zero()
         eye = [[one if i == j else zero for j in range(3)] for i in range(3)]
-        assert det_division_free(PolyMatrix(eye)) == one
+        assert det_elements(eye) == one
         eye[1] = [zero, zero, zero]
-        assert det_division_free(PolyMatrix(eye)) == zero
+        assert det_elements(eye) == zero
 
     def test_non_square_and_ragged(self):
-        with pytest.raises(NonSquare):
-            det_division_free(PolyMatrix([[V(1), V(2)]]))
-        with pytest.raises(ValueError):
-            PolyMatrix([[V(1), V(2)], [V(3)]])
+        for rows in ([[V(1), V(2)]], [[V(1), V(2)], [V(3)]],
+                     [[V(1)], [V(2), V(3)]]):
+            with pytest.raises(NonSquare):
+                det_elements(rows)
 
     def test_empty_matrix(self):
-        assert det_division_free(PolyMatrix([])) == MultiPoly.one()
+        # callers return their ring's one for the empty matrix themselves
+        with pytest.raises(NonSquare):
+            det_elements([])
 
     def test_engines_agree_on_5x5(self):
         rows = [[V((i + j) % 3 + 1) + C(i * j % 4) for j in range(5)]
                 for i in range(5)]
         want = _props.perm_expansion_det(rows)
-        assert det_elements(rows, MultiPoly.one()) == want
-        assert _det_cofactor(rows, MultiPoly.one()) == want
+        assert det_elements(rows) == want
+        assert _det_cofactor(rows) == want
 
     @pytest.mark.parametrize("pivot, below", [
         (C(0), V(1)),              # zero pivot
@@ -219,11 +220,9 @@ class TestDeterminants:
                 [var(6), var(6) * var(2) + below, var(6) * var(3) + var(1)]]
         before = [[dict(e._terms) for e in row] for row in rows]
         assert _det_eliminate(rows) is None
-        got = det_elements(rows, one)
-        assert got == _det_cofactor(rows, one)
+        got = det_elements(rows)
+        assert got == _det_cofactor(rows)
         assert got == _props.perm_expansion_det(rows, one)
-        if isinstance(pivot, MultiPoly):
-            assert got == det_division_free(PolyMatrix(rows))
         assert [[e._terms for e in row] for row in rows] == before
 
 

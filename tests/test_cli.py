@@ -154,6 +154,24 @@ class TestVerifyAll:
             assert rc == 0 and err == ""
             assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
+    def test_polynomial_determinant_bytes_are_pinned(self):
+        # digests of banded determinants, their ratios and the path-system
+        # picture, each through det_elements over MultiPoly
+        for argv, digest in (
+                (["hankel", "--p", "2", "--m", "0", "--n", "6", "--json"],
+                 "665f166f301ea194e7465e4a58b3dde87bdbc479299ed6711949ba7ca0dcda69"),
+                (["hankel", "--p", "3", "--m", "1", "--n", "4"],
+                 "c12dd6a34d7e623e853778e243dc41d351a4f95e0c8cad4c348f8c0a99b68a66"),
+                (["invert", "--p", "3", "--i", "16"],
+                 "c6abd8db3f370df9b78c36eca12af1f359ba9cb182eca6937ad93a956e249802"),
+                (["invert", "--p", "4", "--i", "11", "--json"],
+                 "a1251a0e420b632f88cb9f2720fc46aaa962b1b278f0620f625aa90b662bc455"),
+                (["lgv", "--p", "3", "--m", "1", "--n", "2", "--json"],
+                 "7edc4f044ff3214bed1f13495f78db7480bc70b8af3f37dc81d687ca6eab4818")):
+            rc, out, err = capture(argv)
+            assert rc == 0 and err == ""
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
     def test_no_p_values_still_runs_shared_suites(self):
         rc, out, _ = capture(["verify-all", "--p", "--n-max", "1",
                               "--order", "3"])

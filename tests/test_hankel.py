@@ -3,7 +3,7 @@ from random import Random
 import pytest
 
 from constel.algebra import (MultiPoly, _det_cofactor, _det_eliminate,
-                             det_division_free, det_elements)
+                             det_elements)
 from constel.hankel import (HankelSpec, IdentityViolation, LGVGraph,
                             NonUniqueNILP, check_hankel, hankel_det,
                             hankel_matrix, hankel_product, lgv_signed_sum,
@@ -31,13 +31,13 @@ class TestSpec:
 
     def test_matrix_entries(self):
         spec = HankelSpec(3, 1, 1)
-        mat = hankel_matrix(spec)
-        assert mat.nrows == mat.ncols == 2
+        rows = hankel_matrix(spec)
+        assert [len(row) for row in rows] == [2, 2]
         # row k reads from the walk family selected by divmod(k+m, p-1)
-        assert mat.entries[0][0] == f_poly(3, 0, 1)
-        assert mat.entries[0][1] == f_poly(3, 1, 1)
-        assert mat.entries[1][0] == f_poly(3, 1, 0)
-        assert mat.entries[1][1] == f_poly(3, 2, 0)
+        assert rows[0][0] == f_poly(3, 0, 1)
+        assert rows[0][1] == f_poly(3, 1, 1)
+        assert rows[1][0] == f_poly(3, 1, 0)
+        assert rows[1][1] == f_poly(3, 2, 0)
 
 
 class TestCollapse:
@@ -162,23 +162,22 @@ class TestLGV:
 class TestEngineAgreement:
     def test_elimination_matches_cofactor(self):
         # every pivot of a banded Hankel matrix is a single term, so the
-        # elimination, not its fallback, gives det_division_free's value
-        one = MultiPoly.one()
+        # elimination, not its fallback, gives det_elements' value
         specs = [HankelSpec(p, m, n) for p in (2, 3, 4) for m in range(p)
                  for n in range(5)] + [HankelSpec(3, 1, 5)]
         for spec in specs:
-            mat = hankel_matrix(spec)
-            det = _det_eliminate(mat.entries)
+            rows = hankel_matrix(spec)
+            det = _det_eliminate(rows)
             assert det is not None, spec
-            assert det == det_division_free(mat), spec
-            assert det == _det_cofactor(mat.entries, one), spec
+            assert det == det_elements(rows), spec
+            assert det == _det_cofactor(rows), spec
 
     def test_large_determinants_collapse(self, no_cofactor):
         # both by elimination: by cofactor the 7x7 took 5 s, and the 9x9
         # had not finished after 120 s by the characteristic-polynomial
         # scheme that used to serve sizes past 8x8
         for spec in (HankelSpec(2, 0, 8), HankelSpec(3, 1, 6)):
-            got = det_division_free(hankel_matrix(spec))
+            got = det_elements(hankel_matrix(spec))
             assert got == hankel_product(spec), spec
 
     def test_seven_by_seven(self):
@@ -186,8 +185,7 @@ class TestEngineAgreement:
         rows = [[V(rng.randint(1, 3)) * rng.randint(-2, 2)
                  + MultiPoly.const(rng.randint(0, 2)) for _ in range(7)]
                 for _ in range(7)]
-        one = MultiPoly.one()
-        det = det_elements(rows, one)
+        det = det_elements(rows)
         assert det == _props.perm_expansion_det(rows)
-        assert _det_cofactor(rows, one) == det
+        assert _det_cofactor(rows) == det
         assert not det.is_zero()
