@@ -38,7 +38,7 @@ from __future__ import annotations
 import sys
 from collections.abc import Iterable, Mapping, Sequence
 from functools import reduce, total_ordering
-from itertools import compress, count
+from itertools import combinations, compress, count
 from operator import or_
 
 
@@ -472,6 +472,10 @@ class MultiPoly:
             return MultiPoly(quo)
         return divide
 
+    def _minus_products(self, pairs) -> "MultiPoly":
+        """self - sum of a*b over (a, b) pairs: one elimination update."""
+        return _sum_products(pairs, self._terms, -1)
+
     def substitute(self, v_assign=None, x_assign=None, order=None) -> "XSeries":
         """Map V_i and x_k to XSeries values; the result is an XSeries.
 
@@ -551,8 +555,8 @@ def _difference(a: dict, b: dict) -> MultiPoly:
     return MultiPoly(out)
 
 
-def _sum_products(pairs) -> MultiPoly:
-    """The sum of a*b over an iterable of (a, b) MultiPoly pairs.
+def _sum_products(pairs, start=(), sign=1) -> MultiPoly:
+    """start + sign * sum of a*b over (a, b) MultiPoly pairs, start a dict.
 
     Every product accumulates into one dict and zeros are dropped once at
     the end, where a running sum of products would copy the sum once per
@@ -563,7 +567,7 @@ def _sum_products(pairs) -> MultiPoly:
     ``__mul__`` keeps its own loop, which drops zeros as it goes: routed
     through this kernel, the hankel_ladder benchmark ran 10% slower.
     """
-    out: dict[int, int] = {}
+    out: dict[int, int] = dict(start)
     get = out.get
     for a, b in pairs:
         ta, tb = a._terms, b._terms
@@ -573,6 +577,7 @@ def _sum_products(pairs) -> MultiPoly:
         if len(ta) > len(tb):
             ta, tb = tb, ta
         for ma, ca in ta.items():
+            ca *= sign
             for mb, cb in tb.items():
                 m = ma + mb
                 out[m] = get(m, 0) + ca * cb
@@ -794,6 +799,14 @@ class XSeries:
             return None
         return self.inv().__mul__
 
+    def _minus_products(self, pairs) -> "XSeries":
+        """self - sum of a*b over (a, b) pairs, by plain ring operations."""
+        out = self
+        for a, b in pairs:
+            if a and b:
+                out = out - a * b
+        return out
+
     def pow(self, e: int) -> "XSeries":
         if e < 0:
             return self.inv().pow(-e)
@@ -880,52 +893,80 @@ def _coerce_series(value, order):
 def det_elements(rows):
     """Determinant of a square matrix of MultiPoly or XSeries entries.
 
-    The one determinant entry point, for both rings.  ``_det_eliminate``
-    runs first, with each ring's pivot rule: a single term for
-    ``MultiPoly``, constant term +1 or -1 for ``XSeries``.  When some
-    pivot breaks the rule, the unchanged input goes to the division-free
-    cofactor expansion.  An empty or ragged matrix raises ``NonSquare``:
-    callers return their own ring's one for the empty case.
+    The one determinant entry point, for both rings: a one-shot
+    ``_Minors``, which eliminates on each ring's pivot rule (a single term
+    for ``MultiPoly``, constant term +1 or -1 for ``XSeries``) and falls
+    back to division-free cofactor expansion.  An empty or ragged matrix
+    raises ``NonSquare``: callers return their ring's one for the empty case.
     """
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise NonSquare("determinant needs a non-empty square matrix")
-    det = _det_eliminate(rows)
-    return _det_cofactor(rows) if det is None else det
+    return _Minors(lambda i, j: rows[i][j]).minor(n - 1)
 
 
-def _det_eliminate(rows):
-    """Gaussian elimination inside the ring: the pivots' product, or None.
+class _Minors:
+    """The leading minors of one matrix, by bordered (Doolittle) elimination.
 
-    Each pivot's ``_divider()`` gives the ring's exact division by it.
-    None when a pivot has none (``MultiPoly``: zero or several terms;
-    ``XSeries``: constant term other than +1 or -1), or when an entry
-    below a pivot has no quotient in the ring.  The multipliers make up
-    L, the pivots the diagonal of U, in rows = L*U; ``rows`` is left as
-    it was, and the empty matrix gives None.
+    Each ``entry(i, j)`` is fetched once.  Border n extends a = L*U, L unit
+    lower triangular, by u[k][n] = a[k][n] - sum_{j<k} l[k][j] u[j][n]
+    (k <= n) and l[n][k] = (a[n][k] - sum_{j<k} l[n][j] u[j][k]) / u[k][k]
+    (k < n), each sum one ring ``_minus_products``; minor(n) = minor(n-1) *
+    u[n][n].  l[n][k]'s numerator is what Gaussian elimination divides by
+    pivot k's ``_divider()``: the same rules, but the last pivot needs none.
+    Once a pivot has none or a quotient leaves the ring, each larger minor
+    is the cofactor expansion of its leading block.
     """
-    a = [list(row) for row in rows]
-    det = None
-    for k, row_k in enumerate(a):
-        pivot = row_k[k]
-        divide = pivot._divider()
-        if divide is None:
-            return None
-        for row_i in a[k + 1:]:
-            if not row_i[k]:
-                continue
-            mult = divide(row_i[k])
+
+    __slots__ = ("_entry", "_rows", "_lower", "_upper", "_divide", "minors")
+
+    def __init__(self, entry):
+        self._entry = entry
+        self._rows = []    # the fetched leading block, for the fallback
+        self._lower = []   # _lower[i]: l[i][0 .. i-1]
+        self._upper = []   # _upper[j]: u[0 .. j][j], column j of U
+        self._divide = []  # _divide[k]: pivot k's divider
+        self.minors = []   # minors[n]: the leading (n+1) x (n+1) minor
+
+    def minor(self, n: int):
+        """Determinant of the leading (n+1) x (n+1) block, n >= 0."""
+        while len(self.minors) <= n:
+            self._border(len(self.minors))
+        return self.minors[n]
+
+    def _border(self, n: int):
+        # all or nothing: a border that raises leaves the ladder as it was
+        entry = self._entry
+        rows = [row + [entry(i, n)] for i, row in enumerate(self._rows)]
+        rows.append([entry(n, j) for j in range(n + 1)])
+        det = self._eliminate(rows, n) if len(self._upper) == n else None
+        self.minors.append(_det_cofactor(rows) if det is None else det)
+        self._rows = rows
+
+    def _eliminate(self, rows, n: int):
+        # column n of U and row n of L, then minor(n); None if a pivot fails
+        lower, upper, dividers = self._lower, self._upper, self._divide
+        if n:
+            divide = upper[n - 1][n - 1]._divider()
+            if divide is None:
+                return None
+            dividers = dividers + [divide]
+        col, row = [], []
+        for k in range(n):
+            col.append(rows[k][n]._minus_products(zip(lower[k], col)))
+        for k, divide in enumerate(dividers):
+            mult = rows[n][k]._minus_products(zip(row, upper[k]))
+            mult = divide(mult) if mult else mult
             if mult is None:
                 return None
-            for j in range(k + 1, len(a)):
-                if row_k[j]:
-                    row_i[j] = row_i[j] - mult * row_k[j]
-        det = pivot if det is None else det * pivot
-    return det
-
-
-def _weight(element) -> int:
-    return getattr(element, "nterms", 1)
+            row.append(mult)
+        pivot = rows[n][n]._minus_products(zip(row, col))
+        det = self.minors[-1] * pivot if n else pivot
+        col.append(pivot)
+        lower.append(row)
+        upper.append(col)
+        self._divide = dividers
+        return det
 
 
 def _perm_sign(perm) -> int:
@@ -951,8 +992,9 @@ def _det_cofactor(rows):
     # smaller, then sort lines by weight descending (line 0 enters last).
     n = len(rows)
     grid = [list(r) for r in rows]
-    row_w = [sum(_weight(e) for e in r) for r in grid]
-    col_w = [sum(_weight(grid[i][j]) for i in range(n)) for j in range(n)]
+    weights = [[getattr(e, "nterms", 1) for e in r] for r in grid]
+    row_w = [sum(r) for r in weights]
+    col_w = [sum(c) for c in zip(*weights)]
     if sum(col_w) - max(col_w) < sum(row_w) - max(row_w):
         grid = [[grid[i][j] for i in range(n)] for j in range(n)]
         row_w = col_w
@@ -967,7 +1009,8 @@ def _det_cofactor(rows):
     for size in range(1, n + 1):
         line = grid[n - size]
         nxt: dict[int, object] = {}
-        for cols in _masks(n, size):
+        for combo in combinations(range(n), size):
+            cols = sum(1 << c for c in combo)
             acc = None
             parity = 0
             m = cols
@@ -989,11 +1032,3 @@ def _det_cofactor(rows):
     det = minors[(1 << n) - 1]
     return det if sign == 1 else -det
 
-
-def _masks(n, size):
-    from itertools import combinations
-    for combo in combinations(range(n), size):
-        mask = 0
-        for c in combo:
-            mask |= 1 << c
-        yield mask

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, lru_cache
 
-from .algebra import MultiPoly, XSeries, det_elements
+from .algebra import MultiPoly, XSeries, _Minors
 from .paths import count_closed3
 from .hankel import qr
 from .solver import SolverConfig, solve_v, solve_vi
@@ -131,36 +131,34 @@ def t_n(n: int, ctx: EulerContext) -> XSeries:
 
     The size-k banded determinant with entries from f_closed/f1_closed is
     divided by an explicit power of V (and, on the third branch, carries
-    the extra factor 1 - xV).  Each leading minor of the matrix is the
-    determinant of a smaller n on the same branch, with constant term 1,
-    so ``det_elements`` eliminates on unit pivots all the way.  For
-    n <= 3 the matrix is empty and the determinant is the series 1.
+    the extra factor 1 - xV).  It is a leading minor of the ladder
+    (``algebra._Minors``) of branch s = (n-1) mod 3; every leading minor
+    is a smaller t determinant of the branch, with constant term 1, so the
+    ladder eliminates on unit pivots all the way.  For n <= 3 the matrix
+    is empty and the determinant is the series 1.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _t_n(n, ctx, _entries(ctx))
+    return _t_n(n, ctx, _ladders(ctx))
 
 
-def _entries(ctx: EulerContext):
-    # entry (q, r) of a t_n matrix, each built once: a memo for one call,
-    # as a ladder of matrices repeats a few dozen entries thousands of times
+def _ladders(ctx: EulerContext) -> list[_Minors]:
+    # one ladder per branch s, row i of which holds entry (q + j, r) with
+    # (q, r) = qr(i + s, 3); the branches share entries, each built once
     @cache
     def entry(q, r):
         return f_closed(q, ctx) if r == 0 else f1_closed(q, ctx)
-    return entry
+
+    def at(row, j):
+        q, r = qr(row, 3)
+        return entry(q + j, r)
+    return [_Minors(lambda i, j, s=s: at(i + s, j)) for s in range(3)]
 
 
-def _t_n(n: int, ctx: EulerContext, entry) -> XSeries:
+def _t_n(n: int, ctx: EulerContext, ladders) -> XSeries:
     k, s = divmod(n - 1, 3)
     one = XSeries.const(1, ctx.order)
-    if k == 0:
-        det = one
-    else:
-        rows = []
-        for i in range(k):
-            q, r = qr(i + s, 3)
-            rows.append([entry(q + j, r) for j in range(k)])
-        det = det_elements(rows)
+    det = ladders[s].minor(k - 1) if k else one
     if s == 0:
         exponent = k * (3 * k - 1) // 2
     elif s == 1:
@@ -176,14 +174,15 @@ def verify_det3(kmax: int, order: int) -> bool:
 
     Runs n through 3*kmax + 3 for the closed form and through the same
     bound for recurrence instances T_{n+3} = (1-xV) T_{n+1} - xV T_n.
+    Every T_n is a leading minor of one of three ladders, one per branch.
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     ctx = make_context(order)
     top = 3 * kmax + 3
     one = XSeries.const(1, ctx.order)
-    entry = _entries(ctx)
-    ts = {n: _t_n(n, ctx, entry) for n in range(1, top + 4)}
+    ladders = _ladders(ctx)
+    ts = {n: _t_n(n, ctx, ladders) for n in range(1, top + 4)}
     z_at = {1: ctx.xV}
     for n in range(1, top + 1):
         if ts[n] != fib_poly(n).substitute(x_assign=z_at, order=ctx.order):

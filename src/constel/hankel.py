@@ -12,7 +12,7 @@ desk-scale checks of the same collapse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import permutations
 
 from . import algebra
@@ -72,29 +72,35 @@ class LGVGraph:
 
 def hankel_matrix(spec: HankelSpec) -> list[list[MultiPoly]]:
     """Rows of the (n+1) x (n+1) matrix of path polynomials for (p, m, n)."""
-    rows = []
-    for i in range(spec.n + 1):
-        q, r = qr(spec.m + i, spec.p)
-        rows.append([f_poly(spec.p, q + j, r) for j in range(spec.n + 1)])
-    return rows
+    size = spec.n + 1
+    return [[_entry(spec.p, spec.m, i, j) for j in range(size)]
+            for i in range(size)]
 
 
-@lru_cache(maxsize=128)
+def _entry(p: int, m: int, i: int, j: int) -> MultiPoly:
+    # f_poly is looked up at call time, so a walk table installed in this
+    # module takes effect on every matrix and every fresh ladder
+    q, r = qr(m + i, p)
+    return f_poly(p, q + j, r)
+
+
 def hankel_det(spec: HankelSpec) -> MultiPoly:
     """Determinant of the banded matrix; the empty case n = -1 gives 1.
 
-    Each leading minor of the matrix is the determinant of a smaller n,
-    a single monomial, so the pivots of the elimination in
-    ``algebra.det_elements`` are single monomials (ratios of neighbouring
-    minors) and multiply to ``hankel_product``.  Its multipliers have
-    divided exactly at every size tested, so it never leaves the ring;
-    should one not, the cofactor expansion takes over.  Memoized per
-    spec: ``recover_vi`` reads each determinant in up to four ratios.
+    The matrices of one (p, m) are the leading blocks of one matrix: this
+    reads a leading minor of its memoized bordered elimination, ``_ladder``,
+    which computes each entry and determinant once.  Every pivot is a ratio
+    of neighbouring minors, a monomial, and the multipliers have divided
+    exactly at every size tested (else cofactor expansion takes over).
     """
     if spec.n == -1:
         return MultiPoly.one()
-    # through the module, the binding perfbench's tracer wraps
-    return algebra.det_elements(hankel_matrix(spec))
+    return _ladder(spec.p, spec.m).minor(spec.n)
+
+
+@lru_cache(maxsize=16)
+def _ladder(p: int, m: int) -> algebra._Minors:
+    return algebra._Minors(partial(_entry, p, m))
 
 
 def hankel_product(spec: HankelSpec) -> MultiPoly:

@@ -148,7 +148,7 @@ def _weight_dp(p: int, nsteps: int, h_start: int, h_end: int, weight, one):
     return cur.get(h_start, one - one)  # the ring's zero
 
 
-_v_weight = lru_cache(maxsize=None)(MultiPoly.v_var)
+_v_weight = lru_cache(maxsize=256)(MultiPoly.v_var)
 
 
 @lru_cache(maxsize=128)

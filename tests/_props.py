@@ -13,12 +13,13 @@ the packed ring replaced, kept as the reference the property tests in
 ``test_packed.py`` compare against.
 """
 
+from collections import Counter
 from functools import cache
-from itertools import permutations
+from itertools import permutations, product
 from random import Random
 
 from constel.algebra import (Monomial, MultiPoly, NotDivisible, XSeries,
-                             _det_cofactor, _det_eliminate, det_elements)
+                             _Minors, _det_cofactor, det_elements)
 from constel.contfrac import TSeries
 
 
@@ -114,6 +115,14 @@ def perm_expansion_det(rows, one=MultiPoly.one()):
     return total
 
 
+def eliminated(rows):
+    """``det_elements(rows)`` when its elimination runs to the end, None
+    when it falls back to cofactor expansion."""
+    ladder = _Minors(lambda i, j: rows[i][j])
+    det = ladder.minor(len(rows) - 1)
+    return det if len(ladder._upper) == len(rows) else None
+
+
 def check_det_oracle(seed: int, cases: int) -> int:
     rng = Random(seed)
     for _ in range(cases):
@@ -124,7 +133,7 @@ def check_det_oracle(seed: int, cases: int) -> int:
         assert ok(det_elements(rows)) == want
         # the cofactor fallback on every matrix, whatever the elimination does
         assert ok(_det_cofactor(rows)) == want
-        det = _det_eliminate(rows)
+        det = eliminated(rows)
         assert det is None or ok(det) == want
     return cases
 
@@ -132,6 +141,54 @@ def check_det_oracle(seed: int, cases: int) -> int:
 def _rand_term(rng: Random) -> MultiPoly:
     coeff = rng.choice((-3, -2, -1, 1, 2, 3))
     return MultiPoly.from_terms([(rand_monomial(rng, 3, 2), coeff)])
+
+
+def _lu_rows(lower, upper, zero):
+    n = len(lower)
+    return [[ok(sum((lower[i][k] * upper[k][j] for k in range(n)), zero))
+             for j in range(n)] for i in range(n)]
+
+
+def rand_lu_poly(rng: Random):
+    """(rows, U's diagonal) of L*U up to 6x6 over MultiPoly, L unit lower
+    and U upper on single-term diagonals."""
+    zero, one = MultiPoly.zero(), MultiPoly.one()
+    n = rng.randint(1, 6)
+    lower = [[one if i == j else
+              rand_poly(rng, max_terms=2, max_idx=3, max_exp=1)
+              if j < i else zero for j in range(n)] for i in range(n)]
+    upper = [[_rand_term(rng) if i == j else
+              rand_poly(rng, max_terms=2, max_idx=3, max_exp=1)
+              if j > i else zero for j in range(n)] for i in range(n)]
+    return _lu_rows(lower, upper, zero), [upper[k][k] for k in range(n)]
+
+
+def _rand_unit_series(rng: Random, order: int) -> XSeries:
+    # constant term +1 or -1 plus random terms of degree >= 1
+    return rand_series(rng, order) * XSeries.var(rng.randint(1, 2), order) \
+        + XSeries.const(rng.choice((1, -1)), order)
+
+
+def rand_lu_series(rng: Random):
+    """(rows, U's diagonal) of L*U up to 6x6 over XSeries, L unit lower
+    and U upper on unit diagonals."""
+    order = rng.randint(3, 7)
+    n = rng.randint(1, 6)
+    zero, one = XSeries.zero(order), XSeries.const(1, order)
+    lower = [[one if i == j else rand_series(rng, order) if j < i else zero
+              for j in range(n)] for i in range(n)]
+    upper = [[_rand_unit_series(rng, order) if i == j else
+              rand_series(rng, order) if j > i else zero
+              for j in range(n)] for i in range(n)]
+    return _lu_rows(lower, upper, zero), [upper[k][k] for k in range(n)]
+
+
+def leading_minors(diag) -> list:
+    """The leading minors of L*U: running products of U's diagonal."""
+    out = [diag[0]]
+    for d in diag[1:]:
+        out.append(out[-1] * d)
+    return out
 
 
 def check_lu_elimination(seed: int, cases: int) -> int:
@@ -142,30 +199,13 @@ def check_lu_elimination(seed: int, cases: int) -> int:
     product, which the Leibniz expansion confirms.
     """
     rng = Random(seed)
-    zero, one = MultiPoly.zero(), MultiPoly.one()
     for _ in range(cases):
-        n = rng.randint(1, 6)
-        lower = [[one if i == j else
-                  rand_poly(rng, max_terms=2, max_idx=3, max_exp=1)
-                  if j < i else zero for j in range(n)] for i in range(n)]
-        upper = [[_rand_term(rng) if i == j else
-                  rand_poly(rng, max_terms=2, max_idx=3, max_exp=1)
-                  if j > i else zero for j in range(n)] for i in range(n)]
-        rows = [[ok(sum((lower[i][k] * upper[k][j] for k in range(n)), zero))
-                 for j in range(n)] for i in range(n)]
-        want = one
-        for k in range(n):
-            want = want * upper[k][k]
-        assert ok(_det_eliminate(rows)) == want
+        rows, diag = rand_lu_poly(rng)
+        want = leading_minors(diag)[-1]
+        assert ok(eliminated(rows)) == want
         assert ok(det_elements(rows)) == want
         assert ok(perm_expansion_det(rows)) == want
     return cases
-
-
-def _rand_unit_series(rng: Random, order: int) -> XSeries:
-    # constant term +1 or -1 plus random terms of degree >= 1
-    return rand_series(rng, order) * XSeries.var(rng.randint(1, 2), order) \
-        + XSeries.const(rng.choice((1, -1)), order)
 
 
 def check_series_lu_elimination(seed: int, cases: int) -> int:
@@ -178,25 +218,45 @@ def check_series_lu_elimination(seed: int, cases: int) -> int:
     """
     rng = Random(seed)
     for _ in range(cases):
-        order = rng.randint(3, 7)
-        n = rng.randint(1, 6)
-        zero, one = XSeries.zero(order), XSeries.const(1, order)
-        lower = [[one if i == j else rand_series(rng, order) if j < i else zero
-                  for j in range(n)] for i in range(n)]
-        upper = [[_rand_unit_series(rng, order) if i == j else
-                  rand_series(rng, order) if j > i else zero
-                  for j in range(n)] for i in range(n)]
-        rows = [[ok(sum((lower[i][k] * upper[k][j] for k in range(n)), zero))
-                 for j in range(n)] for i in range(n)]
-        want = one
-        for k in range(n):
-            want = want * upper[k][k]
-        det = _det_eliminate(rows)
+        rows, diag = rand_lu_series(rng)
+        want = leading_minors(diag)[-1]
+        det = eliminated(rows)
         assert det is not None
         assert ok(det) == want
         assert ok(det_elements(rows)) == want
         assert ok(_det_cofactor(rows)) == want
-        assert ok(perm_expansion_det(rows, one)) == want
+        assert ok(perm_expansion_det(rows, diag[0] ** 0)) == want
+    return cases
+
+
+def check_ladder_minors(seed: int, cases: int) -> int:
+    """Leading minors of L*U up to 6x6, over both rings, from a ladder.
+
+    Asked in ascending and in descending order, and through
+    ``det_elements`` on each leading block, every minor is U's running
+    diagonal product, which the Leibniz expansion confirms; each ladder
+    fetches each entry once, however often its minors are asked again.
+    """
+    rng = Random(seed)
+    for case in range(cases):
+        rows, diag = (rand_lu_series if case % 2 else rand_lu_poly)(rng)
+        n = len(rows)
+        want = leading_minors(diag)
+        for asked in (range(n), range(n - 1, -1, -1)):
+            fetched = Counter()
+
+            def entry(i, j):
+                fetched[i, j] += 1
+                return rows[i][j]
+            ladder = _Minors(entry)
+            got = {k: ok(ladder.minor(k)) for k in asked}
+            assert [got[k] for k in range(n)] == want
+            assert [ladder.minor(k) for k in asked] == [got[k] for k in asked]
+            assert fetched == Counter(product(range(n), repeat=2))
+        for k in range(n):
+            block = [row[:k + 1] for row in rows[:k + 1]]
+            assert ok(det_elements(block)) == want[k]
+            assert ok(perm_expansion_det(block, diag[0] ** 0)) == want[k]
     return cases
 
 

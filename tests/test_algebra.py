@@ -1,8 +1,9 @@
 import pytest
 
+from constel import algebra
 from constel.algebra import (Monomial, MultiPoly, NonSquare, NonUnitConstant,
                              NotDivisible, UnassignedVariable, XSeries,
-                             _det_cofactor, _det_eliminate, det_elements)
+                             _Minors, _det_cofactor, det_elements)
 
 import _props
 
@@ -219,11 +220,47 @@ class TestDeterminants:
                 [var(4), var(4) * var(2) + pivot, var(4) * var(3) + var(5)],
                 [var(6), var(6) * var(2) + below, var(6) * var(3) + var(1)]]
         before = [[dict(e._terms) for e in row] for row in rows]
-        assert _det_eliminate(rows) is None
+        assert _props.eliminated(rows) is None
         got = det_elements(rows)
         assert got == _det_cofactor(rows)
         assert got == _props.perm_expansion_det(rows, one)
         assert [[e._terms for e in row] for row in rows] == before
+
+    @pytest.mark.parametrize("last", [V(1) + V(2), S(1) + 2])
+    def test_last_pivot_needs_no_divider(self, last, no_cofactor):
+        # L*U with unit pivots but the last, which has no divider: bordered
+        # elimination never divides by the last pivot, so it needs none
+        if isinstance(last, MultiPoly):
+            var, one, zero = V, MultiPoly.one(), MultiPoly.zero()
+        else:
+            var, one, zero = S, XSeries.const(1, ORDER), XSeries.zero(ORDER)
+        lower = [[one, zero, zero], [var(1), one, zero], [var(2), var(3), one]]
+        upper = [[one, var(4), var(5)], [zero, -one, var(6)], [zero, zero, last]]
+        rows = [[sum((lower[i][k] * upper[k][j] for k in range(3)), zero)
+                 for j in range(3)] for i in range(3)]
+        assert det_elements(rows) == -last
+
+    def test_border_that_raises_leaves_ladder_unchanged(self, monkeypatch):
+        # the two-term first pivot sends borders 1 and 2 to cofactor
+        # expansion, whose first call raises as if memory ran out; the
+        # ladder must be left as before, not half a border larger
+        rows = [[V(i + 1) * V(j + 1) + C(i == j) for j in range(3)]
+                for i in range(3)]
+        cofactor, calls = algebra._det_cofactor, []
+
+        def flaky(block):
+            calls.append(len(block))
+            if len(calls) == 1:
+                raise MemoryError
+            return cofactor(block)
+        monkeypatch.setattr(algebra, "_det_cofactor", flaky)
+        ladder = _Minors(lambda i, j: rows[i][j])
+        with pytest.raises(MemoryError):
+            ladder.minor(1)
+        for n in (2, 1, 0):
+            block = [row[:n + 1] for row in rows[:n + 1]]
+            assert ladder.minor(n) == _props.perm_expansion_det(block), n
+        assert calls == [2, 2, 3]
 
 
 # randomized suites; counts well above the hundred-case floor
@@ -241,6 +278,10 @@ def test_prop_det_oracle():
 
 def test_prop_lu_elimination():
     assert _props.check_lu_elimination(seed=707, cases=120) >= 100
+
+
+def test_prop_ladder_minors():
+    assert _props.check_ladder_minors(seed=909, cases=120) >= 100
 
 
 def test_prop_series_lu_elimination():

@@ -1,10 +1,13 @@
 import hashlib
+import importlib
 import io
 import json
+import pkgutil
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import constel
 from constel import contfrac
 from constel.algebra import ExponentOverflow, MultiPoly, XSeries
 from constel.cli import run
@@ -215,3 +218,16 @@ class TestResourceErrors:
         assert rc == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("input too large: ")
         assert "Traceback" not in err
+
+    def test_module_caches_are_bounded(self):
+        # every cache at module level must hold a finite number of entries
+        cached = 0
+        for info in pkgutil.iter_modules(constel.__path__):
+            if info.name == "__main__":
+                continue
+            mod = importlib.import_module(f"constel.{info.name}")
+            for name, obj in vars(mod).items():
+                if callable(getattr(obj, "cache_info", None)):
+                    cached += 1
+                    assert obj.cache_info().maxsize is not None, (info.name, name)
+        assert cached >= 8

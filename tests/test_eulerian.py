@@ -1,5 +1,6 @@
 import pytest
 
+from constel import eulerian
 from constel.algebra import MultiPoly, XSeries
 from constel.eulerian import (EulerContext, f1_closed, f_closed,
                               fib_chebyshev_check, fib_poly, make_context,
@@ -128,3 +129,19 @@ class TestTriangularLadder:
 
     def test_full_ladder_check(self):
         assert verify_det3(3, 12)
+
+    def test_branch_ladders_match_one_shot(self, ctx, monkeypatch):
+        # verify_det3 reads every T_n off three branch ladders, one per
+        # (n-1) mod 3; each equals the T_n of a matrix of its own
+        seen = {}
+        real = eulerian._t_n
+
+        def spy(n, context, ladders):
+            seen[n] = real(n, context, ladders)
+            return seen[n]
+        monkeypatch.setattr(eulerian, "_t_n", spy)
+        assert verify_det3(12, ORDER)
+        monkeypatch.undo()
+        assert sorted(seen) == list(range(1, 43))
+        for n in range(1, 40):
+            assert seen[n] == t_n(n, ctx), n

@@ -2,8 +2,9 @@ from random import Random
 
 import pytest
 
-from constel.algebra import (MultiPoly, _det_cofactor, _det_eliminate,
-                             det_elements)
+from constel import algebra
+import constel.hankel as hankel_mod
+from constel.algebra import MultiPoly, _det_cofactor, det_elements
 from constel.hankel import (HankelSpec, IdentityViolation, LGVGraph,
                             NonUniqueNILP, check_hankel, hankel_det,
                             hankel_matrix, hankel_product, lgv_signed_sum,
@@ -90,22 +91,34 @@ class TestInversion:
         with pytest.raises(ValueError):
             recover_vi(1, 1)
 
-    def test_sweep_computes_each_determinant_once(self):
+    def test_sweep_computes_each_determinant_once(self, monkeypatch):
         # recover_vi reads four determinants, most of them shared with
-        # neighbouring i; the memo computes each distinct one once
-        specs = []
+        # neighbouring i; each is a leading minor of its (p, m) ladder, and
+        # each border of each ladder is grown once, up to the largest n
+        top = {}
         for i in range(1, 17):
             n, m = divmod(i, 3)
             if m:
-                specs += [(m, n), (m - 1, n - 1), (m, n - 1), (m - 1, n)]
+                specs = [(m, n), (m - 1, n - 1), (m, n - 1), (m - 1, n)]
             else:
-                specs += [(0, n), (2, n - 2), (0, n - 1), (2, n - 1)]
-        hankel_det.cache_clear()
+                specs = [(0, n), (2, n - 2), (0, n - 1), (2, n - 1)]
+            for family, size in specs:
+                top[family] = max(top.get(family, -1), size)
+        grown = []
+        border = algebra._Minors._border
+
+        def spy(ladder, n):
+            grown.append((id(ladder), n))
+            border(ladder, n)
+        monkeypatch.setattr(algebra._Minors, "_border", spy)
+        hankel_mod._ladder.cache_clear()
         for i in range(1, 17):
             assert recover_vi(3, i) == V(i), i
-        info = hankel_det.cache_info()
-        assert info.misses == len(set(specs)) == 20
-        assert info.hits == len(specs) - len(set(specs))
+        assert hankel_mod._ladder.cache_info().misses == 3
+        want = [(id(hankel_mod._ladder(3, m)), n)
+                for m in range(3) for n in range(top[m] + 1)]
+        assert sorted(grown) == sorted(want)
+        assert [top[m] for m in range(3)] == [5, 5, 4]
 
     def test_corruption_surfaces_as_violation(self, crooked_walks):
         # perturbing a single walk polynomial breaks the telescoping ratio
@@ -167,7 +180,7 @@ class TestEngineAgreement:
                  for n in range(5)] + [HankelSpec(3, 1, 5)]
         for spec in specs:
             rows = hankel_matrix(spec)
-            det = _det_eliminate(rows)
+            det = _props.eliminated(rows)
             assert det is not None, spec
             assert det == det_elements(rows), spec
             assert det == _det_cofactor(rows), spec
@@ -179,6 +192,15 @@ class TestEngineAgreement:
         for spec in (HankelSpec(2, 0, 8), HankelSpec(3, 1, 6)):
             got = det_elements(hankel_matrix(spec))
             assert got == hankel_product(spec), spec
+
+    def test_ladder_grid_without_fallback(self, no_cofactor):
+        # n ascending: each determinant borders the one before on its ladder
+        hankel_mod._ladder.cache_clear()
+        for p in (2, 3, 4):
+            for m in range(p):
+                for n in range(-1, 6):
+                    spec = HankelSpec(p, m, n)
+                    assert hankel_det(spec) == hankel_product(spec), spec
 
     def test_seven_by_seven(self):
         rng = Random(7)
