@@ -7,7 +7,7 @@ is a power series in the x family truncated at a total-degree bound,
 which is what the fixed-point solvers produce.  Coefficients are plain
 Python integers, so there is no precision ceiling anywhere and equality
 is literal equality.  ``det_elements`` is the one determinant, over
-either ring: a list of rows in, the ring element out.
+either ring; its ``_Minors`` gives every leading minor from one LU.
 
 Packed monomials: inside both types a monomial is one non-negative
 Python int made of fixed-width fields of ``_WIDTH`` = 16 bits.  Field 0,
