@@ -667,6 +667,13 @@ class XSeries:
         return XSeries(order, {k: c for k, c in self._terms.items()
                                if k & _FIELD <= order})
 
+    def _lift(self, order: int) -> "XSeries":
+        """The same terms read at a higher order: the new degrees are 0,
+        which is exact only where the caller knows it to be."""
+        if order < self.order:
+            raise ValueError("cannot lift to a lower order")
+        return XSeries(order, self._terms)
+
     def univar_coeffs(self, k: int = 1) -> list[int]:
         """Coefficient list [c_0 .. c_order] for a series in x_k alone."""
         shift = _WIDTH * 2 * k

@@ -66,16 +66,24 @@ def _cfg(order: int, imax: int = 1) -> SolverConfig:
     return SolverConfig(p=3, deg=order, kmax=1, imax=imax)
 
 
+@lru_cache(maxsize=32)
 def make_context(order: int) -> EulerContext:
-    """Solve V = 1 + 2xV^2 and the substitution variable y at the order."""
+    """Solve V = 1 + 2xV^2 and the substitution variable y at the order.
+
+    The y iteration y = xV (1+y)^2 fixes one degree per step, so step s
+    runs at order s, as the solver's sweeps do; the cleared identity at
+    the full order certifies the result.  Each order is solved once and
+    its context shared by every caller.
+    """
     if order < 0:
         raise ValueError("order must be >= 0")
     v = solve_v(_cfg(order))
     xv = XSeries.var(1, order) * v
-    y = XSeries.zero(order)
+    y = XSeries.zero(0)
+    for s in range(1, order + 1):
+        # the product truncates at the smaller order, s
+        y = xv * (XSeries.const(1, s) + y._lift(s)).pow(2)
     one = XSeries.const(1, order)
-    for _ in range(order):
-        y = xv * (one + y).pow(2)
     # cleared form of y + 1/y + 2 = 1/(xV); certifies the fixed point
     if xv * (y * y + one) != y * (one - 2 * xv):
         raise ArithmeticError("substitution variable failed its defining identity")

@@ -22,6 +22,9 @@ degree s.  For s = 0 every V_i has constant term 1.  For the step, the
 new V_i is 1 plus x_n times products of V_i and of levels up to i+w, all
 held and exact through degree s, so it is exact through degree s+1.
 After deg sweeps, levels 1..imax are exact through the truncation order.
+Sweep s needs only order-s arithmetic, because its inputs are exact
+through degree s-1 and every new term carries a factor x_n: it runs on
+the family of sweep s-1 lifted to order s, its degree-s terms zero.
 
 The value of a level after s sweeps does not depend on the top either, so
 ``solve_vi`` keeps the whole sweep history per (p, deg, kmax) in a
@@ -67,20 +70,27 @@ class SolverConfig:
 
 
 def v_update(cfg: SolverConfig, v: XSeries) -> XSeries:
-    """One sweep of the scalar fixed point for the level-free limit."""
-    out = XSeries.const(1, cfg.deg)
+    """One sweep of the scalar fixed point for the level-free limit, at the
+    order of ``v``."""
+    out = XSeries.const(1, v.order)
     for n in range(1, cfg.kmax + 1):
-        term = XSeries.var(n, cfg.deg) * v.pow(n * (cfg.p - 1))
+        term = XSeries.var(n, v.order) * v.pow(n * (cfg.p - 1))
         out = out + comb(n * cfg.p - 1, n) * term
     return out
 
 
-@lru_cache(maxsize=32)
 def solve_v(cfg: SolverConfig) -> XSeries:
     """The level-free limit weight as a series in x_1..x_kmax."""
-    v = XSeries.const(1, cfg.deg)
-    for _ in range(cfg.deg):
-        v = v_update(cfg, v)
+    return _limit(cfg.p, cfg.deg, cfg.kmax)
+
+
+@lru_cache(maxsize=32)
+def _limit(p: int, deg: int, kmax: int) -> XSeries:
+    # keyed as _sweeps: the limit does not read imax; sweep s at order s
+    cfg = SolverConfig(p, deg, kmax, 1)
+    v = XSeries.const(1, 0)
+    for s in range(1, deg + 1):
+        v = v_update(cfg, v._lift(s))
     return v
 
 
@@ -88,17 +98,19 @@ def vi_update(cfg: SolverConfig, family: dict[int, XSeries],
               start: int = 1) -> dict[int, XSeries]:
     """One parallel sweep of the per-level fixed point.
 
-    ``family`` holds levels 1..L; the sweep returns levels start..L-window,
-    the ones whose mid paths stay inside the family.
+    ``family`` holds levels 1..L at one order, at which the sweep runs; it
+    returns levels start..L-window, the ones whose mid paths stay inside
+    the family.
     """
-    one = XSeries.const(1, cfg.deg)
+    order = family[1].order
+    one = XSeries.const(1, order)
     weight = family.__getitem__
     new = {}
     for i in range(start, len(family) - cfg.window + 1):
-        total = XSeries.zero(cfg.deg)
+        total = XSeries.zero(order)
         for n in range(1, cfg.kmax + 1):
             mid = _weight_dp(cfg.p, n * cfg.p - 1, i - 1, i, weight, one)
-            total = total + XSeries.var(n, cfg.deg) * mid
+            total = total + XSeries.var(n, order) * mid
         new[i] = one + family[i] * total
     return new
 
@@ -106,22 +118,23 @@ def vi_update(cfg: SolverConfig, family: dict[int, XSeries],
 def _grow(cfg: SolverConfig, sweeps: list) -> dict[int, XSeries]:
     """Extend the sweep history ``sweeps`` until it holds levels 1..imax.
 
-    ``sweeps[s]`` is the family after s sweeps.  A level's value after s
-    sweeps does not depend on how many levels the family holds, so a
-    history serves every smaller imax as it stands and reaches a larger
-    one by sweeping only the new levels.
+    ``sweeps[s]`` is the family after s sweeps, at order s.  A level's
+    value after s sweeps does not depend on how many levels the family
+    holds, so a history serves every smaller imax as it stands and reaches
+    a larger one by sweeping only the new levels.
     """
     if len(sweeps) == cfg.deg + 1 and len(sweeps[-1]) >= cfg.imax:
         return sweeps[-1]
     if not sweeps:
         sweeps.append({})
-    ones, one = sweeps[0], XSeries.const(1, cfg.deg)
+    ones, one = sweeps[0], XSeries.const(1, 0)
     for i in range(len(ones) + 1, cfg.imax + cfg.window * cfg.deg + 1):
         ones[i] = one
     for s in range(1, cfg.deg + 1):
         if len(sweeps) == s:
             sweeps.append({})
-        sweeps[s].update(vi_update(cfg, sweeps[s - 1], len(sweeps[s]) + 1))
+        lifted = {i: v._lift(s) for i, v in sweeps[s - 1].items()}
+        sweeps[s].update(vi_update(cfg, lifted, len(sweeps[s]) + 1))
     return sweeps[-1]
 
 

@@ -6,7 +6,10 @@ actually performed so callers can enforce a minimum.  Every ring result
 they compute passes through ``ok``, the opt-in canonical-form check.
 
 ``full_order_fraction`` is the nested fraction with every level at the
-full t-order, the oracle of ``expand_fraction``.
+full t-order, the oracle of ``expand_fraction``; ``full_order_family``,
+``full_order_limit`` and ``full_order_y`` run every solver sweep at the
+full x-order, the oracles of ``solve_family``, ``solve_v`` and
+``make_context``'s y.
 
 The second half is the tuple-form oracle: the exponent-tuple monomials
 the packed ring replaced, kept as the reference the property tests in
@@ -21,6 +24,7 @@ from random import Random
 from constel.algebra import (Monomial, MultiPoly, NotDivisible, XSeries,
                              _Minors, _det_cofactor, det_elements)
 from constel.contfrac import TSeries
+from constel.solver import SolverConfig, v_update, vi_update
 
 
 def ok(value):
@@ -379,6 +383,37 @@ def full_order_fraction(p: int, order: int, depth: int | None = None) -> TSeries
     out = fraction(0, depth)
     fraction.cache_clear()
     return out
+
+
+def full_order_family(cfg: SolverConfig) -> dict:
+    """Levels 1..imax after deg sweeps from the all-ones family, every
+    sweep at the full order: the oracle of ``solve_family``."""
+    one = XSeries.const(1, cfg.deg)
+    family = {i: one for i in range(1, cfg.imax + cfg.window * cfg.deg + 1)}
+    for _ in range(cfg.deg):
+        family = vi_update(cfg, family)
+    return family
+
+
+def full_order_limit(cfg: SolverConfig) -> XSeries:
+    """The level-free limit after deg sweeps, every sweep at the full
+    order: the oracle of ``solve_v``."""
+    v = XSeries.const(1, cfg.deg)
+    for _ in range(cfg.deg):
+        v = v_update(cfg, v)
+    return v
+
+
+def full_order_y(order: int) -> XSeries:
+    """The substitution variable after ``order`` steps of y = xV (1+y)^2,
+    every step at the full order: the oracle of ``make_context``'s y."""
+    xv = XSeries.var(1, order) \
+        * full_order_limit(SolverConfig(p=3, deg=order, kmax=1, imax=1))
+    one = XSeries.const(1, order)
+    y = XSeries.zero(order)
+    for _ in range(order):
+        y = xv * (one + y).pow(2)
+    return y
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,25 @@ class TestVerifyAll:
             assert rc == 0 and err == ""
             assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
+    def test_series_solver_bytes_are_pinned(self):
+        # digests of the per-level, closed-form, substitution and limit
+        # series of the cubic case; the order at which each solver sweep
+        # runs must not change a byte of any of them
+        for argv, digest in (
+                (["euler-series", "--what", "vi", "--i", "6", "--order", "12",
+                  "--json"],
+                 "974d69f3b2c7feb0077aa1e9879fbbe5c9bfe61457fa036c8fccd2c07d3dbafb"),
+                (["euler-series", "--what", "vi-closed", "--i", "5",
+                  "--order", "12"],
+                 "dd69dac5e47e80fb7ebfa85696a35b90005055cf0892c592d3a193f74fbc209c"),
+                (["euler-series", "--what", "y", "--order", "14"],
+                 "d599244e263c1ed28ea8795217782446bb6a896ab1b6de90310b111f1d4fdb6e"),
+                (["euler-series", "--what", "v", "--order", "12"],
+                 "d6ccb475c488b04cacb8d3474c29e740fdd8058bb191e49526988965ba3dea9e")):
+            rc, out, err = capture(argv)
+            assert rc == 0 and err == ""
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
     def test_polynomial_determinant_bytes_are_pinned(self):
         # digests of banded determinants, their ratios and the path-system
         # picture, each through det_elements over MultiPoly

@@ -54,6 +54,10 @@ class TestContext:
         one = XSeries.const(1, ORDER)
         assert ctx.V == one + 2 * ctx.xV * ctx.V
 
+    def test_one_context_per_order(self, ctx):
+        assert make_context(ORDER) is ctx
+        assert make_context(ORDER + 1) is not ctx
+
 
 class TestLevelWeights:
     def test_closed_matches_iterated(self):

@@ -1,13 +1,17 @@
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
 from constel.algebra import XSeries
+from constel.eulerian import make_context
 from constel.paths import f_poly
 import constel.solver as solver_mod
 from constel.solver import (SolverConfig, f1_tutte_check, f_from_v,
                             solve_family, solve_v, solve_vi, v_update,
                             vi_update)
+
+import _props
 
 
 class TestConfig:
@@ -44,6 +48,13 @@ class TestScalarLimit:
             cfg = SolverConfig(p=p, deg=4, kmax=2, imax=1)
             v = solve_v(cfg)
             assert v_update(cfg, v) == v, p
+
+    def test_cache_ignores_imax(self):
+        # the limit does not read imax, so no imax may solve it again
+        solver_mod._limit.cache_clear()
+        cfg = SolverConfig(p=3, deg=5, kmax=2, imax=1)
+        assert solve_v(cfg) is solve_v(replace(cfg, imax=7))
+        assert solver_mod._limit.cache_info().misses == 1
 
     def test_unique_given_constant_one(self):
         # iterating from a different unit constant still lands on the branch
@@ -110,6 +121,25 @@ class TestFamily:
     def test_solve_vi_returns_requested_levels(self):
         cfg = SolverConfig(p=3, deg=2, kmax=1, imax=2)
         assert set(solve_vi(cfg)) == set(range(1, cfg.imax + 1))
+
+
+class TestGrowingOrder:
+    def test_matches_full_order_sweeps(self):
+        # sweep s runs at order s; the oracle runs every sweep at deg
+        for p, deg, kmax, imax in product((2, 3, 4), (0, 1, 3, 5), (0, 1, 2),
+                                          (1, 5)):
+            cfg = SolverConfig(p, deg, kmax, imax)
+            assert solve_family(cfg) == _props.full_order_family(cfg), cfg
+            assert solve_v(cfg) == _props.full_order_limit(cfg), cfg
+        for order in (0, 1, 3, 5, 12):
+            assert make_context(order).y == _props.full_order_y(order), order
+
+    def test_history_holds_order_s_at_sweep_s(self):
+        cfg = SolverConfig(p=3, deg=4, kmax=2, imax=3)
+        history = []
+        solver_mod._grow(cfg, history)
+        assert [{v.order for v in f.values()} for f in history] == \
+            [{s} for s in range(cfg.deg + 1)]
 
 
 class TestExcursionsFromLimit:
