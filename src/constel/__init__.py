@@ -20,7 +20,6 @@ Every identity the library relies on has a runnable cross-check in
 
 from .algebra import (
     ExponentOverflow,
-    Monomial,
     MultiPoly,
     NonSquare,
     NonUnitConstant,
@@ -53,7 +52,7 @@ from .hankel import (
     nilp_unique,
     recover_vi,
 )
-from .paths import PPath, count_closed3, count_paths, enumerate_paths, f_mid, f_poly, path_weight
+from .paths import PPath, count_closed3, count_paths, enumerate_paths, f_poly, path_weight
 from .solver import SolverConfig, f1_tutte_check, f_from_v, solve_v, solve_vi
 
 __version__ = "0.1.0"
@@ -63,7 +62,6 @@ __all__ = [
     "ExponentOverflow",
     "HankelSpec",
     "IdentityViolation",
-    "Monomial",
     "MultiPoly",
     "NonSquare",
     "NonUniqueNILP",
@@ -84,7 +82,6 @@ __all__ = [
     "f1_tutte_check",
     "f_closed",
     "f_from_v",
-    "f_mid",
     "f_poly",
     "fib_chebyshev_check",
     "fib_poly",

@@ -18,8 +18,9 @@ Multiplying two monomials adds their ints, the degree is
 holds at most 2^16-1, and no exponent exceeds the degree, so a product
 whose factors' degrees sum past that limit raises ``ExponentOverflow``
 (an ``ArithmeticError``) instead of carrying into the next field: one
-degree check per multiply covers every field.  ``Monomial`` is the
-unpacked form used at construction and coefficient lookup.
+degree check per multiply covers every field.  Only this module sees
+packed keys: elsewhere a monomial is the pair (v, x) of sorted
+(index, exp) tuples, which ``from_terms`` takes and ``sorted_terms`` gives.
 
 Canonical form: zero coefficients are never stored; terms print in order
 of total degree, then lexicographically on the expanded (family, index)
@@ -30,14 +31,14 @@ of all keys, and its bytes, cast to native 16-bit fields, give the
 degree, the V fields (odd) and the x fields (even) as lists of one
 length.  Two words of one degree first differ where one has the larger
 exponent on the earlier variable, so the canonical order is descending
-(-degree, V fields, x fields); ``Monomial`` compares by the same sort.
+(-degree, V fields, x fields).
 """
 
 from __future__ import annotations
 
 import sys
 from collections.abc import Iterable, Mapping, Sequence
-from functools import reduce, total_ordering
+from functools import reduce
 from itertools import combinations, compress, count
 from operator import or_
 
@@ -146,9 +147,14 @@ def _nonzero(fields, index):
     return zip(compress(index, fields), compress(fields, fields))
 
 
+def _pair(v, x) -> tuple[tuple, tuple]:
+    # (v, x) exponent tuples from the field lists of one decoded key
+    return tuple(_nonzero(v, count(1))), tuple(_nonzero(x, count(1)))
+
+
 def _unpack(key) -> tuple[tuple, tuple]:
     _, v, x, _, _ = _decode({key: 0})[0]
-    return tuple(_nonzero(v, count(1))), tuple(_nonzero(x, count(1)))
+    return _pair(v, x)
 
 
 def _quotient(a: int, b: int):
@@ -173,64 +179,6 @@ def _check_term(key, coeff):
     # a carry out of any field leaves the degree field off the field sum
     if key < 0 or sum(e for _, e in _fields(key)) != key & _FIELD:
         raise AssertionError(f"packed monomial {key:#x} is not canonical")
-
-
-@total_ordering
-class Monomial:
-    """A product of variables from the two families, e.g. V1^2*V3*x2.
-
-    The unpacked form: ``v`` and ``x`` are sorted (index, exponent)
-    tuples, and ``key`` is the packed int that the rings store.  The
-    order is the canonical term order.
-    """
-
-    __slots__ = ("v", "x", "key")
-
-    def __init__(self, v=(), x=()):
-        self.v = v
-        self.x = x
-        self.key = _pack(v, x)
-
-    @classmethod
-    def make(cls, v=None, x=None) -> "Monomial":
-        return cls(_as_exponents(v), _as_exponents(x))
-
-    @classmethod
-    def _from_key(cls, key: int) -> "Monomial":
-        mono = cls.__new__(cls)
-        mono.v, mono.x = _unpack(key)
-        mono.key = key
-        return mono
-
-    @property
-    def degree(self) -> int:
-        return self.key & _FIELD
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        _check_degree(self.degree + other.degree)
-        return Monomial._from_key(self.key + other.key)
-
-    def divide(self, other: "Monomial"):
-        """Exact quotient self / other, or None when not divisible."""
-        key = _quotient(self.key, other.key)
-        return None if key is None else Monomial._from_key(key)
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
-
-    def __lt__(self, other):
-        # self comes first in the canonical order of the pair
-        return self.key != other.key and \
-            _canonical({self.key: 0, other.key: 0})[0][4] == self.key
-
-    def text(self) -> str:
-        return _text(self.v, self.x)
-
-    def __repr__(self):
-        return f"Monomial({self.text()})"
 
 
 def _text(v, x) -> str:
@@ -267,17 +215,19 @@ class MultiPoly:
 
     @classmethod
     def v_var(cls, i: int, exp: int = 1) -> "MultiPoly":
-        return cls({Monomial.make({i: exp}).key: 1})
+        return cls({_pack(_as_exponents(((i, exp),)), ()): 1})
 
     @classmethod
     def x_var(cls, k: int, exp: int = 1) -> "MultiPoly":
-        return cls({Monomial.make(None, {k: exp}).key: 1})
+        return cls({_pack((), _as_exponents(((k, exp),))): 1})
 
     @classmethod
-    def from_terms(cls, pairs: Iterable[tuple[Monomial, int]]) -> "MultiPoly":
+    def from_terms(cls, pairs: Iterable[tuple[tuple, int]]) -> "MultiPoly":
+        """Sum of ((v, x), coeff) pairs; v and x map index to exponent,
+        as a mapping or as (index, exp) pairs."""
         acc: dict[int, int] = {}
-        for mono, coeff in pairs:
-            key = mono.key
+        for (v, x), coeff in pairs:
+            key = _pack(_as_exponents(v), _as_exponents(x))
             c = acc.get(key, 0) + coeff
             if c:
                 acc[key] = c
@@ -297,22 +247,13 @@ class MultiPoly:
     def constant_term(self) -> int:
         return self._terms.get(0, 0)
 
-    def coefficient(self, mono: Monomial) -> int:
-        return self._terms.get(mono.key, 0)
-
-    def sorted_terms(self) -> list[tuple[Monomial, int]]:
-        return [(Monomial._from_key(k), c)
-                for _, _, _, c, k in _canonical(self._terms)]
+    def sorted_terms(self) -> list[tuple[tuple, int]]:
+        """((v, x), coeff) pairs in canonical order."""
+        return [(_pair(v, x), c) for _, v, x, c, _ in _canonical(self._terms)]
 
     def _used(self) -> tuple[tuple, tuple]:
         # a field is nonzero in the OR of the keys iff some key uses it
         return _unpack(reduce(or_, self._terms, 0))
-
-    def v_indices(self) -> set[int]:
-        return {i for i, _ in self._used()[0]}
-
-    def x_indices(self) -> set[int]:
-        return {i for i, _ in self._used()[1]}
 
     def total_degree(self) -> int:
         deg = self._deg
@@ -533,13 +474,8 @@ class MultiPoly:
 
     @classmethod
     def from_json(cls, data: Sequence[Mapping]) -> "MultiPoly":
-        pairs = []
-        for term in data:
-            mono = Monomial.make(
-                {int(i): int(e) for i, e in term.get("V", {}).items()},
-                {int(i): int(e) for i, e in term.get("x", {}).items()})
-            pairs.append((mono, int(term["coeff"])))
-        return cls.from_terms(pairs)
+        return cls.from_terms(((term.get("V"), term.get("x")), int(term["coeff"]))
+                              for term in data)
 
 
 def _difference(a: dict, b: dict) -> MultiPoly:
@@ -653,12 +589,6 @@ class XSeries:
     def coeff(self, exponents) -> int:
         return self._terms.get(_pack((), _as_exponents(exponents)), 0)
 
-    def valuation(self):
-        """Smallest total degree with a nonzero coefficient, None if zero."""
-        if not self._terms:
-            return None
-        return min(k & _FIELD for k in self._terms)
-
     def truncate(self, order: int) -> "XSeries":
         if order >= self.order:
             if order == self.order:
@@ -673,17 +603,6 @@ class XSeries:
         if order < self.order:
             raise ValueError("cannot lift to a lower order")
         return XSeries(order, self._terms)
-
-    def univar_coeffs(self, k: int = 1) -> list[int]:
-        """Coefficient list [c_0 .. c_order] for a series in x_k alone."""
-        shift = _WIDTH * 2 * k
-        out = [0] * (self.order + 1)
-        for key, c in self._terms.items():
-            e = key & _FIELD
-            if key != (e << shift) | e:
-                raise ValueError(f"series involves more than x{k}")
-            out[e] = c
-        return out
 
     def _check(self) -> "XSeries":
         """Assert canonical form: as ``MultiPoly._check``, within the order,
@@ -842,15 +761,6 @@ class XSeries:
     def __bool__(self):
         return bool(self._terms)
 
-    def agrees_through(self, other: "XSeries", degree: int) -> bool:
-        if degree > min(self.order, other.order):
-            raise ValueError("comparison degree exceeds a truncation order")
-        for key in set(self._terms) | set(other._terms):
-            if key & _FIELD <= degree and \
-                    self._terms.get(key, 0) != other._terms.get(key, 0):
-                return False
-        return True
-
     # -- text and JSON ----------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[tuple, int]]:
@@ -915,21 +825,21 @@ def det_elements(rows):
 class _Minors:
     """The leading minors of one matrix, by bordered (Doolittle) elimination.
 
-    Each ``entry(i, j)`` is fetched once.  Border n extends a = L*U, L unit
+    Border n fetches its own 2n+1 entries and extends a = L*U, L unit
     lower triangular, by u[k][n] = a[k][n] - sum_{j<k} l[k][j] u[j][n]
     (k <= n) and l[n][k] = (a[n][k] - sum_{j<k} l[n][j] u[j][k]) / u[k][k]
     (k < n), each sum one ring ``_minus_products``; minor(n) = minor(n-1) *
     u[n][n].  l[n][k]'s numerator is what Gaussian elimination divides by
     pivot k's ``_divider()``: the same rules, but the last pivot needs none.
     Once a pivot has none or a quotient leaves the ring, each larger minor
-    is the cofactor expansion of its leading block.
+    is the cofactor expansion of its leading block, fetched again through
+    ``entry``: the ladder keeps L and U, not the block.
     """
 
-    __slots__ = ("_entry", "_rows", "_lower", "_upper", "_divide", "minors")
+    __slots__ = ("_entry", "_lower", "_upper", "_divide", "minors")
 
     def __init__(self, entry):
         self._entry = entry
-        self._rows = []    # the fetched leading block, for the fallback
         self._lower = []   # _lower[i]: l[i][0 .. i-1]
         self._upper = []   # _upper[j]: u[0 .. j][j], column j of U
         self._divide = []  # _divide[k]: pivot k's divider
@@ -943,14 +853,14 @@ class _Minors:
 
     def _border(self, n: int):
         # all or nothing: a border that raises leaves the ladder as it was
-        entry = self._entry
-        rows = [row + [entry(i, n)] for i, row in enumerate(self._rows)]
-        rows.append([entry(n, j) for j in range(n + 1)])
-        det = self._eliminate(rows, n) if len(self._upper) == n else None
-        self.minors.append(_det_cofactor(rows) if det is None else det)
-        self._rows = rows
+        det = self._eliminate(n) if len(self._upper) == n else None
+        if det is None:
+            entry = self._entry
+            det = _det_cofactor([[entry(i, j) for j in range(n + 1)]
+                                 for i in range(n + 1)])
+        self.minors.append(det)
 
-    def _eliminate(self, rows, n: int):
+    def _eliminate(self, n: int):
         # column n of U and row n of L, then minor(n); None if a pivot fails
         lower, upper, dividers = self._lower, self._upper, self._divide
         if n:
@@ -958,16 +868,16 @@ class _Minors:
             if divide is None:
                 return None
             dividers = dividers + [divide]
-        col, row = [], []
+        entry, col, row = self._entry, [], []
         for k in range(n):
-            col.append(rows[k][n]._minus_products(zip(lower[k], col)))
+            col.append(entry(k, n)._minus_products(zip(lower[k], col)))
         for k, divide in enumerate(dividers):
-            mult = rows[n][k]._minus_products(zip(row, upper[k]))
+            mult = entry(n, k)._minus_products(zip(row, upper[k]))
             mult = divide(mult) if mult else mult
             if mult is None:
                 return None
             row.append(mult)
-        pivot = rows[n][n]._minus_products(zip(row, col))
+        pivot = entry(n, n)._minus_products(zip(row, col))
         det = self.minors[-1] * pivot if n else pivot
         col.append(pivot)
         lower.append(row)

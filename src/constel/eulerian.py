@@ -46,8 +46,8 @@ def fib_chebyshev_check(n: int) -> bool:
     y = MultiPoly.x_var(1)
     cleared = MultiPoly.zero()
     # sum_j c_j y^j (1+y)^(n-1-2j); the exponent stays >= 0 by the degree bound
-    for mono, c in fib_poly(n).sorted_terms():
-        j = mono.degree
+    for (_, z), c in fib_poly(n).sorted_terms():
+        j = dict(z).get(1, 0)
         cleared = cleared + c * y ** j * (1 + y) ** (n - 1 - 2 * j)
     return (1 - y) * cleared == 1 - y ** n
 

@@ -16,7 +16,7 @@ from functools import lru_cache, partial
 from itertools import permutations
 
 from . import algebra
-from .algebra import Monomial, MultiPoly, NotDivisible, _perm_sign
+from .algebra import MultiPoly, NotDivisible, _perm_sign
 from .paths import enumerate_paths, f_poly, path_weight
 
 
@@ -109,17 +109,7 @@ def hankel_product(spec: HankelSpec) -> MultiPoly:
     for i in range(spec.n + 1):
         for j in range(1, i * spec.p + spec.m + 1):
             exps[j] = exps.get(j, 0) + 1
-    return MultiPoly.from_terms([(Monomial.make(exps), 1)])
-
-
-def check_hankel(spec: HankelSpec) -> MultiPoly:
-    """Determinant with the collapse identity enforced."""
-    det = hankel_det(spec)
-    if det != hankel_product(spec):
-        raise IdentityViolation(
-            f"determinant differs from the weight product at "
-            f"p={spec.p} m={spec.m} n={spec.n}")
-    return det
+    return MultiPoly.from_terms([((exps, ()), 1)])
 
 
 def recover_vi(p: int, i: int) -> MultiPoly:

@@ -7,10 +7,10 @@ the weight V_h; the weight of a path is the product over its falls, and
 the polynomials aggregated over fixed endpoints are the raw material for
 the nested fraction expansion and the determinant identities.
 
-``enumerate_paths`` materializes paths for desk-scale oracles; ``f_poly``,
-``f_mid`` and ``count_paths`` aggregate weights during the walk and never
-build a list.  They share one walk DP, which is generic in the ring of
-the weights, so the solver runs it on series weights as well.
+``enumerate_paths`` materializes paths for desk-scale oracles; ``f_poly``
+and ``count_paths`` aggregate weights during the walk and never build a
+list.  They share one walk DP, which is generic in the ring of the
+weights, so the solver runs it on series weights as well.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .algebra import Monomial, MultiPoly
+from .algebra import MultiPoly
 
 RISE = "R"
 FALL = "F"
@@ -73,8 +73,7 @@ class PPath:
 
 def path_weight(path: PPath) -> MultiPoly:
     """Product of V_h over the falls of the path (a single monomial)."""
-    exps = Counter(path.fall_heights())
-    return MultiPoly.from_terms([(Monomial.make(exps), 1)])
+    return MultiPoly.from_terms([((Counter(path.fall_heights()), ()), 1)])
 
 
 def _step_counts(p, start, end):
@@ -161,21 +160,6 @@ def f_poly(p: int, n: int, r: int) -> MultiPoly:
     if not 0 <= r <= p - 1:
         raise ValueError("r must lie in [0, p-1]")
     return _weight_dp(p, n * p + r, r, 0, _v_weight, MultiPoly.one())
-
-
-def f_mid(p: int, n: int, i: int) -> MultiPoly:
-    """Weight polynomial of the p-paths from (0, i-1) to (np-1, i).
-
-    These are the path sums sitting inside the weight-family fixed point:
-    one such path per white face of degree np attached at level i.
-    """
-    if p < 2:
-        raise ValueError("p must be >= 2")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if i < 1:
-        raise ValueError("i must be >= 1")
-    return _weight_dp(p, n * p - 1, i - 1, i, _v_weight, MultiPoly.one())
 
 
 @lru_cache(maxsize=128)

@@ -9,7 +9,9 @@ they compute passes through ``ok``, the opt-in canonical-form check.
 full t-order, the oracle of ``expand_fraction``; ``full_order_family``,
 ``full_order_limit`` and ``full_order_y`` run every solver sweep at the
 full x-order, the oracles of ``solve_family``, ``solve_v`` and
-``make_context``'s y.
+``make_context``'s y.  ``f_mid`` is the polynomial mid-path sum, the
+oracle of the walk DP inside a solver sweep; ``univar_coeffs`` and
+``valuation`` read series through ``sorted_terms``.
 
 The second half is the tuple-form oracle: the exponent-tuple monomials
 the packed ring replaced, kept as the reference the property tests in
@@ -21,9 +23,10 @@ from functools import cache
 from itertools import permutations, product
 from random import Random
 
-from constel.algebra import (Monomial, MultiPoly, NotDivisible, XSeries,
-                             _Minors, _det_cofactor, det_elements)
+from constel.algebra import (MultiPoly, NotDivisible, XSeries, _Minors,
+                             _det_cofactor, det_elements)
 from constel.contfrac import TSeries
+from constel.paths import _weight_dp
 from constel.solver import SolverConfig, v_update, vi_update
 
 
@@ -32,12 +35,13 @@ def ok(value):
     return value._check()
 
 
-def rand_monomial(rng: Random, max_idx=4, max_exp=3) -> Monomial:
+def rand_monomial(rng: Random, max_idx=4, max_exp=3) -> tuple:
+    # (v, x) exponent maps, as MultiPoly.from_terms takes them
     v = {i: rng.randint(0, max_exp) for i in rng.sample(range(1, max_idx + 1),
                                                         rng.randint(0, 2))}
     x = {i: rng.randint(0, max_exp) for i in rng.sample(range(1, 3),
                                                         rng.randint(0, 1))}
-    return Monomial.make(v, x)
+    return v, x
 
 
 def rand_poly(rng: Random, max_terms=4, max_idx=4, max_exp=3) -> MultiPoly:
@@ -53,6 +57,36 @@ def rand_series(rng: Random, order=5, max_terms=4) -> XSeries:
         e = rng.randint(0, order)
         out = out + XSeries.var(k, order).pow(e) * rng.randint(-5, 5)
     return out
+
+
+def univar_coeffs(s: XSeries, k: int = 1) -> list[int]:
+    """Coefficient list [c_0 .. c_order] of a series in x_k alone."""
+    out = [0] * (s.order + 1)
+    for xs, c in s.sorted_terms():
+        assert all(i == k for i, _ in xs), f"{s} involves more than x{k}"
+        out[t_degree(xs)] = c
+    return out
+
+
+def valuation(s: XSeries):
+    """Smallest total degree with a nonzero coefficient, None if zero."""
+    terms = s.sorted_terms()  # by degree first
+    return t_degree(terms[0][0]) if terms else None
+
+
+def f_mid(p: int, n: int, i: int) -> MultiPoly:
+    """Weight polynomial of the p-paths from (0, i-1) to (np-1, i).
+
+    These are the path sums sitting inside the weight-family fixed point:
+    one such path per white face of degree np attached at level i.
+    """
+    if p < 2:
+        raise ValueError("p must be >= 2")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if i < 1:
+        raise ValueError("i must be >= 1")
+    return _weight_dp(p, n * p - 1, i - 1, i, MultiPoly.v_var, MultiPoly.one())
 
 
 def _nonzero_poly(rng: Random, **kw) -> MultiPoly:
@@ -476,7 +510,7 @@ def t_poly(p: MultiPoly) -> dict:
 
 
 def t_to_poly(terms: dict) -> MultiPoly:
-    return MultiPoly.from_terms((Monomial(v, x), c) for (v, x), c in terms.items())
+    return MultiPoly.from_terms(terms.items())
 
 
 def drop_zeros(terms: dict) -> dict:

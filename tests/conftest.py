@@ -10,9 +10,10 @@ def crooked_walks(monkeypatch):
     """Install a replacement walk table in ``constel.hankel``.
 
     ``hankel_det`` reads the minors of a memoized ladder per (p, m), which
-    holds the entries it fetched, so the ladders are dropped when the table
-    goes in and again at teardown: the replacement never reads an entry or
-    a determinant of the real table, and no later test reads one of its own.
+    holds factors computed from the entries it fetched, so the ladders are
+    dropped when the table goes in and again at teardown: the replacement
+    never reads an entry or a determinant of the real table, and no later
+    test reads one of its own.
     """
     def install(table):
         hankel_mod._ladder.cache_clear()

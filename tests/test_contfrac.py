@@ -1,8 +1,7 @@
 import _props
 import pytest
 
-from constel.algebra import (ExponentOverflow, Monomial, MultiPoly,
-                             _sum_products)
+from constel.algebra import ExponentOverflow, MultiPoly, _sum_products
 from constel.contfrac import TSeries, expand_f, expand_fraction
 from constel.paths import f_poly
 
@@ -11,11 +10,8 @@ V = MultiPoly.v_var
 
 def shift_indices(poly: MultiPoly, s: int) -> MultiPoly:
     """Rename every V_i to V_{i+s}."""
-    pairs = []
-    for mono, c in poly.sorted_terms():
-        moved = Monomial.make({i + s: e for i, e in mono.v}, dict(mono.x))
-        pairs.append((moved, c))
-    return MultiPoly.from_terms(pairs)
+    return MultiPoly.from_terms((([(i + s, e) for i, e in v], x), c)
+                                for (v, x), c in poly.sorted_terms())
 
 
 class TestTSeries:

@@ -6,9 +6,9 @@ from constel import algebra
 import constel.hankel as hankel_mod
 from constel.algebra import MultiPoly, _det_cofactor, det_elements
 from constel.hankel import (HankelSpec, IdentityViolation, LGVGraph,
-                            NonUniqueNILP, check_hankel, hankel_det,
-                            hankel_matrix, hankel_product, lgv_signed_sum,
-                            nilp_unique, qr, recover_vi)
+                            NonUniqueNILP, hankel_det, hankel_matrix,
+                            hankel_product, lgv_signed_sum, nilp_unique, qr,
+                            recover_vi)
 from constel.paths import f_poly
 
 import _props
@@ -69,14 +69,6 @@ class TestCollapse:
         got = hankel_product(HankelSpec(3, 1, 1))
         # prod_{i<=1} prod_{j<=3i+1} V_j = V1 * (V1 V2 V3 V4)
         assert got == V(1, 2) * V(2) * V(3) * V(4)
-
-    def test_check_passes_and_reports_corruption(self, crooked_walks):
-        assert check_hankel(HankelSpec(3, 1, 1)) == hankel_product(
-            HankelSpec(3, 1, 1))
-        crooked_walks(lambda p, n, r: MultiPoly.one())
-        with pytest.raises(IdentityViolation) as err:
-            check_hankel(HankelSpec(3, 1, 1))
-        assert "p=3 m=1 n=1" in str(err.value)
 
 
 class TestInversion:

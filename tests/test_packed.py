@@ -9,7 +9,7 @@ derandomized and bounded, so the suite runs the same cases every time.
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from constel.algebra import (_FIELD, ExponentOverflow, Monomial, MultiPoly,
+from constel.algebra import (_FIELD, ExponentOverflow, MultiPoly,
                              NotDivisible, XSeries)
 
 import _props
@@ -75,7 +75,7 @@ def test_mul_and_add_match_oracle(a, b):
 @given(polys())
 def test_sorted_terms_and_json_match_oracle(a):
     p = _props.t_to_poly(a)
-    assert [(m.v, m.x) for m, _ in p.sorted_terms()] == \
+    assert [m for m, _ in p.sorted_terms()] == \
         sorted(a, key=_props.t_word_key)
     assert p.to_json() == _props.t_json(a)
     assert ok(MultiPoly.from_json(p.to_json())) == p
@@ -111,7 +111,7 @@ def test_wide_polys_match_oracle(a):
     # keys of one polynomial differ in width; the order must not
     p = _props.t_to_poly(a)
     assert str(p) == _props.t_text(a)
-    assert [(m.v, m.x) for m, _ in p.sorted_terms()] == \
+    assert [m for m, _ in p.sorted_terms()] == \
         sorted(a, key=_props.t_word_key)
     assert p.to_json() == _props.t_json(a)
 
@@ -173,8 +173,8 @@ def test_series_inv_matches_oracle(sa, unit):
 def test_product_at_the_field_limit():
     top = MultiPoly.v_var(1, HALF + 1) * MultiPoly.v_var(1, HALF)
     assert ok(top) == MultiPoly.v_var(1, _FIELD)
-    assert Monomial.make({200: HALF}) * Monomial.make({200: HALF + 1}) \
-        == Monomial.make({200: _FIELD})
+    assert ok(MultiPoly.x_var(200, HALF) * MultiPoly.x_var(200, HALF + 1)) \
+        == MultiPoly.x_var(200, _FIELD)
     assert ok(XSeries.var(200, _FIELD).pow(_FIELD)).coeff({200: _FIELD}) == 1
 
 
@@ -184,9 +184,11 @@ def test_product_past_the_field_raises():
     with pytest.raises(ExponentOverflow):
         MultiPoly.x_var(200, HALF + 1) * MultiPoly.x_var(200, HALF + 1)
     with pytest.raises(ExponentOverflow):
-        Monomial.make({1: _FIELD}) * Monomial.make(x={1: 1})
+        MultiPoly.v_var(1, _FIELD) * MultiPoly.x_var(1)
     with pytest.raises(ExponentOverflow):
-        Monomial.make({1: _FIELD + 1})
+        MultiPoly.v_var(1, _FIELD + 1)
+    with pytest.raises(ExponentOverflow):
+        MultiPoly.from_terms([(({1: HALF + 1}, {1: HALF + 1}), 1)])
     # past the field only an order above it could keep the product
     big = XSeries.var(1, _FIELD + 1).pow(HALF + 1)
     with pytest.raises(ExponentOverflow):

@@ -4,7 +4,10 @@ import pytest
 
 from constel.algebra import MultiPoly
 from constel.paths import (PPath, count_closed3, count_paths, enumerate_paths,
-                           f_mid, f_poly, path_weight)
+                           f_poly, path_weight)
+
+import _props
+from _props import f_mid
 
 V = MultiPoly.v_var
 
@@ -91,14 +94,16 @@ class TestClosedWalks:
                 for r in range(p):
                     poly = f_poly(p, n, r)
                     want = n * (p - 1) + r
-                    assert all(m.degree == want for m, _ in poly.sorted_terms())
+                    assert all(_props.t_degree(v) == want
+                               for (v, _), _ in poly.sorted_terms())
 
     def test_index_window(self):
         # falls can never happen above the running height ceiling
         for p in (2, 3):
             for n in range(1, 4):
                 for r in range(p):
-                    idx = f_poly(p, n, r).v_indices()
+                    idx = {i for (v, _), _ in f_poly(p, n, r).sorted_terms()
+                           for i, _ in v}
                     assert idx and min(idx) >= 1
                     assert max(idx) <= r + n * (p - 1)
 

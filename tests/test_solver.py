@@ -37,11 +37,11 @@ class TestConfig:
 class TestScalarLimit:
     def test_cubic_one_degree_coeffs(self):
         cfg = SolverConfig(p=3, deg=5, kmax=1, imax=1)
-        assert solve_v(cfg).univar_coeffs(1) == [1, 2, 8, 40, 224, 1344]
+        assert _props.univar_coeffs(solve_v(cfg)) == [1, 2, 8, 40, 224, 1344]
 
     def test_quadratic_one_degree_is_geometric(self):
         cfg = SolverConfig(p=2, deg=6, kmax=1, imax=1)
-        assert solve_v(cfg).univar_coeffs(1) == [1] * 7
+        assert _props.univar_coeffs(solve_v(cfg)) == [1] * 7
 
     def test_fixed_point(self):
         for p in (2, 3, 4):
@@ -70,15 +70,15 @@ class TestFamily:
     def test_golden_series(self):
         cfg = SolverConfig(p=3, deg=3, kmax=1, imax=3)
         vi = solve_vi(cfg)
-        assert vi[1].univar_coeffs(1) == [1, 1, 3, 12]
-        assert vi[2].univar_coeffs(1) == [1, 2, 7, 31]
-        assert vi[3].univar_coeffs(1) == [1, 2, 8, 39]
+        assert _props.univar_coeffs(vi[1]) == [1, 1, 3, 12]
+        assert _props.univar_coeffs(vi[2]) == [1, 2, 7, 31]
+        assert _props.univar_coeffs(vi[3]) == [1, 2, 8, 39]
         # no faces: the window clamps from -1 to 0 and every level is 1
         flat = solve_vi(SolverConfig(p=3, deg=4, kmax=0, imax=5))
         assert all(flat[i] == XSeries.const(1, 4) for i in range(1, 6))
         # p=2 with x_1 alone: window 0, every level is 1/(1-x1)
         geo = solve_vi(SolverConfig(p=2, deg=6, kmax=1, imax=5))
-        assert all(geo[i].univar_coeffs(1) == [1] * 7 for i in range(1, 6))
+        assert all(_props.univar_coeffs(geo[i]) == [1] * 7 for i in range(1, 6))
 
     def test_fixed_point(self):
         cfg = SolverConfig(p=3, deg=3, kmax=2, imax=4)
@@ -86,6 +86,20 @@ class TestFamily:
         swept = vi_update(cfg, family)
         for i in range(1, cfg.imax + 1):
             assert swept[i] == family[i], i
+
+    def test_sweep_reads_the_mid_path_polynomials(self):
+        # the walk DP over series weights equals the mid-path polynomial
+        # substituted: V_i <- 1 + V_i * sum_n x_n * f_mid(p, n, i)(V)
+        for p, kmax in ((2, 2), (3, 2), (4, 1)):
+            cfg = SolverConfig(p=p, deg=3, kmax=kmax, imax=3)
+            family = solve_vi(replace(cfg, imax=3 + cfg.window))
+            swept = vi_update(cfg, family)
+            assert len(swept) == 3
+            for i, got in swept.items():
+                mids = sum((XSeries.var(n, 3)
+                            * _props.f_mid(p, n, i).substitute(family, order=3)
+                            for n in range(1, kmax + 1)), XSeries.zero(3))
+                assert got == 1 + family[i] * mids, (p, i)
 
     def test_imax_does_not_disturb_low_indices(self):
         # two fresh solves: solve_vi serves both from one cached history,
