@@ -8,6 +8,9 @@ which is what the fixed-point solvers produce.  Coefficients are plain
 Python integers, so there is no precision ceiling anywhere and equality
 is literal equality.  ``det_elements`` is the one determinant, over
 either ring; its ``_Minors`` gives every leading minor from one LU.
+An ``XSeries`` splits into its homogeneous layers and is joined back
+from them (``_layers``, ``_of_layers``) for ``_layered._Layered``, the
+solvers' relaxed series, which thereby never sees a packed key.
 
 Packed monomials: inside both types a monomial is one non-negative
 Python int made of fixed-width fields of ``_WIDTH`` = 16 bits.  Field 0,
@@ -597,12 +600,21 @@ class XSeries:
         return XSeries(order, {k: c for k, c in self._terms.items()
                                if k & _FIELD <= order})
 
-    def _lift(self, order: int) -> "XSeries":
-        """The same terms read at a higher order: the new degrees are 0,
-        which is exact only where the caller knows it to be."""
-        if order < self.order:
-            raise ValueError("cannot lift to a lower order")
-        return XSeries(order, self._terms)
+    def _layers(self) -> list[MultiPoly]:
+        """The homogeneous parts of degree 0..order, as polynomials."""
+        layers: list[dict] = [{} for _ in range(self.order + 1)]
+        for key, coeff in self._terms.items():
+            layers[key & _FIELD][key] = coeff
+        return [MultiPoly(terms) for terms in layers]
+
+    @classmethod
+    def _of_layers(cls, layers: Sequence[MultiPoly]) -> "XSeries":
+        """The series at order len(layers) - 1 whose degree-t part is
+        layers[t], a homogeneous polynomial in the x family."""
+        terms: dict[int, int] = {}
+        for layer in layers:
+            terms.update(layer._terms)
+        return cls(len(layers) - 1, terms)
 
     def _check(self) -> "XSeries":
         """Assert canonical form: as ``MultiPoly._check``, within the order,
@@ -688,11 +700,7 @@ class XSeries:
             raise NonUnitConstant(f"constant term {c0} is not a unit")
         order = self.order
         _check_degree(order)  # the inverse has terms up to the order
-        by_deg: list[dict] = [dict() for _ in range(order + 1)]
-        for key, coeff in self._terms.items():
-            d = key & _FIELD
-            if d <= order:
-                by_deg[d][key] = coeff
+        by_deg = [layer._terms for layer in self._layers()]
         inv_layers: list[dict] = [{0: c0}]
         for d in range(1, order + 1):
             acc: dict[int, int] = {}
@@ -810,16 +818,20 @@ def _coerce_series(value, order):
 def det_elements(rows):
     """Determinant of a square matrix of MultiPoly or XSeries entries.
 
-    The one determinant entry point, for both rings: a one-shot
-    ``_Minors``, which eliminates on each ring's pivot rule (a single term
-    for ``MultiPoly``, constant term +1 or -1 for ``XSeries``) and falls
-    back to division-free cofactor expansion.  An empty or ragged matrix
-    raises ``NonSquare``: callers return their ring's one for the empty case.
+    The one determinant entry point, for both rings: the elimination of
+    ``_Minors``, on each ring's pivot rule (a single term for
+    ``MultiPoly``, constant term +1 or -1 for ``XSeries``).  Where it gives
+    up, one division-free cofactor expansion of the whole matrix follows;
+    no smaller minor is wanted.  An empty or ragged matrix raises
+    ``NonSquare``: callers return their ring's one for the empty case.
     """
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise NonSquare("determinant needs a non-empty square matrix")
-    return _Minors(lambda i, j: rows[i][j]).minor(n - 1)
+    ladder = _Minors(lambda i, j: rows[i][j])
+    if all(ladder._eliminate(k) for k in range(n)):
+        return ladder.minors[-1]
+    return _det_cofactor(rows)
 
 
 class _Minors:
@@ -853,20 +865,18 @@ class _Minors:
 
     def _border(self, n: int):
         # all or nothing: a border that raises leaves the ladder as it was
-        det = self._eliminate(n) if len(self._upper) == n else None
-        if det is None:
+        if len(self._upper) < n or not self._eliminate(n):
             entry = self._entry
-            det = _det_cofactor([[entry(i, j) for j in range(n + 1)]
-                                 for i in range(n + 1)])
-        self.minors.append(det)
+            block = [[entry(i, j) for j in range(n + 1)] for i in range(n + 1)]
+            self.minors.append(_det_cofactor(block))
 
-    def _eliminate(self, n: int):
-        # column n of U and row n of L, then minor(n); None if a pivot fails
+    def _eliminate(self, n: int) -> bool:
+        # column n of U and row n of L, then minor(n); False if a pivot fails
         lower, upper, dividers = self._lower, self._upper, self._divide
         if n:
             divide = upper[n - 1][n - 1]._divider()
             if divide is None:
-                return None
+                return False
             dividers = dividers + [divide]
         entry, col, row = self._entry, [], []
         for k in range(n):
@@ -875,7 +885,7 @@ class _Minors:
             mult = entry(n, k)._minus_products(zip(row, upper[k]))
             mult = divide(mult) if mult else mult
             if mult is None:
-                return None
+                return False
             row.append(mult)
         pivot = entry(n, n)._minus_products(zip(row, col))
         det = self.minors[-1] * pivot if n else pivot
@@ -883,7 +893,8 @@ class _Minors:
         lower.append(row)
         upper.append(col)
         self._divide = dividers
-        return det
+        self.minors.append(det)
+        return True
 
 
 def _perm_sign(perm) -> int:

@@ -13,8 +13,9 @@ substitutes z = xV into it to check the ladder end to end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 
+from ._layered import _Layered
 from .algebra import MultiPoly, XSeries, _Minors
 from .paths import count_closed3
 from .hankel import qr
@@ -70,24 +71,27 @@ def _cfg(order: int, imax: int = 1) -> SolverConfig:
 def make_context(order: int) -> EulerContext:
     """Solve V = 1 + 2xV^2 and the substitution variable y at the order.
 
-    The y iteration y = xV (1+y)^2 fixes one degree per step, so step s
-    runs at order s, as the solver's sweeps do; the cleared identity at
-    the full order certifies the result.  Each order is solved once and
-    its context shared by every caller.
+    y = xV (1+y)^2 is solved as a layered series, as the solver's levels
+    are: xV has valuation 1, so layer t of y reads only layers < t of y.
+    The cleared identity at the full order certifies the result.  Each
+    order is solved once and its context shared by every caller.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     v = solve_v(_cfg(order))
     xv = XSeries.var(1, order) * v
-    y = XSeries.zero(0)
-    for s in range(1, order + 1):
-        # the product truncates at the smaller order, s
-        y = xv * (XSeries.const(1, s) + y._lift(s)).pow(2)
+    y = _Layered.later(partial(_y_rule, _Layered.of(xv))).series(order)
     one = XSeries.const(1, order)
     # cleared form of y + 1/y + 2 = 1/(xV); certifies the fixed point
     if xv * (y * y + one) != y * (one - 2 * xv):
         raise ArithmeticError("substitution variable failed its defining identity")
     return EulerContext(order, v, y, xv)
+
+
+def _y_rule(xv, y):
+    # xV (1+y)^2, y a layered series
+    y1 = 1 + y
+    return xv * (y1 * y1)
 
 
 def v_series(i: int, order: int) -> XSeries:

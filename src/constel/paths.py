@@ -118,16 +118,24 @@ def enumerate_paths(p: int, start: tuple[int, int],
     return out
 
 
-def _weight_dp(p: int, nsteps: int, h_start: int, h_end: int, weight, one):
+def _weight_dp(p: int, nsteps: int, h_start: int, h_end: int, weight, one,
+               every: bool = False):
     """Sum over the p-paths of the product of weight(h) over their falls.
 
     The paths run from height h_start to h_end in nsteps steps; a fall
     from height h contributes weight(h).  The weights may live in any
-    commutative ring whose unit is ``one``: ints, MultiPoly or XSeries.
-    Only heights that some such path visits are ever passed to weight.
+    commutative ring whose unit is ``one``: ints, MultiPoly, XSeries or
+    the layered series of the solver.  Only heights that some such path
+    visits are ever passed to weight.
+
+    With ``every``, the result is instead the list of the sums over the
+    paths of each length 0..nsteps between the same heights.  One sweep
+    holds them all: a shorter path from h_start visits only heights
+    reachable from h_start in fewer steps, which the sweep keeps.
     """
     # backward sweep; cur[h] sums the suffixes of length done from height h
     cur = {h_end: one}
+    sums = [cur.get(h_start)]
     for done in range(1, nsteps + 1):
         from_start = nsteps - done
         hi = h_start + (p - 1) * from_start
@@ -144,7 +152,12 @@ def _weight_dp(p: int, nsteps: int, h_start: int, h_end: int, weight, one):
                 prev = nxt.get(h)
                 nxt[h] = piece if prev is None else prev + piece
         cur = nxt
-    return cur.get(h_start, one - one)  # the ring's zero
+        if every:  # only then: each sum would outlive its step of the sweep
+            sums.append(cur.get(h_start))
+    zero = one - one  # the ring's zero
+    if every:
+        return [zero if s is None else s for s in sums]
+    return cur.get(h_start, zero)
 
 
 _v_weight = lru_cache(maxsize=256)(MultiPoly.v_var)

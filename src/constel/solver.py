@@ -3,43 +3,47 @@
 With every white face of degree np carrying the weight x_n, each fall
 weight V_i satisfies
 
-    V_i = 1 + V_i * sum_n x_n * (mid-path sum at level i)
+    V_i = 1 + V_i * sum_n x_n * M_(i,n),
 
-and the level-free limit V obeys the closed scalar equation with the
-binomial count of the mid paths.  Both are solved by iterating from the
-all-ones family; one sweep fixes one more total degree in x, so deg
-sweeps are exact.
+where M_(i,n) is the mid-path sum at level i, and the level-free limit V
+obeys the closed scalar equation with the binomial count of the mid
+paths.  Both are solved as relaxed series (``_layered._Layered``): the
+degree-t layer of each series is computed once, from lower layers.
 
-The per-level sweep needs no pinned tail, because each level reads only
-a bounded window of levels above it.  A mid path at level i runs from
-height i-1 to height i with n rises of p-1, so it falls from at most
-height i-1+(p-1)n, and V_i reads levels 1..i+w with
-w = max(0, (p-1)*kmax - 1).  Start from the all-ones family on levels
-1..imax+w*deg, and let each sweep return the levels whose window it
-holds, 1..len(family)-w.  Claim: after s sweeps the family covers levels
-1..imax+w*(deg-s) and each of them agrees with the true V_i through
-degree s.  For s = 0 every V_i has constant term 1.  For the step, the
-new V_i is 1 plus x_n times products of V_i and of levels up to i+w, all
-held and exact through degree s, so it is exact through degree s+1.
-After deg sweeps, levels 1..imax are exact through the truncation order.
-Sweep s needs only order-s arithmetic, because its inputs are exact
-through degree s-1 and every new term carries a factor x_n: it runs on
-the family of sweep s-1 lifted to order s, its degree-s terms zero.
+Layer t of V_i reads only layers < t of levels <= i+w.  A mid path at
+level i runs from height i-1 to height i with n rises of p-1, so it falls
+from at most height i-1+(p-1)n, and M_(i,n) is a polynomial in the levels
+1..i+w with w = max(0, (p-1)*kmax - 1).  Each x_n has degree 1, so layer
+t of x_n * M_(i,n) is x_n times layer t-1 of M_(i,n), which reads layers
+<= t-1 of the levels; the sum over n has valuation 1, so layer t of its
+product with V_i reads layers < t of V_i.  For t = 1..deg in turn, the
+solve asks for layer t of levels 1..imax+w*(deg-t).  Each of them reads
+layer t-1 of levels up to imax+w*(deg-t+1), all made in the round
+before, so a request never recurses through other levels' layers and
+the stack depth is that of one mid-path DP, whatever deg and imax.
+After round deg, levels 1..imax hold every layer through deg.
 
-The value of a level after s sweeps does not depend on the top either, so
-``solve_vi`` keeps the whole sweep history per (p, deg, kmax) in a
-bounded cache.  A request for a smaller imax reads the levels it needs;
-a larger one sweeps only the new levels of each sweep.  ``solve_family``
-runs the same solve without the cache.
+One walk DP per level, over the longest mid path, (p*kmax - 1) steps,
+gives M_(i,n) for every n as its sum of length p*n - 1.  A level's DP is
+built once, when its layer 1 is first asked for, and dropped once its
+layers through deg are made.  A level's layers do not depend on how many
+levels the family holds, so ``solve_vi`` keeps one family per
+(p, deg, kmax) in a bounded cache: a request for a smaller imax reads
+the finished levels, and a larger one computes only the (level, layer)
+pairs it lacks.  ``solve_family`` runs the same solve without the cache
+and drops each level's DP as soon as the level holds its last layer.
+``v_update`` and ``vi_update`` are the sweeps of the fixed points at one
+full order: the certificates check the solved series with them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from fractions import Fraction
 from math import comb
 
+from ._layered import _Layered
 from .algebra import XSeries
 from .paths import _weight_dp, f_poly
 
@@ -86,12 +90,20 @@ def solve_v(cfg: SolverConfig) -> XSeries:
 
 @lru_cache(maxsize=32)
 def _limit(p: int, deg: int, kmax: int) -> XSeries:
-    # keyed as _sweeps: the limit does not read imax; sweep s at order s
-    cfg = SolverConfig(p, deg, kmax, 1)
-    v = XSeries.const(1, 0)
-    for s in range(1, deg + 1):
-        v = v_update(cfg, v._lift(s))
-    return v
+    # keyed without imax, which the limit does not read
+    return _Layered.later(partial(_limit_rule, p, kmax)).series(deg)
+
+
+def _limit_rule(p: int, kmax: int, v):
+    # 1 + sum_n C(np-1, n) x_n v^(n(p-1)), v a layered series
+    powers = [v]  # powers[k - 1] is v^k
+    while len(powers) < kmax * (p - 1):
+        powers.append(powers[-1] * v)
+    rule = _Layered.const(1)
+    for n in range(1, kmax + 1):
+        term = _Layered.var(n) * powers[n * (p - 1) - 1]
+        rule = rule + comb(n * p - 1, n) * term
+    return rule
 
 
 def vi_update(cfg: SolverConfig, family: dict[int, XSeries],
@@ -115,48 +127,77 @@ def vi_update(cfg: SolverConfig, family: dict[int, XSeries],
     return new
 
 
-def _grow(cfg: SolverConfig, sweeps: list) -> dict[int, XSeries]:
-    """Extend the sweep history ``sweeps`` until it holds levels 1..imax.
+class _Family:
+    """The levels of one (p, deg, kmax) as layered series, grown on demand.
 
-    ``sweeps[s]`` is the family after s sweeps, at order s.  A level's
-    value after s sweeps does not depend on how many levels the family
-    holds, so a history serves every smaller imax as it stands and reaches
-    a larger one by sweeping only the new levels.
+    With ``keep``, a level keeps its DP until its layers through deg are
+    made, so that a solve for a larger imax reuses it; without, each DP is
+    dropped once the level holds its last layer of this solve.  A dropped
+    DP is never built again: a level made through deg is asked for no
+    further layer, and a family without ``keep`` serves one solve.
     """
-    if len(sweeps) == cfg.deg + 1 and len(sweeps[-1]) >= cfg.imax:
-        return sweeps[-1]
-    if not sweeps:
-        sweeps.append({})
-    ones, one = sweeps[0], XSeries.const(1, 0)
-    for i in range(len(ones) + 1, cfg.imax + cfg.window * cfg.deg + 1):
-        ones[i] = one
-    for s in range(1, cfg.deg + 1):
-        if len(sweeps) == s:
-            sweeps.append({})
-        lifted = {i: v._lift(s) for i, v in sweeps[s - 1].items()}
-        sweeps[s].update(vi_update(cfg, lifted, len(sweeps[s]) + 1))
-    return sweeps[-1]
+
+    def __init__(self, p: int, deg: int, kmax: int, keep: bool):
+        self.cfg = SolverConfig(p, deg, kmax, 1)
+        self.keep = keep
+        self.levels: list = []  # levels[i - 1] is V_i, made on first use
+        self.done: dict[int, XSeries] = {}  # levels made through deg
+
+    def level(self, i: int):
+        levels = self.levels
+        while len(levels) < i:
+            rule = partial(self._rule, len(levels) + 1)
+            levels.append(_Layered.later(rule, 1))
+        return levels[i - 1]
+
+    def _rule(self, i: int, vi):
+        # 1 + V_i * sum_n x_n * M_(i,n), one walk DP for every n
+        p, kmax = self.cfg.p, self.cfg.kmax
+        if not kmax:
+            return _Layered.const(1)
+        sums = _weight_dp(p, kmax * p - 1, i - 1, i, self.level,
+                          _Layered.const(1), every=True)
+        faces = sum((_Layered.var(n) * sums[n * p - 1]
+                     for n in range(1, kmax + 1)), _Layered.const(0))
+        return 1 + vi * faces
+
+    def solve(self, imax: int) -> dict[int, XSeries]:
+        """Levels 1..imax at order deg."""
+        deg, w = self.cfg.deg, self.cfg.window
+        for t in range(1, deg + 1):
+            top = imax + w * (deg - t)
+            for i in range(1, top + 1):
+                self.level(i).layer(t)
+            if not self.keep:
+                # levels past top - w hold their last layer of this solve
+                for vi in self.levels[max(top - w, 0):top]:
+                    vi.forget()
+        done = self.done
+        for i in range(len(done) + 1, imax + 1):
+            vi = self.level(i)
+            done[i] = vi.series(deg)
+            vi.forget()
+        return {i: done[i] for i in range(1, imax + 1)}
 
 
 def solve_family(cfg: SolverConfig) -> dict[int, XSeries]:
-    """Levels 1..imax solved from the all-ones family, with no cache.
+    """Levels 1..imax solved afresh, with no cache.
 
     The cap-doubling certificates compare ``solve_vi`` with this, so that
     their two sides come from independent solves.
     """
-    return _grow(cfg, [])
+    return _Family(cfg.p, cfg.deg, cfg.kmax, False).solve(cfg.imax)
 
 
 @lru_cache(maxsize=32)
-def _sweeps(p: int, deg: int, kmax: int) -> list:
-    # the sweep history of one (p, deg, kmax), shared by every imax
-    return []
+def _family(p: int, deg: int, kmax: int) -> _Family:
+    # the levels of one (p, deg, kmax), shared by every imax
+    return _Family(p, deg, kmax, True)
 
 
 def solve_vi(cfg: SolverConfig) -> dict[int, XSeries]:
     """Per-level weights V_1..V_imax as series in x_1..x_kmax."""
-    family = _grow(cfg, _sweeps(cfg.p, cfg.deg, cfg.kmax))
-    return {i: family[i] for i in range(1, cfg.imax + 1)}
+    return _family(cfg.p, cfg.deg, cfg.kmax).solve(cfg.imax)
 
 
 def f_from_v(cfg: SolverConfig, n: int) -> XSeries:

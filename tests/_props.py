@@ -11,7 +11,8 @@ full t-order, the oracle of ``expand_fraction``; ``full_order_family``,
 full x-order, the oracles of ``solve_family``, ``solve_v`` and
 ``make_context``'s y.  ``f_mid`` is the polynomial mid-path sum, the
 oracle of the walk DP inside a solver sweep; ``univar_coeffs`` and
-``valuation`` read series through ``sorted_terms``.
+``valuation`` read series through ``sorted_terms``, and ``layered``
+reads a layered series.
 
 The second half is the tuple-form oracle: the exponent-tuple monomials
 the packed ring replaced, kept as the reference the property tests in
@@ -23,6 +24,7 @@ from functools import cache
 from itertools import permutations, product
 from random import Random
 
+from constel._layered import _Layered
 from constel.algebra import (MultiPoly, NotDivisible, XSeries, _Minors,
                              _det_cofactor, det_elements)
 from constel.contfrac import TSeries
@@ -311,6 +313,74 @@ def check_series_inv(seed: int, cases: int) -> int:
         assert ok(s * ok(s.inv())) == one
         assert ok(ok(s * t).inv()) == ok(ok(t.inv()) * s.inv())
         assert ok(s.pow(-2)) == s.inv() * s.inv()
+    return cases
+
+
+def layered(node: _Layered, order: int) -> XSeries:
+    """A layered series through ``order`` as an XSeries, after checking
+    that each layer made is canonical and holds x terms of its degree."""
+    out = ok(node.series(order))
+    for t, layer in enumerate(node._layers):
+        for (v, x), _ in ok(layer).sorted_terms():
+            assert not v and sum(e for _, e in x) == t, (t, layer)
+    return out
+
+
+def check_layered_ring(seed: int, cases: int) -> int:
+    """The layered series against XSeries: the conversion both ways, +, -
+    and *, with int operands, with operands of valuation >= 1, with nodes
+    read twice (one of them folded into a sum before its second reader
+    exists), and the fixed point s = 1 + r*s, r of valuation >= 1, which
+    is 1/(1 - r)."""
+    rng = Random(seed)
+    for _ in range(cases):
+        order = rng.randint(0, 6)
+        a, b = rand_series(rng, order), rand_series(rng, order)
+        if rng.random() < 0.5:
+            b = b * XSeries.var(rng.randint(1, 2), order)
+        r = rand_series(rng, order) * XSeries.var(1, order)
+        la, lb, lr = _Layered.of(a), _Layered.of(b), _Layered.of(r)
+        assert layered(la, order) == a and layered(lr, order) == r
+        assert layered(la + lb, order) == ok(a + b)
+        assert layered(la - lb, order) == ok(a - b)
+        assert layered(la * lb, order) == ok(a * b)
+        assert layered(3 + la * 2 + 0, order) == ok(3 + a * 2)
+        assert layered(_Layered.const(0) - la, order) == ok(-a)
+        x2 = XSeries.var(2, order)
+        assert layered(_Layered.var(2) * lb, order) == ok(x2 * b)
+        both = la * lb  # a summand of one sum and a factor of another
+        assert layered(both + lb, order) == ok(a * b + b)
+        assert layered(both * la, order) == ok(a * b * a)
+        once = la + lb  # both factors of one product
+        assert layered(once * once - la, order) == ok((a + b) * (a + b) - a)
+        fixed = _Layered.later(lambda s: 1 + lr * s)
+        assert layered(fixed, order) == ok((1 - r).inv())
+    return cases
+
+
+def check_weight_dp_lengths(seed: int, cases: int) -> int:
+    """``_weight_dp``'s per-length sums, read off one sweep over the
+    longest length, against a separate walk DP for each length: over the
+    ints, MultiPoly, XSeries and the layered series."""
+    rng = Random(seed)
+    for _ in range(cases):
+        p, nsteps = rng.randint(2, 4), rng.randint(0, 8)
+        h_start, h_end = rng.randint(0, 3), rng.randint(0, 3)
+        order = rng.randint(1, 4)
+        weights = [XSeries.const(1, order) + rand_series(rng, order)
+                   for _ in range(h_start + (p - 1) * nsteps + 2)]
+        rings = ((lambda h: h + 2, 1, lambda v: v),
+                 (MultiPoly.v_var, MultiPoly.one(), ok),
+                 (weights.__getitem__, XSeries.const(1, order), ok),
+                 (lambda h: _Layered.of(weights[h]), _Layered.const(1),
+                  lambda v: layered(v, order)))
+        for weight, one, read in rings:
+            sums = _weight_dp(p, nsteps, h_start, h_end, weight, one,
+                              every=True)
+            assert len(sums) == nsteps + 1
+            for length, got in enumerate(sums):
+                want = _weight_dp(p, length, h_start, h_end, weight, one)
+                assert read(got) == read(want), (p, length, h_start, h_end)
     return cases
 
 

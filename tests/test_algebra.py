@@ -255,6 +255,21 @@ class TestDeterminants:
             assert ladder.minor(n) == _props.perm_expansion_det(block), n
         assert calls == [2, 2, 3]
 
+    def test_one_shot_falls_back_to_one_expansion(self, monkeypatch):
+        # the two-term first pivot stops the elimination at border 1; a
+        # one-shot determinant wants no smaller minor, so it expands the
+        # whole matrix once instead of every border from 1 to 4
+        rows = [[V(i + 1) * V(j + 1) + C(i == j) for j in range(5)]
+                for i in range(5)]
+        cofactor, calls = algebra._det_cofactor, []
+
+        def spy(block):
+            calls.append(len(block))
+            return cofactor(block)
+        monkeypatch.setattr(algebra, "_det_cofactor", spy)
+        assert det_elements(rows) == _props.perm_expansion_det(rows)
+        assert calls == [5]
+
     def test_fallback_minors_refetch_their_block(self):
         # the two-term first pivot sends borders 1 to 3 to cofactor
         # expansion; each fetches its leading block again, as the ladder
@@ -305,6 +320,10 @@ def test_prop_series_lu_elimination():
 
 def test_prop_series_inv():
     assert _props.check_series_inv(seed=404, cases=120) >= 100
+
+
+def test_prop_layered_ring():
+    assert _props.check_layered_ring(seed=1010, cases=120) >= 100
 
 
 def test_prop_substitute_morphism():

@@ -161,8 +161,8 @@ class TestVerifyAll:
 
     def test_series_solver_bytes_are_pinned(self):
         # digests of the per-level, closed-form, substitution and limit
-        # series of the cubic case; the order at which each solver sweep
-        # runs must not change a byte of any of them
+        # series of the cubic case; the way the solver computes them must
+        # not change a byte of any of them
         for argv, digest in (
                 (["euler-series", "--what", "vi", "--i", "6", "--order", "12",
                   "--json"],

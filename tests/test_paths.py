@@ -136,6 +136,10 @@ class TestMidWalks:
         with pytest.raises(ValueError):
             f_mid(3, 1, 0)
 
+    def test_every_length_from_one_sweep(self):
+        # the solver reads every n's mid-path sum off the longest walk DP
+        assert _props.check_weight_dp_lengths(seed=1111, cases=120) >= 100
+
 
 class TestCounts:
     def test_cycle_lemma_formula(self):

@@ -1,8 +1,12 @@
+import inspect
+import sys
+from collections import Counter
 from dataclasses import replace
 from itertools import product
 
 import pytest
 
+from constel._layered import _Layered
 from constel.algebra import XSeries
 from constel.eulerian import make_context
 from constel.paths import f_poly
@@ -102,7 +106,7 @@ class TestFamily:
                 assert got == 1 + family[i] * mids, (p, i)
 
     def test_imax_does_not_disturb_low_indices(self):
-        # two fresh solves: solve_vi serves both from one cached history,
+        # two fresh solves: solve_vi serves both from one cached family,
         # which relies on exactly this property
         lo = solve_family(SolverConfig(p=3, deg=4, kmax=1, imax=2))
         hi = solve_family(SolverConfig(p=3, deg=4, kmax=1, imax=6))
@@ -118,16 +122,33 @@ class TestFamily:
         for i in range(1, 4):
             assert a[i] == b[i], i
 
-    def test_growing_imax_sweeps_each_level_once(self):
-        # the v_series ladder asks for imax 1, 2, ..., 8 in turn
+    def test_growing_imax_computes_each_layer_once(self, monkeypatch):
+        # the v_series ladder asks for imax 1, 2, ..., 8 in turn; its
+        # family makes each layer of each level once, in the graph of that
+        # level's rule, and never again in a rebuilt one
         cfg = SolverConfig(p=3, deg=6, kmax=1, imax=8)
-        solver_mod._sweeps.cache_clear()
-        ladder = [solve_vi(replace(cfg, imax=i)) for i in range(1, 9)]
-        history = solver_mod._sweeps(3, 6, 1)
-        assert solver_mod._sweeps.cache_info().misses == 1
-        assert [len(f) for f in history] == \
-            [8 + cfg.window * (cfg.deg - s) for s in range(cfg.deg + 1)]
         fresh = solve_family(cfg)
+        roots, made = {}, Counter()
+        rule, step = solver_mod._Family._rule, _Layered._next
+
+        def spy_rule(family, i, vi):
+            root = rule(family, i, vi)
+            roots[root] = i
+            return root
+
+        def spy_step(node, t):
+            if node in roots:
+                made[roots[node], t] += 1
+            return step(node, t)
+        monkeypatch.setattr(solver_mod._Family, "_rule", spy_rule)
+        monkeypatch.setattr(_Layered, "_next", spy_step)
+        solver_mod._family.cache_clear()
+        ladder = [solve_vi(replace(cfg, imax=i)) for i in range(1, 9)]
+        # layer t >= 1 of levels 1..8+w*(deg-t), and the constant layer 0
+        # of each level whose rule was built, each made once
+        w = cfg.window
+        assert made == {(i, t): 1 for t in range(cfg.deg + 1)
+                        for i in range(1, 9 + w * (cfg.deg - max(t, 1)))}
         for i, fam in enumerate(ladder, 1):
             assert sorted(fam) == list(range(1, i + 1))
             assert all(fam[j] == fresh[j] for j in fam), i
@@ -139,7 +160,8 @@ class TestFamily:
 
 class TestGrowingOrder:
     def test_matches_full_order_sweeps(self):
-        # sweep s runs at order s; the oracle runs every sweep at deg
+        # the solver makes each layer once; the oracle runs deg sweeps of
+        # the fixed point, every one at the full order
         for p, deg, kmax, imax in product((2, 3, 4), (0, 1, 3, 5), (0, 1, 2),
                                           (1, 5)):
             cfg = SolverConfig(p, deg, kmax, imax)
@@ -148,12 +170,24 @@ class TestGrowingOrder:
         for order in (0, 1, 3, 5, 12):
             assert make_context(order).y == _props.full_order_y(order), order
 
-    def test_history_holds_order_s_at_sweep_s(self):
-        cfg = SolverConfig(p=3, deg=4, kmax=2, imax=3)
-        history = []
-        solver_mod._grow(cfg, history)
-        assert [{v.order for v in f.values()} for f in history] == \
-            [{s} for s in range(cfg.deg + 1)]
+    def test_stack_depth_does_not_grow(self):
+        # layer t of every level is asked for before layer t+1 of any, so
+        # a request recurses through one level's walk DP and no further:
+        # these solves fit a fixed margin above the caller's stack
+        depth = len(inspect.stack(0))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            deep = solve_family(SolverConfig(p=3, deg=30, kmax=1, imax=4))
+            wide = solve_family(SolverConfig(p=4, deg=3, kmax=3, imax=4))
+            limit_v = solver_mod._limit.__wrapped__(3, 30, 1)
+            context = make_context.__wrapped__(30)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert _props.univar_coeffs(deep[1])[:4] == [1, 1, 3, 12]
+        assert wide == _props.full_order_family(SolverConfig(4, 3, 3, 4))
+        assert limit_v == solve_v(SolverConfig(3, 30, 1, 1))
+        assert context.y.order == 30
 
 
 class TestExcursionsFromLimit:
