@@ -28,13 +28,15 @@ packed keys: elsewhere a monomial is the pair (v, x) of sorted
 Canonical form: zero coefficients are never stored; terms print in order
 of total degree, then lexicographically on the expanded (family, index)
 word with V before x.  The empty polynomial prints as "0", the unit
-monomial with coefficient c prints as "c".  Sorted output, text and JSON
-read the keys in C (``_decode``): each is padded to the width of the OR
-of all keys, and its bytes, cast to native 16-bit fields, give the
-degree, the V fields (odd) and the x fields (even) as lists of one
-length.  Two words of one degree first differ where one has the larger
-exponent on the earlier variable, so the canonical order is descending
-(-degree, V fields, x fields).
+monomial with coefficient c prints as "c".  Every reader of keys by
+field (sorted output, text, JSON, ``substitute`` and the canonical-form
+check ``_check``) reads them in C (``_decode``): each is padded to the
+width of the OR of all keys, and its bytes, cast to native 16-bit
+fields, give the degree, the V fields (odd) and the x fields (even) as
+lists of one length.  Two words of one degree first differ where one has
+the larger exponent on the earlier variable, so the canonical order is
+descending (-degree, V fields, x fields); a key is canonical when its
+fields sum to its degree.
 """
 
 from __future__ import annotations
@@ -111,18 +113,6 @@ def _check_degree(deg: int):
                                f"{_WIDTH}-bit field limit {_FIELD}")
 
 
-def _fields(key):
-    """(field, exp) for every nonzero variable field of a packed key."""
-    key >>= _WIDTH
-    field = 1
-    while key:
-        exp = key & _FIELD
-        if exp:
-            yield field, exp
-        key >>= _WIDTH
-        field += 1
-
-
 def _decode(terms: dict) -> list:
     """(-degree, V fields, x fields, coeff, key) per term, in dict order.
 
@@ -155,11 +145,6 @@ def _pair(v, x) -> tuple[tuple, tuple]:
     return tuple(_nonzero(v, count(1))), tuple(_nonzero(x, count(1)))
 
 
-def _unpack(key) -> tuple[tuple, tuple]:
-    _, v, x, _, _ = _decode({key: 0})[0]
-    return _pair(v, x)
-
-
 def _quotient(a: int, b: int):
     """Packed a / b, or None when b does not divide a."""
     rest, shift = b, 0
@@ -176,12 +161,47 @@ def _graded(key: int):
     return key & _FIELD, key
 
 
-def _check_term(key, coeff):
-    if not isinstance(coeff, int) or not coeff:
-        raise AssertionError(f"stored coefficient {coeff!r}")
-    # a carry out of any field leaves the degree field off the field sum
-    if key < 0 or sum(e for _, e in _fields(key)) != key & _FIELD:
-        raise AssertionError(f"packed monomial {key:#x} is not canonical")
+def _check_terms(terms: dict) -> list:
+    """The ``_decode`` rows of canonical terms; AssertionError otherwise.
+
+    Coefficients are nonzero ints and keys are non-negative; a carry out
+    of any field leaves the degree field off the sum of the fields.
+    """
+    for key, coeff in terms.items():
+        if not isinstance(coeff, int) or not coeff or key < 0:
+            raise AssertionError(f"stored term {key!r}: {coeff!r}")
+    rows = _decode(terms)
+    for neg_deg, v, x, _, key in rows:
+        if sum(v) + sum(x) != -neg_deg:
+            raise AssertionError(f"packed monomial {key:#x} is not canonical")
+    return rows
+
+
+def _merge(a: dict, b: dict, sign: int) -> dict:
+    """a + sign*b for sign +1 or -1, as one copy of a and one pass over b."""
+    if sign == 1 and len(a) < len(b):  # a sum copies its larger operand
+        a, b = b, a
+    out = dict(a)
+    get = out.get
+    for key, coeff in b.items():
+        c = get(key, 0) + sign * coeff
+        if c:
+            out[key] = c
+        else:
+            del out[key]
+    return out
+
+
+def _power(base, e: int, one):
+    """base**e for e >= 0 by binary powering, one being the ring's one."""
+    result = one
+    while e:
+        if e & 1:
+            result = result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return result
 
 
 def _text(v, x) -> str:
@@ -254,10 +274,6 @@ class MultiPoly:
         """((v, x), coeff) pairs in canonical order."""
         return [(_pair(v, x), c) for _, v, x, c, _ in _canonical(self._terms)]
 
-    def _used(self) -> tuple[tuple, tuple]:
-        # a field is nonzero in the OR of the keys iff some key uses it
-        return _unpack(reduce(or_, self._terms, 0))
-
     def total_degree(self) -> int:
         deg = self._deg
         if deg is None:
@@ -266,8 +282,7 @@ class MultiPoly:
 
     def _check(self) -> "MultiPoly":
         """Assert canonical form: nonzero coefficients, consistent fields."""
-        for key, coeff in self._terms.items():
-            _check_term(key, coeff)
+        _check_terms(self._terms)
         return self
 
     # -- ring operations ------------------------------------------------
@@ -276,17 +291,7 @@ class MultiPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        big, small = (self._terms, other._terms)
-        if len(big) < len(small):
-            big, small = small, big
-        out = dict(big)
-        for mono, coeff in small.items():
-            c = out.get(mono, 0) + coeff
-            if c:
-                out[mono] = c
-            else:
-                del out[mono]
-        return MultiPoly(out)
+        return MultiPoly(_merge(self._terms, other._terms, 1))
 
     __radd__ = __add__
 
@@ -297,13 +302,13 @@ class MultiPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _difference(self._terms, other._terms)
+        return MultiPoly(_merge(self._terms, other._terms, -1))
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _difference(other._terms, self._terms)
+        return MultiPoly(_merge(other._terms, self._terms, -1))
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -336,15 +341,7 @@ class MultiPoly:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        result = MultiPoly.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(self, e, MultiPoly.one())
 
     def __eq__(self, other):
         other = _coerce(other)
@@ -430,30 +427,32 @@ class MultiPoly:
         """
         v_assign = v_assign or {}
         x_assign = x_assign or {}
-        used_v, used_x = self._used()
-        base: dict[int, XSeries] = {}
+        # a field is nonzero in the OR of the keys iff some key uses it
+        _, used_v, used_x, _, _ = _decode({reduce(or_, self._terms, 0): 0})[0]
+        base: dict[tuple, XSeries] = {}
         for fam, assign, used in (("V", v_assign, used_v), ("x", x_assign, used_x)):
-            for idx, _ in used:
+            for idx, _ in _nonzero(used, count(1)):
                 s = assign.get(idx)
                 if s is None:
                     raise UnassignedVariable(f"{fam}{idx}")
-                base[2 * idx - 1 if fam == "V" else 2 * idx] = s
+                base[fam, idx] = s
         if order is None:
             if not base:
                 raise ValueError("substitute needs an explicit order when "
                                  "no variable is assigned")
             order = min(s.order for s in base.values())
-        # powers[field][e - 1] is the e-th power of that field's series
-        powers = {field: [s.truncate(order)] for field, s in base.items()}
+        # powers[fam, idx][e - 1] is the e-th power of that variable's series
+        powers = {var: [s.truncate(order)] for var, s in base.items()}
         acc: dict[int, int] = {}
         get = acc.get
-        for key, coeff in self._terms.items():
+        for _, v, x, coeff, _ in _decode(self._terms):
             prod = None
-            for field, exp in _fields(key):
-                pw = powers[field]
-                while len(pw) < exp:
-                    pw.append(pw[-1] * pw[0])
-                prod = pw[exp - 1] if prod is None else prod * pw[exp - 1]
+            for fam, fields in (("V", v), ("x", x)):
+                for idx, exp in _nonzero(fields, count(1)):
+                    pw = powers[fam, idx]
+                    while len(pw) < exp:
+                        pw.append(pw[-1] * pw[0])
+                    prod = pw[exp - 1] if prod is None else prod * pw[exp - 1]
             if prod is None:
                 acc[0] = get(0, 0) + coeff
                 continue
@@ -479,19 +478,6 @@ class MultiPoly:
     def from_json(cls, data: Sequence[Mapping]) -> "MultiPoly":
         return cls.from_terms(((term.get("V"), term.get("x")), int(term["coeff"]))
                               for term in data)
-
-
-def _difference(a: dict, b: dict) -> MultiPoly:
-    # a - b as one copy of a and one pass over b
-    out = dict(a)
-    get = out.get
-    for mono, coeff in b.items():
-        c = get(mono, 0) - coeff
-        if c:
-            out[mono] = c
-        else:
-            del out[mono]
-    return MultiPoly(out)
 
 
 def _sum_products(pairs, start=(), sign=1) -> MultiPoly:
@@ -619,34 +605,24 @@ class XSeries:
     def _check(self) -> "XSeries":
         """Assert canonical form: as ``MultiPoly._check``, within the order,
         and x fields only."""
-        for key, coeff in self._terms.items():
-            _check_term(key, coeff)
-            if key & _FIELD > self.order:
-                raise AssertionError(f"term of degree {key & _FIELD} past "
+        for neg_deg, v, _, _, key in _check_terms(self._terms):
+            if -neg_deg > self.order:
+                raise AssertionError(f"term of degree {-neg_deg} past "
                                      f"order {self.order}")
-            if _unpack(key)[0]:
+            if any(v):
                 raise AssertionError(f"V variable in series key {key:#x}")
         return self
 
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other, sign=1):
-        # self + sign*other, as one copy of self and one pass over other
+        # self + sign*other, both truncated to the smaller order
         other = _coerce_series(other, self.order)
         if other is NotImplemented:
             return NotImplemented
         order = min(self.order, other.order)
-        out = {k: c for k, c in self._terms.items() if k & _FIELD <= order}
-        get = out.get
-        for key, coeff in other._terms.items():
-            if key & _FIELD > order:
-                continue
-            c = get(key, 0) + sign * coeff
-            if c:
-                out[key] = c
-            elif key in out:
-                del out[key]
-        return XSeries(order, out)
+        return XSeries(order, _merge(self.truncate(order)._terms,
+                                     other.truncate(order)._terms, sign))
 
     __radd__ = __add__
 
@@ -744,22 +720,13 @@ class XSeries:
     def pow(self, e: int) -> "XSeries":
         if e < 0:
             return self.inv().pow(-e)
-        result = XSeries.const(1, self.order)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(self, e, XSeries.const(1, self.order))
 
     __pow__ = pow
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = XSeries.const(other, self.order)
-        if not isinstance(other, XSeries):
+        other = _coerce_series(other, self.order)
+        if other is NotImplemented:
             return NotImplemented
         return self.order == other.order and self._terms == other._terms
 
@@ -793,14 +760,9 @@ class XSeries:
     @classmethod
     def from_json(cls, data: Mapping) -> "XSeries":
         order = int(data["truncation_order"])
-        terms: dict[int, int] = {}
-        for term in data["terms"]:
-            key = _pack((), _as_exponents({int(i): int(e)
-                                           for i, e in term.get("x", {}).items()}))
-            c = int(term["coeff"])
-            if c and key & _FIELD <= order:
-                terms[key] = terms.get(key, 0) + c
-        return cls(order, {k: c for k, c in terms.items() if c})
+        poly = MultiPoly.from_terms(((None, term.get("x")), int(term["coeff"]))
+                                    for term in data["terms"])
+        return cls(order, {k: c for k, c in poly._terms.items() if k & _FIELD <= order})
 
 
 def _coerce_series(value, order):

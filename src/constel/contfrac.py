@@ -8,9 +8,10 @@ factor.  ``expand_fraction`` instead expands the nested fraction
 
     1 / (1 - t * prod_i V_{s+i} * [same shape at shift s+i])
 
-Every level of the fraction contributes a factor t, so the level k below
-the top is computed only through t^(order-k), the order that can still
-reach the result, and the level order deep is 1.  Matching the two
+Every level of the fraction contributes a factor t, so a level k below
+the top matters only through t^(order-k).  The level at shift s is
+reached at several depths, the shallowest ceil(s/(p-1)), and is computed
+once, through the order that depth can still reach.  Matching the two
 against the direct path aggregation is the core cross-check.
 """
 
@@ -66,11 +67,6 @@ class TSeries:
                 "coeffs": [c.to_json() for c in self.coeffs]}
 
 
-def _prepend_one(tail: TSeries) -> TSeries:
-    # 1 + t * tail
-    return TSeries((MultiPoly.one(),) + tail.coeffs)
-
-
 def expand_f(p: int, r: int, shift: int = 0, order: int = 0) -> TSeries:
     """Series over t of the (-r, r) to (np, 0) weight polynomials.
 
@@ -91,10 +87,9 @@ def expand_f(p: int, r: int, shift: int = 0, order: int = 0) -> TSeries:
     # memo refers to itself, so it is cleared rather than left to the gc.
     @cache
     def series(r, shift, order):
-        if r == 0:
-            if order == 0:
-                return TSeries.one(0)
-            return _prepend_one(series(p - 1, shift, order - 1))
+        if r == 0:  # 1 + t * series(p - 1, shift, order - 1)
+            tail = series(p - 1, shift, order - 1).coeffs if order else ()
+            return TSeries((MultiPoly.one(),) + tail)
         top = series(0, shift + r, order)
         rest = series(r - 1, shift, order)
         return top.mul(rest, order).scale(MultiPoly.v_var(shift + r))
@@ -107,10 +102,11 @@ def expand_f(p: int, r: int, shift: int = 0, order: int = 0) -> TSeries:
 def expand_fraction(p: int, order: int) -> TSeries:
     """Expansion of the nested fraction, exact through t^order.
 
-    Every level contributes at least one power of t, so the level k below
-    the top only matters through t^(order-k), and each level is computed
-    through that order alone; the level order deep is 1, and nesting
-    deeper cannot change coefficients 0..order.  This is exact because
+    Every level contributes at least one power of t, so a level k below
+    the top only matters through t^(order-k).  Each shift's level is
+    computed and scaled by its V once, through the order of its
+    shallowest depth; a level order deep is 1, and nesting deeper cannot
+    change coefficients 0..order.  This is exact because
     coefficient n of Q = 1/(1 - t*P) reads P only through t^(n-1):
     Q_n = sum_{k=1..n} P_(k-1) Q_(n-k), which is how Q is expanded,
     straight from P.
@@ -120,25 +116,24 @@ def expand_fraction(p: int, order: int) -> TSeries:
     if order < 0:
         raise ValueError("order must be >= 0")
 
-    @cache  # scoped to this call, as in expand_f; m is the level's t-order
-    def fraction(shift, m):
-        if m == 0:
-            return TSeries.one(0)
-        prod = None
-        for i in range(1, p):
-            factor = scaled(shift + i, m - 1)
-            prod = factor if prod is None else prod.mul(factor, m - 1)
-        c = prod.coeffs
+    @cache  # scoped to this call, as in expand_f
+    def level(shift):
+        # the fraction at shift, times V_shift below the top, through the
+        # largest t-order a parent reads: shift is ceil(shift/(p-1)) levels
+        # deep or more, and the shallowest parent reads the most
+        m = order - (shift + p - 2) // (p - 1)
         q = [MultiPoly.one()]
-        for n in range(1, m + 1):
-            q.append(_sum_products((c[k - 1], q[n - k]) for k in range(1, n + 1)))
-        return TSeries(q)
+        if m:
+            prod = None
+            for i in range(1, p):
+                factor = level(shift + i)
+                prod = factor if prod is None else prod.mul(factor, m - 1)
+            c = prod.coeffs
+            for n in range(1, m + 1):
+                q.append(_sum_products((c[k - 1], q[n - k]) for k in range(1, n + 1)))
+        q = TSeries(q)
+        return q.scale(MultiPoly.v_var(shift)) if shift else q
 
-    @cache  # V_shift times the level at shift, shared by its p-1 parents
-    def scaled(shift, m):
-        return fraction(shift, m).scale(MultiPoly.v_var(shift))
-
-    out = fraction(0, order)
-    fraction.cache_clear()
-    scaled.cache_clear()
+    out = level(0)
+    level.cache_clear()
     return out

@@ -109,12 +109,8 @@ def v_closed(i: int, order: int) -> XSeries:
         raise ValueError("i must be >= 0")
     ctx = make_context(order)
     one = XSeries.const(1, order)
-
-    def ypow(e):
-        return ctx.y.pow(e)
-
-    num = ctx.V * (one - ypow(i)) * (one - ypow(i + 4))
-    den = (one - ypow(i + 1)) * (one - ypow(i + 3))
+    num = ctx.V * (one - ctx.y.pow(i)) * (one - ctx.y.pow(i + 4))
+    den = (one - ctx.y.pow(i + 1)) * (one - ctx.y.pow(i + 3))
     return num * den.inv()
 
 

@@ -106,19 +106,18 @@ def _limit_rule(p: int, kmax: int, v):
     return rule
 
 
-def vi_update(cfg: SolverConfig, family: dict[int, XSeries],
-              start: int = 1) -> dict[int, XSeries]:
+def vi_update(cfg: SolverConfig, family: dict[int, XSeries]) -> dict[int, XSeries]:
     """One parallel sweep of the per-level fixed point.
 
     ``family`` holds levels 1..L at one order, at which the sweep runs; it
-    returns levels start..L-window, the ones whose mid paths stay inside
+    returns levels 1..L-window, the ones whose mid paths stay inside
     the family.
     """
     order = family[1].order
     one = XSeries.const(1, order)
     weight = family.__getitem__
     new = {}
-    for i in range(start, len(family) - cfg.window + 1):
+    for i in range(1, len(family) - cfg.window + 1):
         total = XSeries.zero(order)
         for n in range(1, cfg.kmax + 1):
             mid = _weight_dp(cfg.p, n * cfg.p - 1, i - 1, i, weight, one)

@@ -160,6 +160,47 @@ class TestXSeries:
         assert data["truncation_order"] == 2
         assert XSeries.from_json(data) == s
 
+    def test_from_json_sums_terms_within_the_order(self):
+        data = {"truncation_order": 2, "terms": [
+            {"coeff": "2", "x": {"1": 1}}, {"coeff": "-2", "x": {"1": 1}},
+            {"coeff": "3", "x": {"1": 1, "2": 1}}, {"coeff": "4", "x": {"2": 3}},
+            {"coeff": "5", "x": {}}, {"coeff": "1", "x": {}}]}
+        got = _props.ok(XSeries.from_json(data))
+        assert got == 6 + 3 * XSeries.var(1, 2) * XSeries.var(2, 2)
+
+
+def key_of(poly: MultiPoly) -> int:
+    (key,) = poly._terms
+    return key
+
+
+class TestCanonicalCheck:
+    def test_canonical_terms_pass(self):
+        poly = 3 * V(1) * X(2) ** 2 - 1
+        assert poly._check() is poly
+        series = S(1) * S(2) + 1
+        assert series._check() is series
+
+    @pytest.mark.parametrize("terms", [
+        {key_of(V(1)): 0},                 # a zero coefficient
+        {key_of(V(1)): 1.5},               # a coefficient that is no int
+        {key_of(V(1)): 2, -1: 1},          # a negative key
+        {(1 << 16) | 2: 1},                # field sum 1, degree 2: a carry
+    ])
+    def test_poly_rejects(self, terms):
+        with pytest.raises(AssertionError):
+            MultiPoly(terms)._check()
+
+    @pytest.mark.parametrize("order, terms", [
+        (2, {key_of(X(1, 3)): 1}),         # a term past the order
+        (4, {key_of(V(1)): 1}),            # a V field in a series key
+        (4, {key_of(X(1)): 0}),            # a zero coefficient
+        (4, {(1 << 32) | 2: 1}),           # a carried key
+    ])
+    def test_series_rejects(self, order, terms):
+        with pytest.raises(AssertionError):
+            XSeries(order, terms)._check()
+
 
 class TestDeterminants:
     def test_two_by_two(self):

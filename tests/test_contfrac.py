@@ -1,3 +1,5 @@
+from collections import Counter
+
 import _props
 import pytest
 
@@ -107,3 +109,16 @@ class TestNestedFraction:
                 for depth in range(order, order + 4):
                     assert got == _props.full_order_fraction(p, order, depth), \
                         (p, order, depth)
+
+    def test_each_level_is_scaled_once(self, monkeypatch):
+        # a level reachable at several depths is still made and scaled once
+        scaled = Counter()
+        scale = TSeries.scale
+
+        def spy(self, poly):
+            scaled[poly] += 1
+            return scale(self, poly)
+        monkeypatch.setattr(TSeries, "scale", spy)
+        expand_fraction(3, 8)
+        assert list(scaled.values()) == [1] * len(scaled)
+        assert set(scaled) == {V(s) for s in range(1, len(scaled) + 1)}

@@ -1,0 +1,45 @@
+"""Every module under ``src/constel`` uses each name it imports.
+
+A deletion tends to leave its imports behind; this catches them.  A name
+counts as used when it is read anywhere in the module, as a bare name or
+as the root of an attribute, or when ``__all__`` lists it (a re-export).
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "constel"
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # "import a.b" binds a; "from m import *" binds no one name
+                name = alias.asname or alias.name.split(".")[0]
+                if name != "*":
+                    imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in sorted(imported.items())
+            if name not in used]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_detects_an_unused_import():
+    source = ("import os\nimport os.path as osp\nfrom a import b, c as d\n"
+              "from m import *\n__all__ = ['b']\nprint(os.sep)\n")
+    assert unused_imports(source) == ["d (line 3)", "osp (line 2)"]
