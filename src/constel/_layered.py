@@ -6,8 +6,9 @@ homogeneous layer at a time, each layer once, on demand (relaxed
 evaluation in its plain quadratic form: van der Hoeven, *Relax, but
 don't be too lazy*, JSC 2002).  A layer is a ``MultiPoly`` in the x
 family, so the arithmetic is ``algebra``'s own, and packed monomials
-stay inside ``algebra``: series enter and leave through
-``XSeries._layers`` and ``XSeries._of_layers``.
+stay inside ``algebra``: a series is built from constants and x
+variables, never from an ``XSeries``, and leaves through
+``XSeries._of_layers``.
 """
 
 from __future__ import annotations
@@ -25,15 +26,14 @@ class _Layered:
 
     ``layer(t)``, the homogeneous degree-t part as a ``MultiPoly``, is
     computed once, on first request, and kept.  A node is known (a
-    constant, an x variable, or an ``XSeries`` through its order), a sum
-    of products a*b of nodes (a summand s is the product s*1), or a node
-    made by ``later`` from a rule that may read the node itself.  Layer t
-    of a sum of products is the sum over its pairs and over u of
-    a_u * b_(t-u), one ``_sum_products``, where u runs only where both
-    layers can be nonzero: ``val`` is a lower bound on a node's valuation
-    and ``top`` an upper bound on its degree.  So V = 1 + V*S is well
-    defined whenever S has valuation >= 1, since layer t of V*S then reads
-    only layers < t of V.
+    constant or an x variable), a sum of products a*b of nodes (a summand
+    s is the product s*1), or a node made by ``later`` from a rule that
+    may read the node itself.  Layer t of a sum of products is the sum
+    over its pairs and over u of a_u * b_(t-u), one ``_sum_products``,
+    where u runs only where both layers can be nonzero: ``val`` is a lower
+    bound on a node's valuation and ``top`` an upper bound on its degree.
+    So V = 1 + V*S is well defined whenever S has valuation >= 1, since
+    layer t of V*S then reads only layers < t of V.
 
     Layers are made in order, so a request for layer t first makes the
     missing lower ones, and the recursion is as deep as the graph of
@@ -47,7 +47,6 @@ class _Layered:
 
     def __init__(self, val, top, kind, parts=None, layers=None, rule=None):
         self.val, self.top, self._kind = val, top, kind
-        # _KNOWN: the order past which layers are unknown, None for none;
         # _SUM: the (a, b) pairs; _LATER: the graph ``rule`` returned
         self._parts, self._rule = parts, rule
         self._layers = layers or []
@@ -63,13 +62,6 @@ class _Layered:
     @classmethod
     def var(cls, k: int) -> "_Layered":
         return cls(1, 1, _KNOWN, layers=[_EMPTY, MultiPoly.x_var(k)])
-
-    @classmethod
-    def of(cls, series: XSeries) -> "_Layered":
-        """``series`` by layers; asking past its order raises ValueError."""
-        layers = series._layers()
-        val = next((t for t, p in enumerate(layers) if p), series.order + 1)
-        return cls(val, _NEVER, _KNOWN, series.order, layers)
 
     @classmethod
     def later(cls, rule, c0=None) -> "_Layered":
@@ -96,8 +88,6 @@ class _Layered:
                 parts = self._parts = self._rule(self)
             return parts.layer(t)
         if kind == _KNOWN:
-            if parts is not None:
-                raise ValueError(f"layer {t} past the known order {parts}")
             return _EMPTY
         if kind == _SUM:
             parts = self._fold()

@@ -8,9 +8,9 @@ which is what the fixed-point solvers produce.  Coefficients are plain
 Python integers, so there is no precision ceiling anywhere and equality
 is literal equality.  ``det_elements`` is the one determinant, over
 either ring; its ``_Minors`` gives every leading minor from one LU.
-An ``XSeries`` splits into its homogeneous layers and is joined back
-from them (``_layers``, ``_of_layers``) for ``_layered._Layered``, the
-solvers' relaxed series, which thereby never sees a packed key.
+An ``XSeries`` is joined from its homogeneous layers (``_of_layers``)
+by ``_layered._Layered``, the solvers' relaxed series, which thereby
+never sees a packed key.
 
 Packed monomials: inside both types a monomial is one non-negative
 Python int made of fixed-width fields of ``_WIDTH`` = 16 bits.  Field 0,
@@ -154,11 +154,6 @@ def _quotient(a: int, b: int):
         rest >>= _WIDTH
         shift += _WIDTH
     return a - b
-
-
-def _graded(key: int):
-    # a multiplication-compatible order, graded so that division is bounded
-    return key & _FIELD, key
 
 
 def _check_terms(terms: dict) -> list:
@@ -359,38 +354,19 @@ class MultiPoly:
         return bool(self._terms)
 
     def exact_div(self, other: "MultiPoly") -> "MultiPoly":
-        """Exact quotient q with q * other == self; NotDivisible otherwise.
+        """Exact quotient q with q * other == self, other a single term.
 
-        Leading terms are taken in the graded order of ``_graded``; any
-        multiplication-compatible order gives the same, unique, quotient.
+        The division is ``other._divider()``, the rule of the elimination
+        pivots; a divisor of several terms, or a term c*m where c or m
+        fails to divide some term of self, raises NotDivisible.
         """
         if not other._terms:
             raise ZeroDivisionError("exact division by the zero polynomial")
-        if not self._terms:
-            return MultiPoly({})
-        lead_b = max(other._terms, key=_graded)
-        lc_b = other._terms[lead_b]
-        rem = dict(self._terms)
-        quo: dict[int, int] = {}
-        while rem:
-            lead_a = max(rem, key=_graded)
-            mono_q = _quotient(lead_a, lead_b)
-            if mono_q is None:
-                raise NotDivisible("leading monomial not divisible")
-            lc_a = rem[lead_a]
-            c, r = divmod(lc_a, lc_b)
-            if r:
-                raise NotDivisible("leading coefficient not divisible")
-            quo[mono_q] = c
-            # every mono_b is at most lead_b, so no sum passes lead_a's degree
-            for mono_b, c_b in other._terms.items():
-                m = mono_q + mono_b
-                cc = rem.get(m, 0) - c * c_b
-                if cc:
-                    rem[m] = cc
-                elif m in rem:
-                    del rem[m]
-        return MultiPoly(quo)
+        divide = other._divider()
+        quo = divide(self) if divide else None
+        if quo is None:
+            raise NotDivisible("the divisor is not a term dividing every term")
+        return quo
 
     def _divider(self):
         """Division by this polynomial as an elimination pivot, or None.
@@ -586,13 +562,6 @@ class XSeries:
         return XSeries(order, {k: c for k, c in self._terms.items()
                                if k & _FIELD <= order})
 
-    def _layers(self) -> list[MultiPoly]:
-        """The homogeneous parts of degree 0..order, as polynomials."""
-        layers: list[dict] = [{} for _ in range(self.order + 1)]
-        for key, coeff in self._terms.items():
-            layers[key & _FIELD][key] = coeff
-        return [MultiPoly(terms) for terms in layers]
-
     @classmethod
     def _of_layers(cls, layers: Sequence[MultiPoly]) -> "XSeries":
         """The series at order len(layers) - 1 whose degree-t part is
@@ -676,7 +645,9 @@ class XSeries:
             raise NonUnitConstant(f"constant term {c0} is not a unit")
         order = self.order
         _check_degree(order)  # the inverse has terms up to the order
-        by_deg = [layer._terms for layer in self._layers()]
+        by_deg: list[dict] = [{} for _ in range(order + 1)]
+        for key, coeff in self._terms.items():
+            by_deg[key & _FIELD][key] = coeff
         inv_layers: list[dict] = [{0: c0}]
         for d in range(1, order + 1):
             acc: dict[int, int] = {}

@@ -1,9 +1,10 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 when a checked identity fails, 2 on usage
-errors and on inputs too large to compute (out of memory, or a monomial
-degree past its packed field).  Results go to stdout, diagnostics to
-stderr.  Output is deterministic byte for byte for a given invocation.
+errors and on inputs too large to compute (out of memory or recursion
+depth, or a monomial degree past its packed field).  Results go to
+stdout, diagnostics to stderr.  Output is deterministic byte for byte
+for a given invocation.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def run(argv) -> int:
     except (IdentityViolation, NonUniqueNILP, NonUnitConstant) as exc:
         print(f"identity violation: {exc}", file=sys.stderr)
         return 1
-    except (MemoryError, ExponentOverflow) as exc:
+    except (MemoryError, RecursionError, ExponentOverflow) as exc:
         print(f"input too large: {str(exc) or 'out of memory'}",
               file=sys.stderr)
         return 2

@@ -19,7 +19,7 @@ from ._layered import _Layered
 from .algebra import MultiPoly, XSeries, _Minors
 from .paths import count_closed3
 from .hankel import qr
-from .solver import SolverConfig, solve_v, solve_vi
+from .solver import SolverConfig, _limit, solve_vi
 
 
 @lru_cache(maxsize=64)
@@ -30,9 +30,11 @@ def fib_poly(n: int) -> MultiPoly:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n < 2:
-        return MultiPoly.const(n)
-    return fib_poly(n - 1) - MultiPoly.x_var(1) * fib_poly(n - 2)
+    z = MultiPoly.x_var(1)
+    prev, cur = MultiPoly.zero(), MultiPoly.one()
+    for _ in range(n):
+        prev, cur = cur, cur - z * prev
+    return prev
 
 
 def fib_chebyshev_check(n: int) -> bool:
@@ -63,24 +65,24 @@ class EulerContext:
     xV: XSeries
 
 
-def _cfg(order: int, imax: int = 1) -> SolverConfig:
-    return SolverConfig(p=3, deg=order, kmax=1, imax=imax)
-
-
 @lru_cache(maxsize=32)
 def make_context(order: int) -> EulerContext:
     """Solve V = 1 + 2xV^2 and the substitution variable y at the order.
 
-    y = xV (1+y)^2 is solved as a layered series, as the solver's levels
-    are: xV has valuation 1, so layer t of y reads only layers < t of y.
-    The cleared identity at the full order certifies the result.  Each
-    order is solved once and its context shared by every caller.
+    V is the solver's layered limit (``solver._limit``), one node shared
+    by every order, so an order makes only the layers of V that no lower
+    order made.  y = xV (1+y)^2 is solved on it as a layered series, as
+    the solver's levels are: xV has valuation 1, so layer t of y reads
+    only layers < t of y.  The cleared identity at the full order
+    certifies the result.  Each order is solved once and its context
+    shared by every caller.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    v = solve_v(_cfg(order))
-    xv = XSeries.var(1, order) * v
-    y = _Layered.later(partial(_y_rule, _Layered.of(xv))).series(order)
+    limit = _limit(3, 1)
+    xv = _Layered.var(1) * limit
+    y = _Layered.later(partial(_y_rule, xv))
+    v, xv, y = (node.series(order) for node in (limit, xv, y))
     one = XSeries.const(1, order)
     # cleared form of y + 1/y + 2 = 1/(xV); certifies the fixed point
     if xv * (y * y + one) != y * (one - 2 * xv):
@@ -100,7 +102,7 @@ def v_series(i: int, order: int) -> XSeries:
         raise ValueError("i must be >= 0")
     if i == 0:
         return XSeries.zero(order)  # boundary convention of the recursion
-    return solve_vi(_cfg(order, imax=i))[i]
+    return solve_vi(SolverConfig(p=3, deg=order, kmax=1, imax=i))[i]
 
 
 def v_closed(i: int, order: int) -> XSeries:

@@ -11,6 +11,7 @@ desk-scale checks of the same collapse.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import permutations
@@ -145,10 +146,9 @@ _DESK_LIMIT = 3
 
 
 def _path_sum(p, src, dst) -> MultiPoly:
-    total = MultiPoly.zero()
-    for path in enumerate_paths(p, src, dst):
-        total = total + path_weight(path)
-    return total
+    # every path's weight, V_h for each fall from height h, in one sum
+    return MultiPoly.from_terms(((Counter(path.fall_heights()), ()), 1)
+                                for path in enumerate_paths(p, src, dst))
 
 
 def lgv_signed_sum(spec: HankelSpec) -> MultiPoly:

@@ -32,6 +32,9 @@ levels the family holds, so ``solve_vi`` keeps one family per
 the finished levels, and a larger one computes only the (level, layer)
 pairs it lacks.  ``solve_family`` runs the same solve without the cache
 and drops each level's DP as soon as the level holds its last layer.
+The limit V does not depend on deg either: ``_limit`` keeps one layered
+node per (p, kmax), so a solve at a higher order makes only the layers
+no earlier solve made.
 ``v_update`` and ``vi_update`` are the sweeps of the fixed points at one
 full order: the certificates check the solved series with them.
 """
@@ -85,13 +88,13 @@ def v_update(cfg: SolverConfig, v: XSeries) -> XSeries:
 
 def solve_v(cfg: SolverConfig) -> XSeries:
     """The level-free limit weight as a series in x_1..x_kmax."""
-    return _limit(cfg.p, cfg.deg, cfg.kmax)
+    return _limit(cfg.p, cfg.kmax).series(cfg.deg)
 
 
 @lru_cache(maxsize=32)
-def _limit(p: int, deg: int, kmax: int) -> XSeries:
-    # keyed without imax, which the limit does not read
-    return _Layered.later(partial(_limit_rule, p, kmax)).series(deg)
+def _limit(p: int, kmax: int) -> _Layered:
+    # keyed without deg and imax: every order reads the same layers
+    return _Layered.later(partial(_limit_rule, p, kmax))
 
 
 def _limit_rule(p: int, kmax: int, v):
@@ -140,7 +143,6 @@ class _Family:
         self.cfg = SolverConfig(p, deg, kmax, 1)
         self.keep = keep
         self.levels: list = []  # levels[i - 1] is V_i, made on first use
-        self.done: dict[int, XSeries] = {}  # levels made through deg
 
     def level(self, i: int):
         levels = self.levels
@@ -171,12 +173,12 @@ class _Family:
                 # levels past top - w hold their last layer of this solve
                 for vi in self.levels[max(top - w, 0):top]:
                     vi.forget()
-        done = self.done
-        for i in range(len(done) + 1, imax + 1):
+        out = {}
+        for i in range(1, imax + 1):
             vi = self.level(i)
-            done[i] = vi.series(deg)
+            out[i] = vi.series(deg)
             vi.forget()
-        return {i: done[i] for i in range(1, imax + 1)}
+        return out
 
 
 def solve_family(cfg: SolverConfig) -> dict[int, XSeries]:

@@ -119,20 +119,26 @@ def check_ring_laws(seed: int, cases: int) -> int:
 
 
 def check_exact_div(seed: int, cases: int) -> int:
+    """Division by a term c*m recovers every product with it; a remainder
+    or a divisor of several terms raises NotDivisible."""
     rng = Random(seed)
     for _ in range(cases):
         a = _nonzero_poly(rng)
-        b = _nonzero_poly(rng)
-        assert ok((a * b).exact_div(b)) == a
+        t = _nonzero_poly(rng, max_terms=1)
+        assert ok(ok(a * t).exact_div(t)) == a
         assert ok((a * 2).exact_div(MultiPoly.const(2))) == a
-        if b.total_degree() >= 1:
+        b = _nonzero_poly(rng)
+        failing = [(a * b, b)] if b.nterms > 1 else []
+        if t.total_degree() >= 1:
+            failing.append((a * t + MultiPoly.one(), t))
+        for num, den in failing:
             try:
-                (a * b + MultiPoly.one()).exact_div(b)
+                num.exact_div(den)
             except NotDivisible:
                 pass
             else:
                 raise AssertionError(f"division should have failed: "
-                                     f"({a})*({b})+1 by {b}")
+                                     f"{num} by {den}")
     return cases
 
 
@@ -326,12 +332,24 @@ def layered(node: _Layered, order: int) -> XSeries:
     return out
 
 
+def as_layered(s: XSeries) -> _Layered:
+    """The terms of ``s`` as a layered sum of products of x variables."""
+    out = _Layered.const(0)
+    for xs, c in s.sorted_terms():
+        term = _Layered.const(c)
+        for k, e in xs:
+            for _ in range(e):
+                term = term * _Layered.var(k)
+        out = out + term
+    return out
+
+
 def check_layered_ring(seed: int, cases: int) -> int:
-    """The layered series against XSeries: the conversion both ways, +, -
-    and *, with int operands, with operands of valuation >= 1, with nodes
-    read twice (one of them folded into a sum before its second reader
-    exists), and the fixed point s = 1 + r*s, r of valuation >= 1, which
-    is 1/(1 - r)."""
+    """The layered series against XSeries: operands built from their
+    terms, +, - and *, with int operands, with operands of valuation >= 1,
+    with nodes read twice (one of them folded into a sum before its second
+    reader exists), and the fixed point s = 1 + r*s, r of valuation >= 1,
+    which is 1/(1 - r)."""
     rng = Random(seed)
     for _ in range(cases):
         order = rng.randint(0, 6)
@@ -339,7 +357,7 @@ def check_layered_ring(seed: int, cases: int) -> int:
         if rng.random() < 0.5:
             b = b * XSeries.var(rng.randint(1, 2), order)
         r = rand_series(rng, order) * XSeries.var(1, order)
-        la, lb, lr = _Layered.of(a), _Layered.of(b), _Layered.of(r)
+        la, lb, lr = as_layered(a), as_layered(b), as_layered(r)
         assert layered(la, order) == a and layered(lr, order) == r
         assert layered(la + lb, order) == ok(a + b)
         assert layered(la - lb, order) == ok(a - b)
@@ -372,7 +390,7 @@ def check_weight_dp_lengths(seed: int, cases: int) -> int:
         rings = ((lambda h: h + 2, 1, lambda v: v),
                  (MultiPoly.v_var, MultiPoly.one(), ok),
                  (weights.__getitem__, XSeries.const(1, order), ok),
-                 (lambda h: _Layered.of(weights[h]), _Layered.const(1),
+                 (lambda h: as_layered(weights[h]), _Layered.const(1),
                   lambda v: layered(v, order)))
         for weight, one, read in rings:
             sums = _weight_dp(p, nsteps, h_start, h_end, weight, one,
@@ -610,24 +628,18 @@ def t_json(a: dict) -> list:
 
 
 def t_exact_div(a: dict, b: dict) -> dict:
-    """Leading-term division in the graded word order; NotDivisible if none."""
-    lead_b = max(b, key=t_word_key)
-    rem = dict(a)
+    """Division by the single term of b, term by term; NotDivisible if b
+    has several terms or its term fails to divide one of a."""
+    if len(b) != 1:
+        raise NotDivisible("divisor of several terms")
+    ((vb, xb), cb), = b.items()
     quo = {}
-    while rem:
-        lead_a = max(rem, key=t_word_key)
-        mono_q = (t_div(lead_a[0], lead_b[0]), t_div(lead_a[1], lead_b[1]))
-        if None in mono_q:
-            raise NotDivisible("leading monomial")
-        c, r = divmod(rem[lead_a], b[lead_b])
-        if r:
-            raise NotDivisible("leading coefficient")
-        quo[mono_q] = c
-        for (vb, xb), cb in b.items():
-            m = (t_merge(mono_q[0], vb), t_merge(mono_q[1], xb))
-            rem[m] = rem.get(m, 0) - c * cb
-            if not rem[m]:
-                del rem[m]
+    for (v, x), c in a.items():
+        mono_q = (t_div(v, vb), t_div(x, xb))
+        q, r = divmod(c, cb)
+        if None in mono_q or r:
+            raise NotDivisible("term not divisible")
+        quo[mono_q] = q
     return quo
 
 

@@ -84,14 +84,20 @@ class TestMultiPoly:
             p ** -1
 
     def test_exact_div_fixture(self):
-        num = V(1, 2) - V(2, 2)
-        assert num.exact_div(V(1) - V(2)) == V(1) + V(2)
+        num = 6 * V(1, 2) * V(2) - 4 * V(1) * X(1)
+        assert num.exact_div(-2 * V(1)) == 2 * X(1) - 3 * V(1) * V(2)
+        assert MultiPoly.zero().exact_div(V(3)) == MultiPoly.zero()
 
     def test_exact_div_errors(self):
         with pytest.raises(ZeroDivisionError):
             V(1).exact_div(MultiPoly.zero())
+        # V1^2 - V2^2 = (V1 - V2)(V1 + V2), but the divisor has two terms
+        with pytest.raises(NotDivisible):
+            (V(1, 2) - V(2, 2)).exact_div(V(1) - V(2))
         with pytest.raises(NotDivisible):
             (V(1) + 1).exact_div(V(2))
+        with pytest.raises(NotDivisible):
+            (V(1) * V(2) + V(1, 2)).exact_div(V(2))
         with pytest.raises(NotDivisible):
             V(1).exact_div(C(2))
 

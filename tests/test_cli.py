@@ -229,8 +229,9 @@ class TestUsageErrors:
 
 
 class TestResourceErrors:
-    @pytest.mark.parametrize("error", [MemoryError(),
-                                       ExponentOverflow("degree 70000")])
+    @pytest.mark.parametrize("error", [
+        MemoryError(), ExponentOverflow("degree 70000"),
+        RecursionError("maximum recursion depth exceeded")])
     def test_exit_two_with_one_line(self, monkeypatch, error):
         def fail(*args, **kwargs):
             raise error

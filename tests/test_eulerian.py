@@ -1,6 +1,10 @@
+from math import comb
+
 import pytest
 
+import constel.solver as solver_mod
 from constel import eulerian
+from constel._layered import _Layered
 from constel.algebra import MultiPoly, XSeries
 from constel.eulerian import (EulerContext, f1_closed, f_closed,
                               fib_chebyshev_check, fib_poly, make_context,
@@ -35,6 +39,13 @@ class TestFibLadder:
         for n in range(2, 14):
             assert fib_poly(n + 1) == fib_poly(n) - z * fib_poly(n - 1)
 
+    def test_deep_member(self):
+        # sum_j (-1)^j C(n-1-j, j) z^j, past any recursion limit
+        n = 1500
+        want = MultiPoly.from_terms(((None, {1: j}), (-1) ** j * comb(n - 1 - j, j))
+                                    for j in range((n + 1) // 2))
+        assert fib_poly(n) == want
+
     def test_cleared_substitution(self):
         for n in range(1, 13):
             assert fib_chebyshev_check(n), n
@@ -59,6 +70,21 @@ class TestContext:
     def test_one_context_per_order(self, ctx):
         assert make_context(ORDER) is ctx
         assert make_context(ORDER + 1) is not ctx
+
+    def test_orders_share_the_layers_of_v(self, monkeypatch):
+        # a higher order makes only the layers of V that no lower one made
+        solver_mod._limit.cache_clear()
+        make_context.__wrapped__(10)
+        limit, step, made = solver_mod._limit(3, 1), _Layered._next, []
+
+        def spy_step(node, t):
+            if node is limit:
+                made.append(t)
+            return step(node, t)
+        monkeypatch.setattr(_Layered, "_next", spy_step)
+        assert make_context.__wrapped__(12).V == \
+            solve_v(SolverConfig(p=3, deg=12, kmax=1, imax=1))
+        assert made == [11, 12]
 
 
 class TestLevelWeights:

@@ -117,18 +117,19 @@ def test_wide_polys_match_oracle(a):
 
 
 @PACKED
-@given(polys(), polys(max_size=3))
-def test_exact_div_of_a_product(a, b):
-    pa, pb = _props.t_to_poly(a), _props.t_to_poly(b)
-    if pb.is_zero():
-        return
-    assert ok((pa * pb).exact_div(pb)) == pa
+@given(polys(), monomials(), COEFF.filter(bool), polys(max_size=3))
+def test_exact_div_of_a_product(a, mono, coeff, b):
+    # exact division takes a single term; by more, no product divides
+    pa, pt, pb = (_props.t_to_poly(t) for t in (a, {mono: coeff}, b))
+    assert ok((pa * pt).exact_div(pt)) == pa
+    if pb.nterms > 1:
+        with pytest.raises(NotDivisible):
+            (pa * pb).exact_div(pb)
 
 
 @PACKED
 @given(polys(budget=3), polys(budget=3, max_size=3))
 def test_exact_div_matches_oracle(a, b):
-    # small degrees: a failing division may sweep many remainder terms
     if not b:
         return
     pa, pb = _props.t_to_poly(a), _props.t_to_poly(b)

@@ -54,10 +54,12 @@ class TestScalarLimit:
             assert v_update(cfg, v) == v, p
 
     def test_cache_ignores_imax(self):
-        # the limit does not read imax, so no imax may solve it again
+        # the limit reads neither imax nor deg, so no imax may solve it
+        # again, and every order reads the layers of one cached limit
         solver_mod._limit.cache_clear()
-        cfg = SolverConfig(p=3, deg=5, kmax=2, imax=1)
-        assert solve_v(cfg) is solve_v(replace(cfg, imax=7))
+        for deg, imax in product((4, 6), (1, 7)):
+            cfg = SolverConfig(p=3, deg=deg, kmax=2, imax=imax)
+            assert solve_v(cfg) == _props.full_order_limit(cfg), cfg
         assert solver_mod._limit.cache_info().misses == 1
 
     def test_unique_given_constant_one(self):
@@ -180,7 +182,7 @@ class TestGrowingOrder:
         try:
             deep = solve_family(SolverConfig(p=3, deg=30, kmax=1, imax=4))
             wide = solve_family(SolverConfig(p=4, deg=3, kmax=3, imax=4))
-            limit_v = solver_mod._limit.__wrapped__(3, 30, 1)
+            limit_v = solver_mod._limit.__wrapped__(3, 1).series(30)
             context = make_context.__wrapped__(30)
         finally:
             sys.setrecursionlimit(limit)
