@@ -770,23 +770,34 @@ def det_elements(rows):
 class _Minors:
     """The leading minors of one matrix, by bordered (Doolittle) elimination.
 
-    Border n fetches its own 2n+1 entries and extends a = L*U, L unit
-    lower triangular, by u[k][n] = a[k][n] - sum_{j<k} l[k][j] u[j][n]
-    (k <= n) and l[n][k] = (a[n][k] - sum_{j<k} l[n][j] u[j][k]) / u[k][k]
-    (k < n), each sum one ring ``_minus_products``; minor(n) = minor(n-1) *
-    u[n][n].  l[n][k]'s numerator is what Gaussian elimination divides by
-    pivot k's ``_divider()``: the same rules, but the last pivot needs none.
-    Once a pivot has none or a quotient leaves the ring, each larger minor
-    is the cofactor expansion of its leading block, fetched again through
-    ``entry``: the ladder keeps L and U, not the block.
+    Border n makes row n of L and pivot u[n][n] of a = L*U, L unit lower
+    triangular; minor(n) = minor(n-1) * u[n][n].  Row n's residual at
+    column c, base(n, c) - sum_j l[n][j] u[j][c] over the multipliers made
+    so far, is one ring ``_minus_products``: at c < n pivot c's
+    ``_divider()`` turns it into l[n][c] (the last pivot needs none), and
+    at c >= n it is u[n][c].  Each U entry is made once, when first read.
+
+    base(k, c) is the entry a[k][c], except that with ``shift`` = s the
+    caller promises that row k >= s of a is row k-s moved one column left,
+    and base(k, c) is u[k-s][c+1]: those rows read no entry.  This is
+    exact: row k-s of U moved left is row k of a plus a combination of the
+    rows above it, and clearing its columns before k leaves row k of U,
+    which is unique.  It is zero before column k-s-1, so row k has at most
+    s+1 multipliers (the modified Chebyshev algorithm; Gautschi, SIAM J.
+    Sci. Stat. Comput. 3, 1982).
+
+    Once a pivot has no divider or a quotient leaves the ring, each larger
+    minor is the cofactor expansion of its leading block, fetched again
+    through ``entry``.
     """
 
-    __slots__ = ("_entry", "_lower", "_upper", "_divide", "minors")
+    __slots__ = ("_entry", "_shift", "_lower", "_upper", "_divide", "minors")
 
-    def __init__(self, entry):
+    def __init__(self, entry, shift=None):
         self._entry = entry
-        self._lower = []   # _lower[i]: l[i][0 .. i-1]
-        self._upper = []   # _upper[j]: u[0 .. j][j], column j of U
+        self._shift = shift
+        self._lower = []   # _lower[k]: (j0, l[k][j0 .. k-1]); 0 before j0
+        self._upper = []   # _upper[k]: {c: u[k][c]} made so far
         self._divide = []  # _divide[k]: pivot k's divider
         self.minors = []   # minors[n]: the leading (n+1) x (n+1) minor
 
@@ -798,33 +809,52 @@ class _Minors:
 
     def _border(self, n: int):
         # all or nothing: a border that raises leaves the ladder as it was
+        # (its U entries made so far are exact, and kept)
         if len(self._upper) < n or not self._eliminate(n):
             entry = self._entry
             block = [[entry(i, j) for j in range(n + 1)] for i in range(n + 1)]
             self.minors.append(_det_cofactor(block))
 
+    def _u(self, k: int, c: int):
+        # u[k][c] for c >= k, made once
+        row = self._upper[k]
+        u = row.get(c)
+        if u is None:
+            u = row[c] = self._residual(k, c, *self._lower[k])
+        return u
+
+    def _residual(self, k: int, c: int, j0: int, mults):
+        shift = self._shift
+        if shift is None or k < shift:
+            base = self._entry(k, c)
+        else:
+            base = self._u(k - shift, c + 1)
+        if not mults:
+            return base
+        ups = [self._u(j, c) for j in range(j0, j0 + len(mults))]
+        return base._minus_products(zip(mults, ups))
+
     def _eliminate(self, n: int) -> bool:
-        # column n of U and row n of L, then minor(n); False if a pivot fails
-        lower, upper, dividers = self._lower, self._upper, self._divide
+        # row n of L and U's pivot n, then minor(n); False if a pivot fails
+        dividers = self._divide
         if n:
-            divide = upper[n - 1][n - 1]._divider()
+            divide = self._upper[n - 1][n - 1]._divider()
             if divide is None:
                 return False
             dividers = dividers + [divide]
-        entry, col, row = self._entry, [], []
-        for k in range(n):
-            col.append(entry(k, n)._minus_products(zip(lower[k], col)))
-        for k, divide in enumerate(dividers):
-            mult = entry(n, k)._minus_products(zip(row, upper[k]))
-            mult = divide(mult) if mult else mult
+        shift = self._shift
+        j0 = 0 if shift is None or n < shift else max(0, n - shift - 1)
+        mults = []
+        for j in range(j0, n):
+            mult = self._residual(n, j, j0, mults)
+            mult = dividers[j](mult) if mult else mult
             if mult is None:
                 return False
-            row.append(mult)
-        pivot = entry(n, n)._minus_products(zip(row, col))
+            mults.append(mult)
+        pivot = self._residual(n, n, j0, mults)
         det = self.minors[-1] * pivot if n else pivot
-        col.append(pivot)
-        lower.append(row)
-        upper.append(col)
+        self._lower.append((j0, mults))
+        self._upper.append({n: pivot})
         self._divide = dividers
         self.minors.append(det)
         return True

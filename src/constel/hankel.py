@@ -18,7 +18,7 @@ from itertools import permutations
 
 from . import algebra
 from .algebra import MultiPoly, NotDivisible, _perm_sign
-from .paths import enumerate_paths, f_poly, path_weight
+from .paths import _walk, enumerate_paths, path_weight
 
 
 class IdentityViolation(ArithmeticError):
@@ -79,10 +79,15 @@ def hankel_matrix(spec: HankelSpec) -> list[list[MultiPoly]]:
 
 
 def _entry(p: int, m: int, i: int, j: int) -> MultiPoly:
-    # f_poly is looked up at call time, so a walk table installed in this
-    # module takes effect on every matrix and every fresh ladder
+    """Entry (i, j) of the (p, m) matrix: f_poly(p, q+j, r), (q, r) = qr(m+i, p).
+
+    It is read off the walk table of p through ``_walk``, looked up at
+    call time, so a table installed in this module takes effect on every
+    matrix and every fresh ladder.  Row i+p-1 has the same r and q one
+    larger: it is row i moved one column left.
+    """
     q, r = qr(m + i, p)
-    return f_poly(p, q + j, r)
+    return _walk(p, q + j, r)
 
 
 def hankel_det(spec: HankelSpec) -> MultiPoly:
@@ -90,9 +95,12 @@ def hankel_det(spec: HankelSpec) -> MultiPoly:
 
     The matrices of one (p, m) are the leading blocks of one matrix: this
     reads a leading minor of its memoized bordered elimination, ``_ladder``,
-    which computes each entry and determinant once.  Every pivot is a ratio
-    of neighbouring minors, a monomial, and the multipliers have divided
-    exactly at every size tested (else cofactor expansion takes over).
+    which computes each determinant once.  Only its first p-1 rows read
+    entries; every later row of U comes from the row p-1 above it by the
+    shift recurrence, exact because LU factors are unique.  Every pivot is
+    a ratio of neighbouring minors, a monomial, and the multipliers have
+    divided exactly at every size tested (else cofactor expansion takes
+    over).
     """
     if spec.n == -1:
         return MultiPoly.one()
@@ -101,7 +109,14 @@ def hankel_det(spec: HankelSpec) -> MultiPoly:
 
 @lru_cache(maxsize=16)
 def _ladder(p: int, m: int) -> algebra._Minors:
-    return algebra._Minors(partial(_entry, p, m))
+    """The leading minors of the (p, m) matrix, one growing LU.
+
+    Row i+p-1 of the matrix is row i moved one column left, so the ladder
+    runs the shift recurrence from row p-1 on (``_Minors`` with shift
+    p-1): each U row from there on is the U row p-1 above it moved left,
+    less p multiples of the rows just above, and reads no entry.
+    """
+    return algebra._Minors(partial(_entry, p, m), shift=p - 1)
 
 
 def hankel_product(spec: HankelSpec) -> MultiPoly:

@@ -9,15 +9,17 @@ import constel.hankel as hankel_mod
 def crooked_walks(monkeypatch):
     """Install a replacement walk table in ``constel.hankel``.
 
-    ``hankel_det`` reads the minors of a memoized ladder per (p, m), which
-    holds factors computed from the entries it fetched, so the ladders are
-    dropped when the table goes in and again at teardown: the replacement
-    never reads an entry or a determinant of the real table, and no later
-    test reads one of its own.
+    ``hankel`` reads every matrix entry through its module-level callable
+    ``_walk(p, n, r)``, the polynomial ``f_poly(p, n, r)``; ``install``
+    swaps that name.  ``hankel_det`` reads the minors of a memoized ladder
+    per (p, m), which holds factors computed from the entries it fetched,
+    so the ladders are dropped when the table goes in and again at
+    teardown: the replacement never reads an entry or a determinant of
+    the real table, and no later test reads one of its own.
     """
     def install(table):
         hankel_mod._ladder.cache_clear()
-        monkeypatch.setattr(hankel_mod, "f_poly", table)
+        monkeypatch.setattr(hankel_mod, "_walk", table)
     yield install
     hankel_mod._ladder.cache_clear()
 

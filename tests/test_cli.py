@@ -8,9 +8,10 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 import constel
-from constel import contfrac
+from constel import contfrac, hankel, verify
 from constel.algebra import ExponentOverflow, MultiPoly, XSeries
 from constel.cli import run
+from constel.hankel import IdentityViolation
 from constel.paths import f_poly
 
 import _props
@@ -93,6 +94,38 @@ class TestLGVCommand:
         rc, out, err = capture(["lgv", "--p", "3", "--m", "1", "--n", "1"])
         assert rc == 1
         assert "identity violation" in err
+
+
+class TestCheckPlan:
+    def test_detail_string_fails(self):
+        plan = verify.CheckPlan()
+        plan.add("demo.check", "p=2", lambda: "left: 1 != 2")
+        result, = plan.run()
+        assert result.ok is False
+        assert result.line() == "FAIL demo.check p=2  left: 1 != 2"
+
+    def test_identity_violation_fails(self):
+        def broken():
+            raise IdentityViolation("ratio is not a polynomial")
+        plan = verify.CheckPlan()
+        plan.add("demo.check", "p=2", broken)
+        result, = plan.run()
+        assert result.ok is False
+        assert result.line() == "FAIL demo.check p=2  ratio is not a polynomial"
+
+    def test_wrong_determinant_fails_verify_all(self, monkeypatch):
+        # doubled, every determinant misses its weight product; the factors
+        # cancel in the ratio recover_vi takes, so its checks stay ok
+        real = hankel.hankel_det
+        monkeypatch.setattr(hankel, "hankel_det", lambda spec: real(spec) * 2)
+        rc, out, err = capture(TestVerifyAll.ARGS)
+        assert rc == 1 and err == ""
+        failed = {line.split()[1] for line in out.splitlines()
+                  if line.startswith("FAIL ")}
+        assert failed == {"hankel.det-collapse", "hankel.lgv-signed-sum"}
+        assert "FAIL hankel.det-collapse p=2 m=1 n=0  determinant vs weight " \
+            "product: 2*V1 != V1" in out.splitlines()
+        assert out.splitlines()[-1] == "37 checks, 10 failures"
 
 
 class TestVerifyAll:

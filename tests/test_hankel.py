@@ -1,3 +1,4 @@
+from functools import partial
 from random import Random
 
 import pytest
@@ -124,6 +125,21 @@ class TestInversion:
         with pytest.raises(IdentityViolation):
             recover_vi(3, 3)
 
+    def test_crooked_entry_falls_back_in_a_recurrence_row(self, crooked_walks):
+        # one crooked entry, f(4, 0), leaves pivots 0..2 single terms but a
+        # multiplier of row 3, a shift-recurrence row, inexact; from there
+        # the ladder's minors are cofactor expansions of its leading blocks
+        real = f_poly
+
+        def crooked(p, n, r):
+            base = real(p, n, r)
+            return base + 1 if (n, r) == (4, 0) else base
+
+        crooked_walks(crooked)
+        spec = HankelSpec(3, 1, 3)
+        assert hankel_det(spec) == _det_cofactor(hankel_matrix(spec))
+        assert len(hankel_mod._ladder(3, 1)._upper) == 3
+
 
 class TestLGV:
     def test_graph_geometry(self):
@@ -193,6 +209,29 @@ class TestEngineAgreement:
                 for n in range(-1, 6):
                     spec = HankelSpec(p, m, n)
                     assert hankel_det(spec) == hankel_product(spec), spec
+
+    def test_shift_recurrence_matches_elimination(self, no_cofactor):
+        # from row p-1 on, the ladder's U rows come from the shift
+        # recurrence and read no entry; LU factors are unique, so U, and
+        # with it every minor, is the one plain elimination gives
+        for p, n_max in ((2, 7), (3, 5), (4, 4)):
+            for m in range(p):
+                rows_read = set()
+
+                def entry(i, j, p=p, m=m):
+                    rows_read.add(i)
+                    return hankel_mod._entry(p, m, i, j)
+                shifted = algebra._Minors(entry, shift=p - 1)
+                plain = algebra._Minors(partial(hankel_mod._entry, p, m))
+                for n in range(n_max + 1):
+                    assert shifted.minor(n) == plain.minor(n), (p, m, n)
+                rows = hankel_matrix(HankelSpec(p, m, n_max))
+                assert shifted.minor(n_max) == det_elements(rows), (p, m)
+                assert rows_read == set(range(p - 1)), (p, m)
+                for k in range(n_max + 1):
+                    mine, theirs = shifted._upper[k], plain._upper[k]
+                    for c in mine.keys() & theirs.keys():
+                        assert mine[c] == theirs[c], (p, m, k, c)
 
     def test_seven_by_seven(self):
         rng = Random(7)
