@@ -107,10 +107,11 @@ def _pack(v, x) -> int:
     return key | deg
 
 
-def _check_degree(deg: int):
+def _check_degree(deg: int) -> int:
     if deg > _FIELD:
         raise ExponentOverflow(f"monomial degree {deg} exceeds the "
                                f"{_WIDTH}-bit field limit {_FIELD}")
+    return deg
 
 
 def _decode(terms: dict) -> list:
@@ -313,8 +314,7 @@ class MultiPoly:
         if not a or not b:
             return MultiPoly({})
         # no field of a product exceeds its degree, so one check covers all
-        deg = self.total_degree() + other.total_degree()
-        _check_degree(deg)
+        deg = _check_degree(self.total_degree() + other.total_degree())
         if len(a) > len(b):
             a, b = b, a
         out: dict[int, int] = {}
@@ -388,6 +388,19 @@ class MultiPoly:
                 quo[q_key] = q
             return MultiPoly(quo)
         return divide
+
+    def _raised(self, s: int, term: "MultiPoly") -> "MultiPoly":
+        """term * sigma^s(self), term one term and self free of x: sigma
+        raises every V index by one, moving each V field two fields up."""
+        if any(_decode({reduce(or_, self._terms, 0): 0})[0][2]):
+            raise ValueError("only a polynomial in the V family is raised")
+        (mono, coeff), = term._terms.items()
+        deg = _check_degree(self.total_degree() + term.total_degree())
+        up = _WIDTH * (2 * s + 1)
+        out = MultiPoly({((k >> _WIDTH) << up) + (k & _FIELD) + mono: c * coeff
+                         for k, c in self._terms.items()})
+        out._deg = deg if out._terms else None
+        return out
 
     def _minus_products(self, pairs) -> "MultiPoly":
         """self - sum of a*b over (a, b) pairs: one elimination update."""
@@ -463,18 +476,22 @@ def _sum_products(pairs, start=(), sign=1) -> MultiPoly:
     the end, where a running sum of products would copy the sum once per
     product (the sum-of-products form of Monagan & Pearce, *Sparse
     polynomial division using a heap*, JSC 2011).  The degree check of
-    ``MultiPoly.__mul__`` runs per pair.  ``_deg`` stays unset: unlike a
-    single product, top-degree terms can cancel across the sum.
+    ``MultiPoly.__mul__`` runs per pair.  Top-degree terms can cancel
+    across the sum, so ``_deg`` is set to the largest pair degree only
+    when the first kept key has it, and never after a ``start``.
     ``__mul__`` keeps its own loop, which drops zeros as it goes: routed
     through this kernel, the hankel_ladder benchmark ran 10% slower.
     """
     out: dict[int, int] = dict(start)
     get = out.get
+    top = -1
     for a, b in pairs:
         ta, tb = a._terms, b._terms
         if not ta or not tb:
             continue
-        _check_degree(a.total_degree() + b.total_degree())
+        deg = a.total_degree() + b.total_degree()
+        if deg > top:  # a degree at most top passed the check already
+            top = _check_degree(deg)
         if len(ta) > len(tb):
             ta, tb = tb, ta
         for ma, ca in ta.items():
@@ -482,7 +499,10 @@ def _sum_products(pairs, start=(), sign=1) -> MultiPoly:
             for mb, cb in tb.items():
                 m = ma + mb
                 out[m] = get(m, 0) + ca * cb
-    return MultiPoly({m: c for m, c in out.items() if c})
+    total = MultiPoly({m: c for m, c in out.items() if c})
+    if not start and total._terms and next(iter(total._terms)) & _FIELD == top:
+        total._deg = top
+    return total
 
 
 def _coerce(value):

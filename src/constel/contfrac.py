@@ -8,16 +8,16 @@ factor.  ``expand_fraction`` instead expands the nested fraction
 
     1 / (1 - t * prod_i V_{s+i} * [same shape at shift s+i])
 
-Every level of the fraction contributes a factor t, so a level k below
-the top matters only through t^(order-k).  The level at shift s is
-reached at several depths, the shallowest ceil(s/(p-1)), and is computed
-once, through the order that depth can still reach.  Matching the two
-against the direct path aggregation is the core cross-check.
+Both are self-similar: the series at shift s is the shift-0 series with
+every V_i renamed V_{i+s} (sigma^s, ``MultiPoly._raised``).  So each
+expands only its shift-0 series, one t-coefficient at a time, and reads
+every shifted level as a raised copy of coefficients already made: a
+coefficient n reads only coefficients below n of the raised copies (a
+relaxed expansion, van der Hoeven, JSC 2002).  Matching the two against
+the direct path aggregation is the core cross-check.
 """
 
 from __future__ import annotations
-
-from functools import cache
 
 from .algebra import MultiPoly, _sum_products
 
@@ -39,18 +39,6 @@ class TSeries:
 
     def coeff(self, n: int) -> MultiPoly:
         return self.coeffs[n]
-
-    def mul(self, other: "TSeries", order: int) -> "TSeries":
-        """Product through t^order; either operand may be the shorter."""
-        a, b = self.coeffs, other.coeffs
-        return TSeries(
-            _sum_products((a[i], b[n - i])
-                          for i in range(max(0, n - len(b) + 1),
-                                         min(n, len(a) - 1) + 1))
-            for n in range(order + 1))
-
-    def scale(self, poly: MultiPoly) -> "TSeries":
-        return TSeries([poly * c for c in self.coeffs])
 
     def __eq__(self, other):
         return isinstance(other, TSeries) and self.coeffs == other.coeffs
@@ -81,59 +69,48 @@ def expand_f(p: int, r: int, shift: int = 0, order: int = 0) -> TSeries:
         raise ValueError("shift must be >= 0")
     if order < 0:
         raise ValueError("order must be >= 0")
-
-    # memo scoped to this call: no caller repeats a whole expansion, and a
-    # process-wide cache would keep every intermediate series alive.  The
-    # memo refers to itself, so it is cleared rather than left to the gc.
-    @cache
-    def series(r, shift, order):
-        if r == 0:  # 1 + t * series(p - 1, shift, order - 1)
-            tail = series(p - 1, shift, order - 1).coeffs if order else ()
-            return TSeries((MultiPoly.one(),) + tail)
-        top = series(0, shift + r, order)
-        rest = series(r - 1, shift, order)
-        return top.mul(rest, order).scale(MultiPoly.v_var(shift + r))
-
-    out = series(r, shift, order)
-    series.cache_clear()
-    return out
+    # e[j] is the shift-0 series of remainder j, one coefficient per step:
+    # e[0] = 1 + t*e[p-1] and e[j] = V_j sigma^j(e[0]) e[j-1]
+    e = [[] for _ in range(p)]
+    raised = [[] for _ in range(p)]  # raised[j][k] = V_j sigma^j(e[0][k])
+    for n in range(order + 1):
+        e[0].append(e[p - 1][n - 1] if n else MultiPoly.one())
+        # no e[j] with j > r is read at t^order
+        for j in range(1, p if n < order else r + 1):
+            raised[j].append(e[0][n]._raised(j, MultiPoly.v_var(j)))
+            e[j].append(_convolved(raised[j], e[j - 1], n))
+    if shift:
+        one = MultiPoly.one()
+        return TSeries(c._raised(shift, one) for c in e[r])
+    return TSeries(e[r])
 
 
 def expand_fraction(p: int, order: int) -> TSeries:
     """Expansion of the nested fraction, exact through t^order.
 
-    Every level contributes at least one power of t, so a level k below
-    the top only matters through t^(order-k).  Each shift's level is
-    computed and scaled by its V once, through the order of its
-    shallowest depth; a level order deep is 1, and nesting deeper cannot
-    change coefficients 0..order.  This is exact because
-    coefficient n of Q = 1/(1 - t*P) reads P only through t^(n-1):
-    Q_n = sum_{k=1..n} P_(k-1) Q_(n-k), which is how Q is expanded,
-    straight from P.
+    The fraction is Q = 1/(1 - t*P) with P = prod_{0<i<p} V_i sigma^i(Q),
+    so coefficient n of Q reads P only through t^(n-1):
+    Q_n = sum_{k=1..n} P_(k-1) Q_(n-k).  P_m is the last link of a chain
+    of convolutions of the raised copies of Q, and reads Q only through
+    t^m.
     """
     if p < 2:
         raise ValueError("p must be >= 2")
     if order < 0:
         raise ValueError("order must be >= 0")
+    q = [MultiPoly.one()]
+    raised = [[] for _ in range(p)]  # raised[i][k] = V_i sigma^i(q[k])
+    # chain[i] = prod_{0<j<=i} V_j sigma^j(Q), so chain[p-1] is P
+    chain = raised[:2] + [[] for _ in range(2, p)]
+    for m in range(order):  # Q_(m+1) is coefficient m of P*Q
+        for i in range(1, p):
+            raised[i].append(q[m]._raised(i, MultiPoly.v_var(i)))
+        for i in range(2, p):
+            chain[i].append(_convolved(raised[i], chain[i - 1], m))
+        q.append(_convolved(chain[p - 1], q, m))
+    return TSeries(q)
 
-    @cache  # scoped to this call, as in expand_f
-    def level(shift):
-        # the fraction at shift, times V_shift below the top, through the
-        # largest t-order a parent reads: shift is ceil(shift/(p-1)) levels
-        # deep or more, and the shallowest parent reads the most
-        m = order - (shift + p - 2) // (p - 1)
-        q = [MultiPoly.one()]
-        if m:
-            prod = None
-            for i in range(1, p):
-                factor = level(shift + i)
-                prod = factor if prod is None else prod.mul(factor, m - 1)
-            c = prod.coeffs
-            for n in range(1, m + 1):
-                q.append(_sum_products((c[k - 1], q[n - k]) for k in range(1, n + 1)))
-        q = TSeries(q)
-        return q.scale(MultiPoly.v_var(shift)) if shift else q
 
-    out = level(0)
-    level.cache_clear()
-    return out
+def _convolved(a, b, n: int) -> MultiPoly:
+    # coefficient n of the product of the series with coefficients a and b
+    return _sum_products((a[k], b[n - k]) for k in range(n + 1))

@@ -154,7 +154,9 @@ def t_n(n: int, ctx: EulerContext) -> XSeries:
 
 def _ladders(ctx: EulerContext) -> list[_Minors]:
     # one ladder per branch s, row i of which holds entry (q + j, r) with
-    # (q, r) = qr(i + s, 3); the branches share entries, each built once
+    # (q, r) = qr(i + s, 3); the branches share entries, each built once.
+    # Row i + 2 is row i moved one column left, so from row 2 on the
+    # ladder eliminates by the shift recurrence and reads no entry
     @cache
     def entry(q, r):
         return f_closed(q, ctx) if r == 0 else f1_closed(q, ctx)
@@ -162,7 +164,7 @@ def _ladders(ctx: EulerContext) -> list[_Minors]:
     def at(row, j):
         q, r = qr(row, 3)
         return entry(q + j, r)
-    return [_Minors(lambda i, j, s=s: at(i + s, j)) for s in range(3)]
+    return [_Minors(lambda i, j, s=s: at(i + s, j), shift=2) for s in range(3)]
 
 
 def _t_n(n: int, ctx: EulerContext, ladders) -> XSeries:

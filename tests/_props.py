@@ -6,13 +6,15 @@ actually performed so callers can enforce a minimum.  Every ring result
 they compute passes through ``ok``, the opt-in canonical-form check.
 
 ``full_order_fraction`` is the nested fraction with every level at the
-full t-order, the oracle of ``expand_fraction``; ``full_order_family``,
-``full_order_limit`` and ``full_order_y`` run every solver sweep at the
-full x-order, the oracles of ``solve_family``, ``solve_v`` and
-``make_context``'s y.  ``f_mid`` is the polynomial mid-path sum, the
-oracle of the walk DP inside a solver sweep; ``univar_coeffs`` and
-``valuation`` read series through ``sorted_terms``, and ``layered``
-reads a layered series.
+full t-order, the oracle of ``expand_fraction``, and
+``splitting_recursion`` expands every shifted level of the splitting
+recursion on its own, the oracle of ``expand_f``; both multiply by
+``tseries_mul``.  ``full_order_family``, ``full_order_limit`` and
+``full_order_y`` run every solver sweep at the full x-order, the oracles
+of ``solve_family``, ``solve_v`` and ``make_context``'s y.  ``f_mid`` is
+the polynomial mid-path sum, the oracle of the walk DP inside a solver
+sweep; ``univar_coeffs`` and ``valuation`` read series through
+``sorted_terms``, and ``layered`` reads a layered series.
 
 The second half is the tuple-form oracle: the exponent-tuple monomials
 the packed ring replaced, kept as the reference the property tests in
@@ -26,7 +28,7 @@ from random import Random
 
 from constel._layered import _Layered
 from constel.algebra import (MultiPoly, NotDivisible, XSeries, _Minors,
-                             _det_cofactor, det_elements)
+                             _det_cofactor, _sum_products, det_elements)
 from constel.contfrac import TSeries
 from constel.paths import _weight_dp
 from constel.solver import SolverConfig, v_update, vi_update
@@ -438,6 +440,20 @@ def _rand_tseries(rng: Random, max_len=5) -> TSeries:
     return TSeries(coeffs)
 
 
+def tseries_mul(a: TSeries, b: TSeries, order: int) -> TSeries:
+    """Product through t^order; either operand may be the shorter."""
+    a, b = a.coeffs, b.coeffs
+    return TSeries(
+        _sum_products((a[i], b[n - i])
+                      for i in range(max(0, n - len(b) + 1),
+                                     min(n, len(a) - 1) + 1))
+        for n in range(order + 1))
+
+
+def tseries_scale(s: TSeries, poly: MultiPoly) -> TSeries:
+    return TSeries([poly * c for c in s.coeffs])
+
+
 def naive_tseries_mul(a: TSeries, b: TSeries, order: int) -> list:
     out = [MultiPoly.zero()] * (order + 1)
     for i, x in enumerate(a.coeffs):
@@ -458,7 +474,7 @@ def naive_inv_unit(s: TSeries) -> list:
 
 
 def check_tseries_kernel(seed: int, cases: int) -> int:
-    """TSeries.mul against double loops over MultiPoly + and *.
+    """tseries_mul against double loops over MultiPoly + and *.
 
     Operands have unequal lengths and zero coefficients, and the requested
     order runs up to two past the full product.
@@ -467,18 +483,40 @@ def check_tseries_kernel(seed: int, cases: int) -> int:
     for _ in range(cases):
         a, b = _rand_tseries(rng), _rand_tseries(rng)
         order = rng.randint(0, a.order + b.order + 2)
-        got = a.mul(b, order)
+        got = tseries_mul(a, b, order)
         assert got.order == order
         assert [ok(c) for c in got.coeffs] == naive_tseries_mul(a, b, order)
     return cases
+
+
+def splitting_recursion(p: int, r: int, shift: int, order: int) -> TSeries:
+    """The splitting recursion with one memoized series per (r, shift, order).
+
+    The oracle of ``constel.contfrac.expand_f``: every shifted level is
+    expanded on its own, where ``expand_f`` raises the V indices of its
+    shift-0 series.
+    """
+    @cache  # scoped to this call; it refers to itself, so it is cleared
+    def series(r, shift, order):
+        if r == 0:  # 1 + t * series(p - 1, shift, order - 1)
+            tail = series(p - 1, shift, order - 1).coeffs if order else ()
+            return TSeries((MultiPoly.one(),) + tail)
+        top = series(0, shift + r, order)
+        rest = series(r - 1, shift, order)
+        return tseries_scale(tseries_mul(top, rest, order),
+                             MultiPoly.v_var(shift + r))
+
+    out = series(r, shift, order)
+    series.cache_clear()
+    return out
 
 
 def full_order_fraction(p: int, order: int, depth: int | None = None) -> TSeries:
     """Expansion of the nested fraction, exact through t^order.
 
     The oracle of ``constel.contfrac.expand_fraction``: the same fraction
-    with every level computed through the full t-order, as it was before
-    each level was cut to the order it can still reach.
+    with every level at every depth expanded on its own through the full
+    t-order, inverted by the naive loop.
     """
     if p < 2:
         raise ValueError("p must be >= 2")
@@ -489,15 +527,15 @@ def full_order_fraction(p: int, order: int, depth: int | None = None) -> TSeries
     if depth < order:
         raise ValueError("depth below order loses exactness")
 
-    @cache  # scoped to this call, as in expand_f
+    @cache  # scoped to this call, as in splitting_recursion
     def fraction(shift, depth):
         if depth == 0:
             return TSeries.one(order)
         prod = None
         for i in range(1, p):
-            factor = fraction(shift + i, depth - 1) \
-                .scale(MultiPoly.v_var(shift + i))
-            prod = factor if prod is None else prod.mul(factor, order)
+            factor = tseries_scale(fraction(shift + i, depth - 1),
+                                   MultiPoly.v_var(shift + i))
+            prod = factor if prod is None else tseries_mul(prod, factor, order)
         denom = [MultiPoly.one()]
         denom.extend(-c for c in prod.coeffs[:order])
         return TSeries(naive_inv_unit(TSeries(denom)))

@@ -1,5 +1,3 @@
-from collections import Counter
-
 import _props
 import pytest
 
@@ -24,7 +22,7 @@ class TestTSeries:
 
     def test_mul_truncates(self):
         s = TSeries((MultiPoly.one(), V(1), V(2)))
-        t = s.mul(s, 2)
+        t = _props.tseries_mul(s, s, 2)
         assert t.coeff(0) == MultiPoly.one()
         assert t.coeff(1) == 2 * V(1)
         assert t.coeff(2) == V(1, 2) + 2 * V(2)
@@ -40,14 +38,25 @@ class TestTSeries:
         # V1^40000 squared has degree 80000, past the 16-bit field
         big = TSeries((MultiPoly.one(), V(1, 40000), MultiPoly.zero()))
         with pytest.raises(ExponentOverflow):
-            big.mul(big, 2)
+            _props.tseries_mul(big, big, 2)
 
     def test_sum_of_products_leaves_degree_unset(self):
         # the degree-2 products cancel, so the sum has degree 1
         total = _sum_products([(V(1), V(1)), (V(1), -V(1)),
                                (V(2), MultiPoly.const(2))])
         assert _props.ok(total) == 2 * V(2)
+        assert total._deg is None
         assert total.total_degree() == 1
+
+    def test_homogeneous_sum_of_products_sets_degree(self):
+        # every pair has degree 3 and the first kept key is of degree 3
+        total = _sum_products([(V(1), V(2, 2)), (V(1, 2), V(3)),
+                               (V(1) * V(2), -V(3))])
+        assert total._deg == 3
+        assert _props.ok(total) == \
+            V(1) * V(2, 2) + V(1, 2) * V(3) - V(1) * V(2) * V(3)
+        # a start term keeps the kernel from setting it
+        assert V(1)._minus_products([(V(1), V(2, 2))])._deg is None
 
 
 class TestRecursiveExpansion:
@@ -66,6 +75,21 @@ class TestRecursiveExpansion:
                     base = expand_f(p, r, shift=0, order=3)
                     for n in range(4):
                         assert lifted.coeff(n) == shift_indices(base.coeff(n), s)
+
+    def test_matches_splitting_recursion_oracle(self):
+        # every remainder and shift, each order up to 6 (5 at p = 5, where
+        # the oracle alone takes 3.8 s at order 6)
+        for p in (2, 3, 4, 5):
+            for r in range(p):
+                for s in (0, 1, 2, 5):
+                    for order in range(7 if p < 5 else 6):
+                        got = expand_f(p, r, s, order)
+                        assert [_props.ok(c) for c in got.coeffs] == list(
+                            _props.splitting_recursion(p, r, s, order).coeffs), \
+                            (p, r, s, order)
+        for p, order in ((2, 12), (3, 8), (4, 6)):
+            assert expand_f(p, 0, 0, order) == \
+                _props.splitting_recursion(p, 0, 0, order), (p, order)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -105,20 +129,8 @@ class TestNestedFraction:
                 got = expand_fraction(p, order)
                 for c in got.coeffs:
                     _props.ok(c)
+                # the oracle expands every level at every depth on its own;
                 # nesting past depth order changes no coefficient
                 for depth in range(order, order + 4):
                     assert got == _props.full_order_fraction(p, order, depth), \
                         (p, order, depth)
-
-    def test_each_level_is_scaled_once(self, monkeypatch):
-        # a level reachable at several depths is still made and scaled once
-        scaled = Counter()
-        scale = TSeries.scale
-
-        def spy(self, poly):
-            scaled[poly] += 1
-            return scale(self, poly)
-        monkeypatch.setattr(TSeries, "scale", spy)
-        expand_fraction(3, 8)
-        assert list(scaled.values()) == [1] * len(scaled)
-        assert set(scaled) == {V(s) for s in range(1, len(scaled) + 1)}

@@ -5,7 +5,7 @@ import pytest
 import constel.solver as solver_mod
 from constel import eulerian
 from constel._layered import _Layered
-from constel.algebra import MultiPoly, XSeries
+from constel.algebra import MultiPoly, XSeries, _Minors
 from constel.eulerian import (EulerContext, f1_closed, f_closed,
                               fib_chebyshev_check, fib_poly, make_context,
                               t_n, v_closed, v_series, verify_det3)
@@ -161,6 +161,15 @@ class TestTriangularLadder:
 
     def test_full_ladder_check(self):
         assert verify_det3(3, 12)
+
+    def test_branch_ladders_by_the_shift_recurrence(self, ctx, no_cofactor):
+        # row i+2 of a branch ladder is row i moved one column left; LU
+        # factors are unique, so every minor is the plain elimination's
+        for ladder in eulerian._ladders(ctx):
+            assert ladder._shift == 2
+            plain = _Minors(ladder._entry)
+            for n in range(8):
+                assert ladder.minor(n) == plain.minor(n), n
 
     def test_branch_ladders_match_one_shot(self, ctx, monkeypatch):
         # verify_det3 reads every T_n off three branch ladders, one per

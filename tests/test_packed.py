@@ -196,3 +196,34 @@ def test_product_past_the_field_raises():
         big * big
     assert issubclass(ExponentOverflow, ArithmeticError)
 
+
+
+V_POLYS = st.dictionaries(exponents(HALF).map(lambda v: (v, ())), COEFF,
+                          max_size=5).map(_props.drop_zeros)
+
+
+@PACKED
+@given(V_POLYS, exponents(HALF), COEFF.filter(bool), st.integers(0, 60))
+def test_raised_matches_rebuild(a, mono, coeff, s):
+    # term * sigma^s(a), sigma raising every V index by one, against the
+    # same polynomial rebuilt from raised exponent tuples
+    term = MultiPoly.from_terms([((mono, ()), coeff)])
+    got = ok(_props.t_to_poly(a)._raised(s, term))
+    rebuilt = MultiPoly.from_terms(((tuple((i + s, e) for i, e in v), x), c)
+                                   for (v, x), c in a.items())
+    assert got == rebuilt * term
+    # the degree is carried over, and equals a scan of the keys
+    assert got._deg == (max(k & _FIELD for k in got._terms) if a else None)
+
+
+def test_raised_rule_for_x_and_the_field_limit():
+    # sigma moves V fields only, so a polynomial with an x variable is
+    # refused, while the term may carry one; the degree check still holds
+    v1, x1 = MultiPoly.v_var(1), MultiPoly.x_var(1)
+    with pytest.raises(ValueError):
+        (v1 + x1)._raised(1, MultiPoly.one())
+    assert ok(v1._raised(2, x1)) == MultiPoly.v_var(3) * x1
+    with pytest.raises(ExponentOverflow):
+        MultiPoly.v_var(1, _FIELD)._raised(1, v1)
+    assert ok(MultiPoly.v_var(1, _FIELD)._raised(1, MultiPoly.const(3))) \
+        == 3 * MultiPoly.v_var(2, _FIELD)
