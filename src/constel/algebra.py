@@ -287,7 +287,7 @@ class MultiPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return MultiPoly(_merge(self._terms, other._terms, 1))
+        return _plus(self, other, 1)
 
     __radd__ = __add__
 
@@ -298,13 +298,13 @@ class MultiPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return MultiPoly(_merge(self._terms, other._terms, -1))
+        return _plus(self, other, -1)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return MultiPoly(_merge(other._terms, self._terms, -1))
+        return _plus(other, self, -1)
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -467,6 +467,16 @@ class MultiPoly:
     def from_json(cls, data: Sequence[Mapping]) -> "MultiPoly":
         return cls.from_terms(((term.get("V"), term.get("x")), int(term["coeff"]))
                               for term in data)
+
+
+def _plus(a: MultiPoly, b: MultiPoly, sign: int) -> MultiPoly:
+    """a + sign*b.  When both degrees are known and differ, the top terms
+    cannot cancel and the larger is the sum's; otherwise ``_deg`` stays
+    unset."""
+    out = MultiPoly(_merge(a._terms, b._terms, sign))
+    if a._deg is not None and b._deg is not None and a._deg != b._deg:
+        out._deg = max(a._deg, b._deg)
+    return out
 
 
 def _sum_products(pairs, start=(), sign=1) -> MultiPoly:

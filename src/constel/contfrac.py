@@ -15,9 +15,15 @@ every shifted level as a raised copy of coefficients already made: a
 coefficient n reads only coefficients below n of the raised copies (a
 relaxed expansion, van der Hoeven, JSC 2002).  Matching the two against
 the direct path aggregation is the core cross-check.
+
+The coefficients of ``expand_f``, f_poly(p, n, r), are the Hankel entries
+too: ``_excursions(p)`` keeps one expansion per p for the Hankel ladders.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from itertools import count
 
 from .algebra import MultiPoly, _sum_products
 
@@ -69,20 +75,54 @@ def expand_f(p: int, r: int, shift: int = 0, order: int = 0) -> TSeries:
         raise ValueError("shift must be >= 0")
     if order < 0:
         raise ValueError("order must be >= 0")
-    # e[j] is the shift-0 series of remainder j, one coefficient per step:
-    # e[0] = 1 + t*e[p-1] and e[j] = V_j sigma^j(e[0]) e[j-1]
-    e = [[] for _ in range(p)]
-    raised = [[] for _ in range(p)]  # raised[j][k] = V_j sigma^j(e[0][k])
-    for n in range(order + 1):
-        e[0].append(e[p - 1][n - 1] if n else MultiPoly.one())
-        # no e[j] with j > r is read at t^order
-        for j in range(1, p if n < order else r + 1):
-            raised[j].append(e[0][n]._raised(j, MultiPoly.v_var(j)))
-            e[j].append(_convolved(raised[j], e[j - 1], n))
+    cells = _Excursions(p)  # a fresh one makes no cell past (order, r)
+    coeffs = [cells.coeff(n, r) for n in range(order + 1)]
     if shift:
         one = MultiPoly.one()
-        return TSeries(c._raised(shift, one) for c in e[r])
-    return TSeries(e[r])
+        return TSeries(c._raised(shift, one) for c in coeffs)
+    return TSeries(coeffs)
+
+
+class _Excursions:
+    """The shift-0 series e[j] of each remainder j, made on request:
+    e[0] = 1 + t*e[p-1] and e[j] = V_j sigma^j(e[0]) e[j-1].  Cells are
+    made in order of n, then j, until the one asked for exists."""
+
+    __slots__ = ("_e", "_cells")
+
+    def __init__(self, p: int):
+        self._e = [[] for _ in range(p)]
+        self._cells = _fill(self._e)  # holds e, not self: no cycle to collect
+
+    def coeff(self, n: int, r: int) -> MultiPoly:
+        """Coefficient n of e[r]: f_poly(p, n, r)."""
+        column = self._e[r]
+        try:
+            while len(column) <= n:
+                next(self._cells)
+        except BaseException:  # a generator that raised is finished: restart
+            self.__init__(len(self._e))
+            raise
+        return column[n]
+
+
+def _fill(e):
+    # makes one cell of e per step: (n, 0), (n, 1), ..., (n, p-1), (n+1, 0)
+    p = len(e)
+    raised = [[] for _ in range(p)]  # raised[j][k] = V_j sigma^j(e[0][k])
+    for n in count():
+        e[0].append(e[p - 1][n - 1] if n else MultiPoly.one())
+        yield
+        for j in range(1, p):
+            raised[j].append(e[0][n]._raised(j, MultiPoly.v_var(j)))
+            e[j].append(_convolved(raised[j], e[j - 1], n))
+            yield
+
+
+@lru_cache(maxsize=8)
+def _excursions(p: int) -> _Excursions:
+    """The excursion cells of p, shared by every Hankel ladder of p."""
+    return _Excursions(p)
 
 
 def expand_fraction(p: int, order: int) -> TSeries:

@@ -18,7 +18,8 @@ from itertools import permutations
 
 from . import algebra
 from .algebra import MultiPoly, NotDivisible, _perm_sign
-from .paths import _walk, enumerate_paths, path_weight
+from .contfrac import _excursions
+from .paths import enumerate_paths, path_weight
 
 
 class IdentityViolation(ArithmeticError):
@@ -81,13 +82,13 @@ def hankel_matrix(spec: HankelSpec) -> list[list[MultiPoly]]:
 def _entry(p: int, m: int, i: int, j: int) -> MultiPoly:
     """Entry (i, j) of the (p, m) matrix: f_poly(p, q+j, r), (q, r) = qr(m+i, p).
 
-    It is read off the walk table of p through ``_walk``, looked up at
-    call time, so a table installed in this module takes effect on every
-    matrix and every fresh ladder.  Row i+p-1 has the same r and q one
-    larger: it is row i moved one column left.
+    It is read off the splitting recursion of p through ``_excursions``,
+    looked up at call time, so a table installed in this module takes
+    effect on every matrix and every fresh ladder.  Row i+p-1 has the same
+    r and q one larger: it is row i moved one column left.
     """
     q, r = qr(m + i, p)
-    return _walk(p, q + j, r)
+    return _excursions(p).coeff(q + j, r)
 
 
 def hankel_det(spec: HankelSpec) -> MultiPoly:

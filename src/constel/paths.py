@@ -11,9 +11,9 @@ the nested fraction expansion and the determinant identities.
 and ``count_paths`` aggregate weights during the walk and never build a
 list.  They share one walk DP, which is generic in the ring of the
 weights, so the solver runs it on series weights as well.  The Hankel
-ladders read their entries, f_poly(p, n, r) for many n, off one lazily
-filled walk table per p (``_walk``); ``f_poly`` keeps its own DP, the
-table's test oracle.
+ladders read their entries, f_poly(p, n, r) for many n, off the
+splitting recursion of ``contfrac`` instead; ``f_poly`` stays a walk DP
+of its own, so it is an independent check of that recursion.
 """
 
 from __future__ import annotations
@@ -176,64 +176,6 @@ def f_poly(p: int, n: int, r: int) -> MultiPoly:
     if not 0 <= r <= p - 1:
         raise ValueError("r must lie in [0, p-1]")
     return _weight_dp(p, n * p + r, r, 0, _v_weight, MultiPoly.one())
-
-
-class _WalkTable:
-    """The weight polynomials of the excursions of one p, by one sweep.
-
-    Cell (d, h) is the weight of the p-paths of length d from height h
-    down to 0, made from layer d-1 as cell(d-1, h+p-1) + V_h*cell(d-1, h-1)
-    (a rise or a fall first), so f_poly(p, n, r) is cell (np+r, r).  Only
-    heights h = d mod p, h <= d, hold paths.  The layers grow on request:
-    asking for cell (D, r) fills layer d up to the height min(d,
-    r+(p-1)(D-d)) that a path from (D, r) can pass, and no further.  A
-    cell whose two readers in layer d+1 both exist is dropped, unless it
-    is the layer's answer, the cell at height d mod p: no later request
-    reads it, since layer d+1 only grows upward.
-    """
-
-    __slots__ = ("p", "_layers", "_top")
-
-    def __init__(self, p: int):
-        self.p = p
-        self._layers = [{0: MultiPoly.one()}]  # _layers[d]: {h: cell (d, h)}
-        self._top = [0]  # every cell of layer d at a height <= _top[d] is made
-
-    def cell(self, length: int, r: int) -> MultiPoly:
-        """Cell (length, r), r = length mod p: f_poly(p, length // p, r)."""
-        layers, top, p = self._layers, self._top, self.p
-        if length < len(layers) and r <= top[length]:
-            return layers[length][r]
-        while len(layers) <= length:
-            layers.append({})
-            top.append(-1)
-        for d in range(1, length + 1):
-            want = min(d, r + (p - 1) * (length - d))
-            if want <= top[d]:
-                continue
-            prev, layer = layers[d - 1], layers[d]
-            first = top[d] + 1 + (d - top[d] - 1) % p  # next height = d mod p
-            for h in range(first, want + 1, p):
-                cell = prev.get(h + p - 1)  # none when h+p-1 > d-1
-                if h:
-                    fall = _v_weight(h) * prev[h - 1]
-                    cell = fall if cell is None else cell + fall
-                layer[h] = cell
-            # every cell of layer d-1 below want now has both its readers
-            for h in range(max(first - 1, p + (d - 1) % p), want, p):
-                del prev[h]
-            top[d] = want
-        return layers[length][r]
-
-
-@lru_cache(maxsize=8)
-def _walk_table(p: int) -> _WalkTable:
-    return _WalkTable(p)
-
-
-def _walk(p: int, n: int, r: int) -> MultiPoly:
-    """f_poly(p, n, r), read off the walk table of p."""
-    return _walk_table(p).cell(n * p + r, r)
 
 
 @lru_cache(maxsize=128)

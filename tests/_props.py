@@ -35,7 +35,10 @@ from constel.solver import SolverConfig, v_update, vi_update
 
 
 def ok(value):
-    """The value, after its canonical-form check."""
+    """The value, after its canonical-form check; a polynomial's degree,
+    when it carries one, must be the one a fresh scan finds."""
+    deg = getattr(value, "_deg", None)
+    assert deg is None or deg == MultiPoly(value._terms).total_degree(), deg
     return value._check()
 
 

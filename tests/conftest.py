@@ -1,4 +1,7 @@
 # keeps tests/ importable for the shared _props helpers
+from functools import partial
+from types import SimpleNamespace
+
 import pytest
 
 from constel import algebra
@@ -7,19 +10,22 @@ import constel.hankel as hankel_mod
 
 @pytest.fixture
 def crooked_walks(monkeypatch):
-    """Install a replacement walk table in ``constel.hankel``.
+    """Install replacement Hankel entries in ``constel.hankel``.
 
-    ``hankel`` reads every matrix entry through its module-level callable
-    ``_walk(p, n, r)``, the polynomial ``f_poly(p, n, r)``; ``install``
-    swaps that name.  ``hankel_det`` reads the minors of a memoized ladder
-    per (p, m), which holds factors computed from the entries it fetched,
-    so the ladders are dropped when the table goes in and again at
-    teardown: the replacement never reads an entry or a determinant of
-    the real table, and no later test reads one of its own.
+    ``hankel`` reads every matrix entry, the polynomial ``f_poly(p, n, r)``,
+    as ``_excursions(p).coeff(n, r)`` through its module-level name
+    ``_excursions``; ``install(walk)`` swaps that name for tables that
+    answer ``walk(p, n, r)``.  ``hankel_det`` reads the minors of a
+    memoized ladder per (p, m), which holds factors computed from the
+    entries it fetched, so the ladders are dropped when the table goes in
+    and again at teardown: the replacement never reads an entry or a
+    determinant of the real expansion, and no later test reads one of its
+    own.
     """
-    def install(table):
+    def install(walk):
         hankel_mod._ladder.cache_clear()
-        monkeypatch.setattr(hankel_mod, "_walk", table)
+        monkeypatch.setattr(hankel_mod, "_excursions",
+                            lambda p: SimpleNamespace(coeff=partial(walk, p)))
     yield install
     hankel_mod._ladder.cache_clear()
 

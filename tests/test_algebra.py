@@ -71,6 +71,28 @@ class TestMultiPoly:
         assert not p.is_zero()
         assert MultiPoly.zero().is_zero()
 
+    def test_sum_carries_a_known_degree(self):
+        # products know their degree; 3 and 1 differ, so no top term cancels
+        a, b = V(1) * V(2, 2), 2 * V(3)
+        assert (a._deg, b._deg) == (3, 1)
+        for total in (a + b, a - b, b - a, b + a):
+            assert total._deg == 3
+            assert _props.ok(total).total_degree() == 3
+        # equal known degrees: the top terms V1*V2 cancel, the scan finds 1
+        c = V(1) * (V(2) + 1)
+        d = V(1) * V(2)
+        assert (c._deg, d._deg) == (2, 2)
+        assert (c - d)._deg is None
+        assert (c - d).total_degree() == 1 and c - d == V(1)
+        # equal known degrees that do not cancel: unset, the scan finds 2
+        h = 3 * V(2) * V(3)
+        assert (d + h)._deg is None and (h - d)._deg is None
+        assert _props.ok(d - h).total_degree() == 2
+        # an operand of unknown degree leaves the sum's unset
+        e = V(1) + 1
+        assert e._deg is None
+        assert (a + e)._deg is None and (e - a)._deg is None
+
     def test_from_terms_merges_and_drops_zeros(self):
         m = ({1: 1}, None)
         p = MultiPoly.from_terms([(m, 2), (m, -2), (((), ()), 5)])

@@ -1,8 +1,11 @@
+from random import Random
+
 import _props
 import pytest
 
+from constel import contfrac
 from constel.algebra import ExponentOverflow, MultiPoly, _sum_products
-from constel.contfrac import TSeries, expand_f, expand_fraction
+from constel.contfrac import _Excursions, TSeries, expand_f, expand_fraction
 from constel.paths import f_poly
 
 V = MultiPoly.v_var
@@ -100,6 +103,55 @@ class TestRecursiveExpansion:
             expand_f(3, 0, -1, 2)
         with pytest.raises(ValueError):
             expand_f(3, 0, 0, -1)
+
+
+class TestExcursions:
+    GRID = {2: 10, 3: 7, 4: 5}
+
+    @staticmethod
+    def orders(p, n_max):
+        asks = [(n, r) for n in range(n_max + 1) for r in range(p)]
+        # r outermost, n running up and down in turn
+        interleaved = [(n, r) for r in range(p)
+                       for n in range(n_max + 1)[::1 if r % 2 else -1]]
+        shuffled = list(asks)
+        Random(p).shuffle(shuffled)
+        return asks, asks[::-1], interleaved, shuffled
+
+    def test_matches_f_poly_in_any_request_order(self):
+        # the Hankel entries: cells are made on request, in a fixed order,
+        # whatever order they are asked in
+        for p, n_max in self.GRID.items():
+            for asks in self.orders(p, n_max):
+                cells = _Excursions(p)
+                for n, r in asks:
+                    assert cells.coeff(n, r) == f_poly(p, n, r), (p, n, r, asks)
+
+    def test_makes_no_cell_past_the_request(self):
+        # cells go in order of n, then r: asking for (4, 1) at p = 3 makes
+        # rows 0..3 whole and row 4 through r = 1
+        cells = _Excursions(3)
+        cells.coeff(4, 1)
+        assert [len(column) for column in cells._e] == [5, 5, 4]
+        cells.coeff(2, 2)  # made already
+        assert [len(column) for column in cells._e] == [5, 5, 4]
+
+    def test_a_failed_step_starts_afresh(self, monkeypatch):
+        # a MemoryError inside a step must not leave a finished generator
+        # or a half-made row behind in the cached expansion
+        real, calls = contfrac._convolved, []
+
+        def failing(a, b, n):
+            calls.append(n)
+            if len(calls) == 3:
+                raise MemoryError
+            return real(a, b, n)
+        monkeypatch.setattr(contfrac, "_convolved", failing)
+        cells = _Excursions(3)
+        with pytest.raises(MemoryError):
+            cells.coeff(3, 2)
+        for n, r in ((3, 2), (0, 1), (4, 0)):
+            assert cells.coeff(n, r) == f_poly(3, n, r)
 
 
 class TestNestedFraction:

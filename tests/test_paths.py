@@ -1,11 +1,10 @@
 from math import comb
-from random import Random
 
 import pytest
 
 from constel.algebra import MultiPoly
-from constel.paths import (PPath, _WalkTable, count_closed3, count_paths,
-                           enumerate_paths, f_poly, path_weight)
+from constel.paths import (PPath, count_closed3, count_paths, enumerate_paths,
+                           f_poly, path_weight)
 
 import _props
 from _props import f_mid
@@ -115,35 +114,6 @@ class TestClosedWalks:
             f_poly(3, 1, 3)
         with pytest.raises(ValueError):
             f_poly(3, -1, 0)
-
-
-class TestWalkTable:
-    GRID = {2: 10, 3: 7, 4: 5}
-
-    @staticmethod
-    def orders(p, n_max):
-        asks = [(n, r) for n in range(n_max + 1) for r in range(p)]
-        # r outermost, n running up and down in turn
-        interleaved = [(n, r) for r in range(p)
-                       for n in range(n_max + 1)[::1 if r % 2 else -1]]
-        shuffled = list(asks)
-        Random(p).shuffle(shuffled)
-        return asks, asks[::-1], interleaved, shuffled
-
-    def test_matches_f_poly_in_any_request_order(self):
-        # pruning and lazy extension depend on the order of the requests; a
-        # cell of layer d below the top of layer d+1 has both its readers,
-        # so only the answer, at height d mod p, stays there
-        for p, n_max in self.GRID.items():
-            for asks in self.orders(p, n_max):
-                table = _WalkTable(p)
-                for n, r in asks:
-                    assert table.cell(n * p + r, r) == f_poly(p, n, r), \
-                        (p, n, r, asks)
-                layers, top = table._layers, table._top
-                for d in range(len(layers) - 1):
-                    assert all(h == d % p or h >= top[d + 1]
-                               for h in layers[d]), (p, d, asks)
 
 
 class TestMidWalks:

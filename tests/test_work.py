@@ -5,15 +5,17 @@ term pairs a kernel multiplies on a fixed call is exact.  Each count must
 stay at or below its pin; a change that lowers one lowers its pin.
 """
 
-from constel import algebra, contfrac, paths
+from constel import _layered, algebra, contfrac, eulerian, solver
 import constel.hankel as hankel_mod
-from constel.hankel import HankelSpec, hankel_det, hankel_product
+from constel.hankel import HankelSpec, hankel_det, hankel_matrix, hankel_product
+from constel.paths import f_poly
 
 
 def count_sum_products(monkeypatch):
     """Count the calls of ``algebra._sum_products`` and their term pairs.
 
-    ``contfrac`` binds the kernel by name, so its binding is patched too.
+    ``contfrac`` and ``_layered`` bind the kernel by name, so their
+    bindings are patched too.
     """
     real, counts = algebra._sum_products, {"calls": 0, "pairs": 0}
 
@@ -24,20 +26,35 @@ def count_sum_products(monkeypatch):
         return real(pairs, start, sign)
     monkeypatch.setattr(algebra, "_sum_products", counted)
     monkeypatch.setattr(contfrac, "_sum_products", counted)
+    monkeypatch.setattr(_layered, "_sum_products", counted)
     return counts
 
 
 def test_hankel_ladder_term_pairs(monkeypatch):
     # a cold (3, 1) ladder to n = 6: rows 2..6 by the shift recurrence, p
     # multipliers each; plain elimination of every row made 244,497 pairs
-    # over 49 calls
-    hankel_mod._ladder.cache_clear()
-    paths._walk_table.cache_clear()
-    counts = count_sum_products(monkeypatch)
+    # over 49 calls.  The entries are made first, so only the elimination
+    # is counted
     spec = HankelSpec(3, 1, 6)
+    hankel_mod._ladder.cache_clear()
+    contfrac._excursions.cache_clear()
+    hankel_matrix(spec)
+    counts = count_sum_products(monkeypatch)
     assert hankel_det(spec) == hankel_product(spec)
     assert counts["pairs"] <= 76_551
     assert counts["calls"] <= 36
+
+
+def test_hankel_entry_term_pairs(monkeypatch):
+    # every entry of the (3, 1, 6) matrix, f_poly(3, n, r) for n <= 9, from
+    # a cold expansion: cells (0, 1) .. (9, 1), one convolution each
+    spec = HankelSpec(3, 1, 6)
+    contfrac._excursions.cache_clear()
+    counts = count_sum_products(monkeypatch)
+    rows = hankel_matrix(spec)
+    assert rows[6][6] == f_poly(3, 9, 1)
+    assert counts["pairs"] <= 68_344
+    assert counts["calls"] <= 19
 
 
 def test_expand_fraction_term_pairs(monkeypatch):
@@ -56,3 +73,22 @@ def test_expand_f_term_pairs(monkeypatch):
     contfrac.expand_f(3, 0, 0, 10)
     assert counts["pairs"] <= 123_019
     assert counts["calls"] <= 20
+
+
+def test_solve_family_term_pairs(monkeypatch):
+    # a fresh family, its limit included
+    solver._limit.cache_clear()
+    counts = count_sum_products(monkeypatch)
+    solver.solve_family(solver.SolverConfig(3, 8, 3, 6))
+    assert counts["pairs"] <= 340_547
+    assert counts["calls"] <= 3_298
+
+
+def test_make_context_term_pairs(monkeypatch):
+    # V = 1 + 2xV^2 and y at order 20, from a cold limit
+    solver._limit.cache_clear()
+    eulerian.make_context.cache_clear()
+    counts = count_sum_products(monkeypatch)
+    eulerian.make_context(20)
+    assert counts["pairs"] <= 711
+    assert counts["calls"] <= 144
