@@ -28,15 +28,15 @@ packed keys: elsewhere a monomial is the pair (v, x) of sorted
 Canonical form: zero coefficients are never stored; terms print in order
 of total degree, then lexicographically on the expanded (family, index)
 word with V before x.  The empty polynomial prints as "0", the unit
-monomial with coefficient c prints as "c".  Every reader of keys by
-field (sorted output, text, JSON, ``substitute`` and the canonical-form
-check ``_check``) reads them in C (``_decode``): each is padded to the
-width of the OR of all keys, and its bytes, cast to native 16-bit
-fields, give the degree, the V fields (odd) and the x fields (even) as
-lists of one length.  Two words of one degree first differ where one has
-the larger exponent on the earlier variable, so the canonical order is
-descending (-degree, V fields, x fields); a key is canonical when its
-fields sum to its degree.
+monomial with coefficient c prints as "c".  Two words of one degree
+first differ where one has the larger exponent on the earlier variable:
+the order is ascending degree, then descending V fields, then x fields.
+``_ordered`` gives it to every reader of keys by field: each key is
+padded to the width of the OR of all keys (``_used``), its sort key is
+one ``bytes`` of its fields big-endian, the degree complemented and, only
+when both families occur, the V fields moved before the x fields; one
+descending sort gives the order, and each term's fields are decoded
+from one native buffer of all keys as the term is read.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ class UnassignedVariable(KeyError):
 
 _WIDTH = 16
 _FIELD = (1 << _WIDTH) - 1  # one field's mask, and the largest degree
-_NAMES: list[str] = []  # _NAMES[j] is str(j + 1), grown by _decode
+_NAMES: list[str] = []  # _NAMES[j] is str(j + 1), grown by _used
 
 
 def _as_exponents(data) -> tuple[tuple[int, int], ...]:
@@ -114,36 +114,46 @@ def _check_degree(deg: int) -> int:
     return deg
 
 
-def _decode(terms: dict) -> list:
-    """(-degree, V fields, x fields, coeff, key) per term, in dict order.
-
-    Every key is padded to the width of the OR of all keys, so the field
-    lists have one length, and the keys are read in C: one ``to_bytes``
-    in native byte order and one 16-bit ``cast`` for all of them.
-    """
-    nfields = reduce(or_, terms, 0).bit_length() // _WIDTH + 1
-    while len(_NAMES) < nfields:
-        _NAMES.append(str(len(_NAMES) + 1))
-    f = memoryview(b"".join([k.to_bytes(2 * nfields, sys.byteorder) for k in terms])) \
-        .cast("H").tolist()
-    return [(-f[j], f[j + 1:j + nfields:2], f[j + 2:j + nfields:2], c, k)
-            for j, (k, c) in zip(range(0, len(f), nfields), terms.items())]
+def _used(terms) -> tuple[list, list]:
+    """The V fields and the x fields of the OR of all keys, each nonzero iff
+    some key uses it: a key padded to their width has 1 + both lengths."""
+    used = reduce(or_, terms, 0)
+    n = used.bit_length() // _WIDTH + 1
+    _NAMES.extend(map(str, range(len(_NAMES) + 1, n + 1)))
+    f = memoryview(used.to_bytes(2 * n, sys.byteorder)).cast("H").tolist()
+    return f[1::2], f[2::2]
 
 
-def _canonical(terms: dict) -> list:
-    # the keys are unique, so the sort never compares past the x fields
-    return sorted(_decode(terms), reverse=True)
+def _ordered(terms: dict):
+    """(coeff, V fields, x fields) per term in canonical order; a family
+    that no key uses gives () for its fields."""
+    v, x = _used(terms)
+    n, vs, xs = 1 + len(v) + len(x), any(v), any(x)
+    raw = b"".join([(k ^ _FIELD).to_bytes(2 * n, sys.byteorder) for k in terms])
+    f, coeffs = memoryview(raw).cast("H"), list(terms.values())
+    order = range(len(coeffs))
+    if len(coeffs) > 1:
+        big = bytearray(raw)  # each field big-endian
+        if sys.byteorder == "little":
+            big[::2], big[1::2] = raw[1::2], raw[::2]
+        if vs and xs:  # the V fields before the x fields
+            fields, big = memoryview(bytes(big)).cast("H"), memoryview(big).cast("H")
+            for new, old in enumerate([0, *range(1, n, 2), *range(2, n, 2)]):
+                big[new::n] = fields[old::n]
+        big = bytes(big)
+        keys = [big[j:j + 2 * n] for j in range(0, len(big), 2 * n)]
+        order = sorted(order, key=keys.__getitem__, reverse=True)
+        del big, keys  # the sort keys are not read past the sort
+    for i in order:
+        j = i * n
+        yield coeffs[i], f[j + 1:j + n:2].tolist() if vs else (), \
+            f[j + 2:j + n:2].tolist() if xs else ()
 
 
 def _nonzero(fields, index):
     # (index, exp) for every nonzero entry of a V or x field list: index
-    # is count(1), or _NAMES for index strings (grown by _decode)
-    return zip(compress(index, fields), compress(fields, fields))
-
-
-def _pair(v, x) -> tuple[tuple, tuple]:
-    # (v, x) exponent tuples from the field lists of one decoded key
-    return tuple(_nonzero(v, count(1))), tuple(_nonzero(x, count(1)))
+    # is count(1), or _NAMES for index strings (grown by _used)
+    return compress(zip(index, fields), fields)
 
 
 def _quotient(a: int, b: int):
@@ -155,22 +165,6 @@ def _quotient(a: int, b: int):
         rest >>= _WIDTH
         shift += _WIDTH
     return a - b
-
-
-def _check_terms(terms: dict) -> list:
-    """The ``_decode`` rows of canonical terms; AssertionError otherwise.
-
-    Coefficients are nonzero ints and keys are non-negative; a carry out
-    of any field leaves the degree field off the sum of the fields.
-    """
-    for key, coeff in terms.items():
-        if not isinstance(coeff, int) or not coeff or key < 0:
-            raise AssertionError(f"stored term {key!r}: {coeff!r}")
-    rows = _decode(terms)
-    for neg_deg, v, x, _, key in rows:
-        if sum(v) + sum(x) != -neg_deg:
-            raise AssertionError(f"packed monomial {key:#x} is not canonical")
-    return rows
 
 
 def _merge(a: dict, b: dict, sign: int) -> dict:
@@ -268,7 +262,8 @@ class MultiPoly:
 
     def sorted_terms(self) -> list[tuple[tuple, int]]:
         """((v, x), coeff) pairs in canonical order."""
-        return [(_pair(v, x), c) for _, v, x, c, _ in _canonical(self._terms)]
+        return [((tuple(_nonzero(v, count(1))), tuple(_nonzero(x, count(1)))), c)
+                for c, v, x in _ordered(self._terms)]
 
     def total_degree(self) -> int:
         deg = self._deg
@@ -277,8 +272,13 @@ class MultiPoly:
         return deg
 
     def _check(self) -> "MultiPoly":
-        """Assert canonical form: nonzero coefficients, consistent fields."""
-        _check_terms(self._terms)
+        """Assert canonical form: nonzero int coefficients, and non-negative
+        keys whose fields sum to their degree (a carry breaks that)."""
+        for key, coeff in self._terms.items():
+            if not isinstance(coeff, int) or not coeff or key < 0:
+                raise AssertionError(f"stored term {key!r}: {coeff!r}")
+            if sum(map(sum, _used((key,)))) != key & _FIELD:
+                raise AssertionError(f"packed monomial {key:#x} is not canonical")
         return self
 
     # -- ring operations ------------------------------------------------
@@ -392,7 +392,7 @@ class MultiPoly:
     def _raised(self, s: int, term: "MultiPoly") -> "MultiPoly":
         """term * sigma^s(self), term one term and self free of x: sigma
         raises every V index by one, moving each V field two fields up."""
-        if any(_decode({reduce(or_, self._terms, 0): 0})[0][2]):
+        if any(_used(self._terms)[1]):
             raise ValueError("only a polynomial in the V family is raised")
         (mono, coeff), = term._terms.items()
         deg = _check_degree(self.total_degree() + term.total_degree())
@@ -416,10 +416,8 @@ class MultiPoly:
         """
         v_assign = v_assign or {}
         x_assign = x_assign or {}
-        # a field is nonzero in the OR of the keys iff some key uses it
-        _, used_v, used_x, _, _ = _decode({reduce(or_, self._terms, 0): 0})[0]
         base: dict[tuple, XSeries] = {}
-        for fam, assign, used in (("V", v_assign, used_v), ("x", x_assign, used_x)):
+        for fam, assign, used in zip("Vx", (v_assign, x_assign), _used(self._terms)):
             for idx, _ in _nonzero(used, count(1)):
                 s = assign.get(idx)
                 if s is None:
@@ -434,7 +432,7 @@ class MultiPoly:
         powers = {var: [s.truncate(order)] for var, s in base.items()}
         acc: dict[int, int] = {}
         get = acc.get
-        for _, v, x, coeff, _ in _decode(self._terms):
+        for coeff, v, x in _ordered(self._terms):
             prod = None
             for fam, fields in (("V", v), ("x", x)):
                 for idx, exp in _nonzero(fields, count(1)):
@@ -453,15 +451,15 @@ class MultiPoly:
 
     def __str__(self):
         return _terms_text((_text(_nonzero(v, _NAMES), _nonzero(x, _NAMES)), c)
-                           for _, v, x, c, _ in _canonical(self._terms))
+                           for c, v, x in _ordered(self._terms))
 
     def __repr__(self):
         return f"MultiPoly({self})"
 
     def to_json(self) -> list[dict]:
-        return [{"coeff": str(c), "V": dict(_nonzero(v, _NAMES)),
-                 "x": dict(_nonzero(x, _NAMES))}
-                for _, v, x, c, _ in _canonical(self._terms)]
+        return [{"coeff": str(c), "V": dict(_nonzero(v, _NAMES)) if v else {},
+                 "x": dict(_nonzero(x, _NAMES)) if x else {}}
+                for c, v, x in _ordered(self._terms)]
 
     @classmethod
     def from_json(cls, data: Sequence[Mapping]) -> "MultiPoly":
@@ -604,12 +602,11 @@ class XSeries:
     def _check(self) -> "XSeries":
         """Assert canonical form: as ``MultiPoly._check``, within the order,
         and x fields only."""
-        for neg_deg, v, _, _, key in _check_terms(self._terms):
-            if -neg_deg > self.order:
-                raise AssertionError(f"term of degree {-neg_deg} past "
-                                     f"order {self.order}")
-            if any(v):
-                raise AssertionError(f"V variable in series key {key:#x}")
+        MultiPoly._check(self)
+        if any(k & _FIELD > self.order for k in self._terms):
+            raise AssertionError(f"a term's degree is past order {self.order}")
+        if any(_used(self._terms)[0]):
+            raise AssertionError("V variable in a series key")
         return self
 
     # -- arithmetic ------------------------------------------------------
@@ -741,9 +738,8 @@ class XSeries:
 
     def sorted_terms(self) -> list[tuple[tuple, int]]:
         """(x exponent tuple, coefficient) pairs by degree, then tuple."""
-        rows = sorted((-d, tuple(_nonzero(x, count(1))), c)
-                      for d, _, x, c, _ in _decode(self._terms))
-        return [(xs, c) for _, xs, c in rows]
+        return [(xs, c) for _, xs, c in sorted((sum(x), tuple(_nonzero(x, count(1))), c)
+                                               for c, _, x in _ordered(self._terms))]
 
     def __str__(self):
         return _terms_text((_text((), xs), c) for xs, c in self.sorted_terms())

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from fractions import Fraction
 from math import comb
 
 from ._layered import _Layered
@@ -205,8 +204,7 @@ def f_from_v(cfg: SolverConfig, n: int) -> XSeries:
     """Excursion series of index n written in the limit weight alone.
 
     The closed form trades the per-level family for powers of the limit
-    series; the bracket coefficients are exact integers even though the
-    intermediate fractions are not.
+    series, with integer coefficients (``_bracket``).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -218,15 +216,21 @@ def f_from_v(cfg: SolverConfig, n: int) -> XSeries:
         raise ArithmeticError("excursion count is not integral")
     out = lead * v.pow(n * (p - 1) + 1)
     for k in range(1, cfg.kmax + 1):
-        bracket = Fraction(0)
-        for j in range(0, min(n, k * (p - 1) - 1) + 1):
-            bracket += Fraction(j * p + 1, n * p + 1) \
-                * comb(n * p + 1, n - j) * comb(k * p - 1, k + j)
-        if bracket.denominator != 1:
-            raise ArithmeticError("bracket coefficient is not integral")
         term = XSeries.var(k, cfg.deg) * v.pow((k + n) * (p - 1))
-        out = out - int(bracket) * term
+        out = out - _bracket(p, n, k) * term
     return out
+
+
+def _bracket(p: int, n: int, k: int) -> int:
+    """The sum over j of (jp+1)/(np+1) * C(np+1, n-j) * C(kp-1, k+j), an
+    integer although its terms need not be: the numerator is summed in
+    integers and divided once; a remainder raises ArithmeticError."""
+    num = sum((j * p + 1) * comb(n * p + 1, n - j) * comb(k * p - 1, k + j)
+              for j in range(min(n, k * (p - 1) - 1) + 1))
+    bracket, rem = divmod(num, n * p + 1)
+    if rem:
+        raise ArithmeticError("bracket coefficient is not integral")
+    return bracket
 
 
 def f1_tutte_check(cfg: SolverConfig, n: int) -> bool:

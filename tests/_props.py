@@ -11,7 +11,9 @@ full t-order, the oracle of ``expand_fraction``, and
 recursion on its own, the oracle of ``expand_f``; both multiply by
 ``tseries_mul``.  ``full_order_family``, ``full_order_limit`` and
 ``full_order_y`` run every solver sweep at the full x-order, the oracles
-of ``solve_family``, ``solve_v`` and ``make_context``'s y.  ``f_mid`` is
+of ``solve_family``, ``solve_v`` and ``make_context``'s y;
+``fraction_bracket`` sums ``f_from_v``'s bracket in ``Fraction``s, the
+oracle of ``solver._bracket``.  ``f_mid`` is
 the polynomial mid-path sum, the oracle of the walk DP inside a solver
 sweep; ``univar_coeffs`` and ``valuation`` read series through
 ``sorted_terms``, and ``layered`` reads a layered series.
@@ -22,8 +24,10 @@ the packed ring replaced, kept as the reference the property tests in
 """
 
 from collections import Counter
+from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
+from math import comb
 from random import Random
 
 from constel._layered import _Layered
@@ -577,6 +581,15 @@ def full_order_y(order: int) -> XSeries:
     for _ in range(order):
         y = xv * (one + y).pow(2)
     return y
+
+
+def fraction_bracket(p: int, n: int, k: int) -> Fraction:
+    """The bracket of ``f_from_v`` as a sum of fractions, each term
+    (jp+1)/(np+1) * C(np+1, n-j) * C(kp-1, k+j): the oracle of
+    ``solver._bracket``, integral or not."""
+    return sum((Fraction(j * p + 1, n * p + 1) * comb(n * p + 1, n - j)
+                * comb(k * p - 1, k + j) for j in range(min(n, k * (p - 1) - 1) + 1)),
+               Fraction(0))
 
 
 # ---------------------------------------------------------------------------

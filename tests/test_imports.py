@@ -3,9 +3,13 @@
 A deletion tends to leave its imports behind; this catches them.  A name
 counts as used when it is read anywhere in the module, as a bare name or
 as the root of an attribute, or when ``__all__`` lists it (a re-export).
+A fresh ``import constel`` must also leave ``fractions`` unloaded.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +47,13 @@ def test_detects_an_unused_import():
     source = ("import os\nimport os.path as osp\nfrom a import b, c as d\n"
               "from m import *\n__all__ = ['b']\nprint(os.sep)\n")
     assert unused_imports(source) == ["d (line 3)", "osp (line 2)"]
+
+
+def test_import_leaves_fractions_out():
+    # fractions, with the decimal module it imports, is milliseconds of
+    # every start; no module of the package needs it
+    code = "import sys, constel; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -116,6 +116,33 @@ def test_wide_polys_match_oracle(a):
     assert p.to_json() == _props.t_json(a)
 
 
+# fixed cases of the ordering kernel, as {(v, x): coeff}
+ORDER_CASES = {
+    # packed fields interleave V and x, so x1 (field 2) would sort before
+    # V2 (field 3) and put V2*x1 first
+    "v_before_x": {(((2, 2),), ()): 1, (((2, 1),), ((1, 1),)): -3},
+    # the fields differ in both bytes: a little-endian key compares the low
+    # bytes first and puts V1^255*V2^256 first
+    "both_bytes": {(((1, 256), (2, 255)), ()): 1, (((1, 255), (2, 256)), ()): 2},
+    # one degree, keys of 2 to 401 fields, both families
+    "degree_ties": {(((1, 2),), ()): 1, ((), ((1, 1), (200, 1))): -1,
+                    (((200, 2),), ()): 4, (((1, 1),), ((2, 1),)): 5, ((), ((1, 2),)): 7},
+    # a wider key of lower degree comes first
+    "degree_first": {(((200, 1),), ()): 1, (((1, 2),), ()): -1, ((), ()): 2},
+    "zero": {},
+    "constant": {((), ()): -5},
+    "single_term": {(((3, 1), (7, 2)), ((2, 1),)): 9},
+}
+
+
+@pytest.mark.parametrize("a", ORDER_CASES.values(), ids=ORDER_CASES.keys())
+def test_order_kernel_cases(a):
+    p = _props.t_to_poly(a)
+    assert str(p) == _props.t_text(a)
+    assert p.to_json() == _props.t_json(a)
+    assert p.sorted_terms() == sorted(a.items(), key=lambda kv: _props.t_word_key(kv[0]))
+
+
 @PACKED
 @given(polys(), monomials(), COEFF.filter(bool), polys(max_size=3))
 def test_exact_div_of_a_product(a, mono, coeff, b):

@@ -212,6 +212,17 @@ class TestExcursionsFromLimit:
                 direct = f_poly(p, n, 0).substitute(family, order=cfg.deg)
                 assert f_from_v(cfg, n) == direct, (p, n)
 
+    def test_bracket_matches_fraction_sum(self):
+        # integer numerator, one division: the same integrality and value
+        # as the sum of fractions it replaced
+        for p, n, k in product(range(2, 6), range(12), range(1, 6)):
+            want = _props.fraction_bracket(p, n, k)
+            if want.denominator == 1:
+                assert solver_mod._bracket(p, n, k) == want, (p, n, k)
+            else:
+                with pytest.raises(ArithmeticError):
+                    solver_mod._bracket(p, n, k)
+
 
 class TestOneLevelSplitting:
     def test_holds_through_degree(self):
