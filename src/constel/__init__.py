@@ -24,7 +24,6 @@ from .algebra import (
     NonSquare,
     NonUnitConstant,
     NotDivisible,
-    UnassignedVariable,
     XSeries,
     det_elements,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "PPath",
     "SolverConfig",
     "TSeries",
-    "UnassignedVariable",
     "XSeries",
     "count_closed3",
     "count_paths",

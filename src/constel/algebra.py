@@ -64,10 +64,6 @@ class NonUnitConstant(ArithmeticError):
     """Series inversion needs constant term +1 or -1."""
 
 
-class UnassignedVariable(KeyError):
-    """Substitution met a variable without an assigned series."""
-
-
 # ---------------------------------------------------------------------------
 # packed monomials: one int, a 16-bit field per (family, index), degree low
 
@@ -287,7 +283,7 @@ class MultiPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _plus(self, other, 1)
+        return MultiPoly(_merge(self._terms, other._terms, 1))
 
     __radd__ = __add__
 
@@ -298,13 +294,13 @@ class MultiPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _plus(self, other, -1)
+        return MultiPoly(_merge(self._terms, other._terms, -1))
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _plus(other, self, -1)
+        return MultiPoly(_merge(other._terms, self._terms, -1))
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -406,47 +402,6 @@ class MultiPoly:
         """self - sum of a*b over (a, b) pairs: one elimination update."""
         return _sum_products(pairs, self._terms, -1)
 
-    def substitute(self, v_assign=None, x_assign=None, order=None) -> "XSeries":
-        """Map V_i and x_k to XSeries values; the result is an XSeries.
-
-        Every variable appearing in the polynomial must be assigned.  The
-        truncation order defaults to the smallest order among the used
-        assignments.  Powers of each assigned series are shared by all
-        terms, each built from the next lower one by one multiply.
-        """
-        v_assign = v_assign or {}
-        x_assign = x_assign or {}
-        base: dict[tuple, XSeries] = {}
-        for fam, assign, used in zip("Vx", (v_assign, x_assign), _used(self._terms)):
-            for idx, _ in _nonzero(used, count(1)):
-                s = assign.get(idx)
-                if s is None:
-                    raise UnassignedVariable(f"{fam}{idx}")
-                base[fam, idx] = s
-        if order is None:
-            if not base:
-                raise ValueError("substitute needs an explicit order when "
-                                 "no variable is assigned")
-            order = min(s.order for s in base.values())
-        # powers[fam, idx][e - 1] is the e-th power of that variable's series
-        powers = {var: [s.truncate(order)] for var, s in base.items()}
-        acc: dict[int, int] = {}
-        get = acc.get
-        for coeff, v, x in _ordered(self._terms):
-            prod = None
-            for fam, fields in (("V", v), ("x", x)):
-                for idx, exp in _nonzero(fields, count(1)):
-                    pw = powers[fam, idx]
-                    while len(pw) < exp:
-                        pw.append(pw[-1] * pw[0])
-                    prod = pw[exp - 1] if prod is None else prod * pw[exp - 1]
-            if prod is None:
-                acc[0] = get(0, 0) + coeff
-                continue
-            for xm, c in prod._terms.items():
-                acc[xm] = get(xm, 0) + coeff * c
-        return XSeries(order, {k: c for k, c in acc.items() if c})
-
     # -- text and JSON ---------------------------------------------------
 
     def __str__(self):
@@ -457,24 +412,18 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
     def to_json(self) -> list[dict]:
-        return [{"coeff": str(c), "V": dict(_nonzero(v, _NAMES)) if v else {},
-                 "x": dict(_nonzero(x, _NAMES)) if x else {}}
-                for c, v, x in _ordered(self._terms)]
+        return list(self._json_terms())
+
+    def _json_terms(self):
+        # the entries of to_json, one at a time
+        for c, v, x in _ordered(self._terms):
+            yield {"coeff": str(c), "V": dict(_nonzero(v, _NAMES)) if v else {},
+                   "x": dict(_nonzero(x, _NAMES)) if x else {}}
 
     @classmethod
     def from_json(cls, data: Sequence[Mapping]) -> "MultiPoly":
         return cls.from_terms(((term.get("V"), term.get("x")), int(term["coeff"]))
                               for term in data)
-
-
-def _plus(a: MultiPoly, b: MultiPoly, sign: int) -> MultiPoly:
-    """a + sign*b.  When both degrees are known and differ, the top terms
-    cannot cancel and the larger is the sum's; otherwise ``_deg`` stays
-    unset."""
-    out = MultiPoly(_merge(a._terms, b._terms, sign))
-    if a._deg is not None and b._deg is not None and a._deg != b._deg:
-        out._deg = max(a._deg, b._deg)
-    return out
 
 
 def _sum_products(pairs, start=(), sign=1) -> MultiPoly:

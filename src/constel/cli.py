@@ -122,8 +122,18 @@ def _dispatch(parser, args) -> int:
         _check(parser, args.order >= 0, "--order must be >= 0")
         series = contfrac.expand_fraction(args.p, args.order)
         if args.json:
-            print(json.dumps({"command": "contfrac", "p": args.p,
-                              **series.to_json()}, indent=2))
+            # the bytes of json.dumps(payload, indent=2), written a term at a
+            # time: built whole, the payload at order 12 took 1 GiB
+            head = {"command": "contfrac", "p": args.p, "order": series.order}
+            out, encode = sys.stdout, json.JSONEncoder(indent=2).encode
+            out.write(encode(head)[:-2] + ',\n  "coeffs": [')
+            for k, coeff in enumerate(series.coeffs):
+                out.write("," * bool(k) + "\n    [")
+                for j, term in enumerate(coeff._json_terms()):
+                    text = encode(term).replace("\n", "\n      ")
+                    out.write("," * bool(j) + "\n      " + text)
+                out.write("\n    ]" if coeff else "]")
+            print("\n  ]\n}")
         else:
             for k in range(series.order + 1):
                 print(f"t^{k}: {series.coeff(k)}")

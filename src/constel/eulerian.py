@@ -6,14 +6,15 @@ through y + 1/y + 2 = 1/(xV), turns each level weight into an explicit
 ratio of the form V (1-y^i)(1-y^{i+4}) / ((1-y^{i+1})(1-y^{i+3})).  The
 banded determinants, rescaled by explicit powers of V, then march along
 a three-term recurrence shared with a Fibonacci-style polynomial family.
-That family is an ordinary ``MultiPoly`` in z = x1, and ``verify_det3``
-substitutes z = xV into it to check the ladder end to end.
+That family is an ordinary ``MultiPoly`` in z = x1; ``verify_det3`` runs
+the same recurrence on the series z = xV to check the ladder end to end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
+from itertools import islice
 
 from ._layered import _Layered
 from .algebra import MultiPoly, XSeries, _Minors
@@ -30,11 +31,15 @@ def fib_poly(n: int) -> MultiPoly:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    z = MultiPoly.x_var(1)
-    prev, cur = MultiPoly.zero(), MultiPoly.one()
-    for _ in range(n):
+    return next(islice(_fib(MultiPoly.x_var(1), MultiPoly.one()), n, None))
+
+
+def _fib(z, one):
+    # f_0, f_1, ... at z, in any commutative ring whose unit is ``one``
+    prev, cur = one - one, one
+    while True:
+        yield prev
         prev, cur = cur, cur - z * prev
-    return prev
 
 
 def fib_chebyshev_check(n: int) -> bool:
@@ -195,11 +200,9 @@ def verify_det3(kmax: int, order: int) -> bool:
     one = XSeries.const(1, ctx.order)
     ladders = _ladders(ctx)
     ts = {n: _t_n(n, ctx, ladders) for n in range(1, top + 4)}
-    z_at = {1: ctx.xV}
-    for n in range(1, top + 1):
-        if ts[n] != fib_poly(n).substitute(x_assign=z_at, order=ctx.order):
-            return False
-    for n in range(1, top + 1):
-        if ts[n + 3] != (one - ctx.xV) * ts[n + 1] - ctx.xV * ts[n]:
+    fibs = islice(_fib(ctx.xV, one), 1, None)  # fib_poly(n) at z = xV
+    for n, fib in zip(range(1, top + 1), fibs):
+        if ts[n] != fib or \
+                ts[n + 3] != (one - ctx.xV) * ts[n + 1] - ctx.xV * ts[n]:
             return False
     return True

@@ -10,7 +10,8 @@ the nested fraction expansion and the determinant identities.
 ``enumerate_paths`` materializes paths for desk-scale oracles; ``f_poly``
 and ``count_paths`` aggregate weights during the walk and never build a
 list.  They share one walk DP, which is generic in the ring of the
-weights, so the solver runs it on series weights as well.  The Hankel
+weights: the solver and its certificates run it on series weights, so a
+path sum at solved levels never expands its polynomial.  The Hankel
 ladders read their entries, f_poly(p, n, r) for many n, off the
 splitting recursion of ``contfrac`` instead; ``f_poly`` stays a walk DP
 of its own, so it is an independent check of that recursion.

@@ -47,7 +47,7 @@ from math import comb
 
 from ._layered import _Layered
 from .algebra import XSeries
-from .paths import _weight_dp, f_poly
+from .paths import _weight_dp
 
 
 @dataclass(frozen=True)
@@ -248,16 +248,16 @@ def f1_tutte_check(cfg: SolverConfig, n: int) -> bool:
     big = cfg if cfg.imax >= need else \
         SolverConfig(cfg.p, cfg.deg, cfg.kmax, need)
     family = solve_vi(big)
+    one = XSeries.const(1, cfg.deg)
 
-    def sub(poly):
-        if poly.is_zero():
-            return XSeries.zero(cfg.deg)
-        return poly.substitute(family, order=cfg.deg)
+    def walks(m, r):
+        # the excursion sum f_poly(3, m, r) with V_h = family[h]
+        return _weight_dp(3, 3 * m + r, r, 0, family.__getitem__, one)
 
-    lhs = sub(f_poly(3, n, 1))
+    lhs = walks(n, 1)
     rhs = XSeries.zero(cfg.deg)
     for l in range(1, cfg.kmax + 1):
-        rhs = rhs + XSeries.var(l, cfg.deg) * sub(f_poly(3, n + l, 0))
+        rhs = rhs + XSeries.var(l, cfg.deg) * walks(n + l, 0)
     for i in range(n + 1):
-        rhs = rhs + sub(f_poly(3, i, 0)) * sub(f_poly(3, n - i, 0))
+        rhs = rhs + walks(i, 0) * walks(n - i, 0)
     return lhs == rhs

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from . import contfrac, eulerian, hankel, paths, solver
-from .algebra import MultiPoly
+from .algebra import MultiPoly, XSeries
 from .hankel import HankelSpec, IdentityViolation, NonUniqueNILP
 
 
@@ -154,10 +154,11 @@ def plan_solver(order) -> CheckPlan:
         bad = [i for i in range(1, cfg.imax + 1) if new[i] != fam[i]]
         return f"levels {bad} moved under one more sweep" if bad else None
 
-    def substitution_match():
+    def from_limit():
         fam = solver.solve_vi(cfg)
+        one = XSeries.const(1, cfg.deg)
         for n in range(0, 3):
-            direct = paths.f_poly(3, n, 0).substitute(fam, order=cfg.deg)
+            direct = paths._weight_dp(3, 3 * n, 0, 0, fam.__getitem__, one)
             if direct != solver.f_from_v(cfg, n):
                 return f"excursion series n={n} differs"
         return None
@@ -176,7 +177,7 @@ def plan_solver(order) -> CheckPlan:
 
     plan.add("solver.scalar-fixed-point", f"p=3 deg={cfg.deg}", scalar_fixed_point)
     plan.add("solver.family-fixed-point", f"p=3 deg={cfg.deg}", family_fixed_point)
-    plan.add("solver.excursions-from-limit", f"p=3 deg={cfg.deg}", substitution_match)
+    plan.add("solver.excursions-from-limit", f"p=3 deg={cfg.deg}", from_limit)
     plan.add("solver.cap-doubling", f"p=3 deg={cfg.deg}", cap_doubling)
     plan.add("solver.one-level-splitting", f"p=3 deg={cfg.deg}", tutte)
     return plan

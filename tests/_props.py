@@ -15,8 +15,10 @@ of ``solve_family``, ``solve_v`` and ``make_context``'s y;
 ``fraction_bracket`` sums ``f_from_v``'s bracket in ``Fraction``s, the
 oracle of ``solver._bracket``.  ``f_mid`` is
 the polynomial mid-path sum, the oracle of the walk DP inside a solver
-sweep; ``univar_coeffs`` and ``valuation`` read series through
-``sorted_terms``, and ``layered`` reads a layered series.
+sweep, and ``evaluate`` puts series into a polynomial term by term, the
+oracle of the walk DP run over series weights; ``univar_coeffs`` and
+``valuation`` read series through ``sorted_terms``, and ``layered``
+reads a layered series.
 
 The second half is the tuple-form oracle: the exponent-tuple monomials
 the packed ring replaced, kept as the reference the property tests in
@@ -25,16 +27,17 @@ the packed ring replaced, kept as the reference the property tests in
 
 from collections import Counter
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from itertools import permutations, product
 from math import comb
+from operator import mul
 from random import Random
 
 from constel._layered import _Layered
 from constel.algebra import (MultiPoly, NotDivisible, XSeries, _Minors,
                              _det_cofactor, _sum_products, det_elements)
 from constel.contfrac import TSeries
-from constel.paths import _weight_dp
+from constel.paths import _weight_dp, f_poly
 from constel.solver import SolverConfig, v_update, vi_update
 
 
@@ -411,21 +414,29 @@ def check_weight_dp_lengths(seed: int, cases: int) -> int:
     return cases
 
 
-def check_substitute_morphism(seed: int, cases: int) -> int:
+def evaluate(poly: MultiPoly, v_at, x_at, one):
+    """poly at V_i = v_at[i] and x_k = x_at[k], term by term: the sum of
+    c * prod s^e over ``sorted_terms``, in the ring whose unit is one."""
+    total = one - one
+    for (v, x), c in poly.sorted_terms():
+        factors = [v_at[i] ** e for i, e in v] + [x_at[k] ** e for k, e in x]
+        total = total + reduce(mul, factors, c * one)
+    return total
+
+
+def check_weight_dp_evaluates(seed: int, cases: int) -> int:
+    """``_weight_dp`` over random unit-constant series weights against
+    ``evaluate`` applied to the expanded f_poly(p, n, r), p in 2..4."""
     rng = Random(seed)
-    order = 5
     for _ in range(cases):
-        a = rand_poly(rng, max_idx=3)
-        b = rand_poly(rng, max_idx=3)
-        v_assign = {i: rand_series(rng, order) for i in range(1, 4)}
-        x_assign = {k: rand_series(rng, order) for k in range(1, 3)}
-
-        def sub(p):
-            return ok(p.substitute(v_assign, x_assign, order=order))
-
-        assert sub(a + b) == ok(sub(a) + sub(b))
-        assert sub(a * b) == ok(sub(a) * sub(b))
-        assert sub(MultiPoly.const(7)) == XSeries.const(7, order)
+        p = rng.randint(2, 4)
+        n, r = rng.randint(0, 8 // p), rng.randint(0, p - 1)
+        order = rng.randint(1, 4)
+        levels = {h: _rand_unit_series(rng, order) for h in range(1, n * p + p)}
+        one = XSeries.const(1, order)
+        got = _weight_dp(p, n * p + r, r, 0, levels.__getitem__, one)
+        assert ok(got) == ok(evaluate(f_poly(p, n, r), levels, {}, one)), \
+            (p, n, r)
     return cases
 
 

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from constel import algebra
+from constel import algebra, contfrac, eulerian, paths, solver
 import constel.hankel as hankel_mod
 
 
@@ -41,3 +41,19 @@ def no_cofactor(monkeypatch):
         raise AssertionError(f"{len(rows)}x{len(rows)} determinant fell back "
                              "to cofactor expansion")
     monkeypatch.setattr(algebra, "_det_cofactor", refuse)
+
+
+@pytest.fixture
+def cold_caches():
+    """Empty every ``lru_cache`` of the computing modules before and after.
+
+    A test that seeds a fault then sees no result made without it, and no
+    later test reads a result made with it.
+    """
+    caches = [obj for mod in (paths, contfrac, hankel_mod, solver, eulerian)
+              for obj in vars(mod).values() if hasattr(obj, "cache_clear")]
+    for cached in caches:
+        cached.cache_clear()
+    yield
+    for cached in caches:
+        cached.cache_clear()

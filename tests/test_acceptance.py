@@ -128,8 +128,9 @@ def test_criterion_7_degree_marked_solver():
         swept = vi_update(cfg, family)
         for i in range(1, cfg.imax + 1):
             assert swept[i] == family[i], i
+        one = XSeries.const(1, cfg.deg)
         for n in range(4):
-            direct = f_poly(3, n, 0).substitute(family, order=cfg.deg)
+            direct = _props.evaluate(f_poly(3, n, 0), family, {}, one)
             assert f_from_v(cfg, n) == direct, n
         wide = SolverConfig(p=3, deg=4, kmax=2, imax=12)
         a, b = solve_vi(cfg), solve_family(wide)  # b is a fresh solve
@@ -151,16 +152,15 @@ def test_criterion_8_solvable_cubic_family():
             assert gap is None or gap >= min(i, 11), i
         ctx = make_context(12)
         family = solve_vi(SolverConfig(p=3, deg=12, kmax=1, imax=9))
+        one = XSeries.const(1, 12)
         for n in range(5):
             assert f_closed(n, ctx) \
-                == f_poly(3, n, 0).substitute(family, order=12), n
+                == _props.evaluate(f_poly(3, n, 0), family, {}, one), n
             assert f1_closed(n, ctx) \
-                == f_poly(3, n, 1).substitute(family, order=12), n
-        one = XSeries.const(1, 12)
+                == _props.evaluate(f_poly(3, n, 1), family, {}, one), n
         ts = {n: t_n(n, ctx) for n in range(1, 16)}
         for n in range(1, 13):
-            assert ts[n] == fib_poly(n).substitute(x_assign={1: ctx.xV},
-                                                   order=12), n
+            assert ts[n] == _props.evaluate(fib_poly(n), {}, {1: ctx.xV}, one), n
             assert ts[n + 3] == (one - ctx.xV) * ts[n + 1] - ctx.xV * ts[n], n
             assert fib_chebyshev_check(n), n
         assert verify_det3(3, 12)
@@ -175,7 +175,7 @@ def test_criterion_9_randomized_algebra_properties():
             _props.check_exact_div(seed=22, cases=120),
             _props.check_det_oracle(seed=33, cases=120),
             _props.check_series_inv(seed=44, cases=120),
-            _props.check_substitute_morphism(seed=55, cases=120),
+            _props.check_weight_dp_evaluates(seed=55, cases=120),
             _props.check_json_roundtrip(seed=66, cases=120),
         )
         assert all(done >= 100 for done in floors)

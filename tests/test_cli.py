@@ -4,11 +4,12 @@ import io
 import json
 import pkgutil
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import product
 
 import pytest
 
 import constel
-from constel import contfrac, hankel, verify
+from constel import contfrac, eulerian, hankel, solver, verify
 from constel.algebra import ExponentOverflow, MultiPoly, XSeries
 from constel.cli import run
 from constel.hankel import IdentityViolation
@@ -37,6 +38,16 @@ class TestBasicCommands:
         payload = json.loads(out)
         assert payload["p"] == 3 and payload["n"] == 1 and payload["r"] == 0
         assert MultiPoly.from_json(payload["result"]) == f_poly(3, 1, 0)
+
+    def test_contfrac_json_streams_the_dumped_payload(self):
+        # written a term at a time, yet the bytes of one json.dumps
+        for p, order in product((2, 3), (0, 1, 4)):
+            rc, out, err = capture(["contfrac", "--p", str(p), "--order",
+                                    str(order), "--json"])
+            payload = {"command": "contfrac", "p": p,
+                       **contfrac.expand_fraction(p, order).to_json()}
+            assert rc == 0 and err == ""
+            assert out == json.dumps(payload, indent=2) + "\n", (p, order)
 
     def test_contfrac_lines(self):
         rc, out, _ = capture(["contfrac", "--p", "2", "--order", "2"])
@@ -126,6 +137,71 @@ class TestCheckPlan:
         assert "FAIL hankel.det-collapse p=2 m=1 n=0  determinant vs weight " \
             "product: 2*V1 != V1" in out.splitlines()
         assert out.splitlines()[-1] == "37 checks, 10 failures"
+
+
+def _level_two_bumped(monkeypatch):
+    # V_2 += x1^3 in every kmax=2 solve, cached or fresh
+    real = solver._Family.solve
+
+    def solve(family, imax):
+        levels = real(family, imax)
+        if family.cfg.kmax == 2:
+            levels[2] = levels[2] + XSeries.var(1, family.cfg.deg) ** 3
+        return levels
+    monkeypatch.setattr(solver._Family, "solve", solve)
+
+
+def _second_excursion_bumped(monkeypatch):
+    # f_closed(2) += x^5, read by the t_n ladders
+    real = eulerian.f_closed
+
+    def f_closed(n, ctx):
+        bump = XSeries.var(1, ctx.order) ** 5 if n == 2 else 0
+        return real(n, ctx) + bump
+    monkeypatch.setattr(eulerian, "f_closed", f_closed)
+
+
+def _ladder_doubled(monkeypatch):
+    # every T_n doubled: the three-term recurrence still holds, so only the
+    # comparison with fib_poly(n) at xV can see it
+    real = eulerian._t_n
+    monkeypatch.setattr(eulerian, "_t_n",
+                        lambda n, ctx, ladders: 2 * real(n, ctx, ladders))
+
+
+def _limit_one_sweep_short(monkeypatch):
+    # deg - 1 sweeps of the scalar fixed point from 1, where deg are exact
+    def solve_v(cfg):
+        v = XSeries.const(1, cfg.deg)
+        for _ in range(cfg.deg - 1):
+            v = solver.v_update(cfg, v)
+        return v
+    monkeypatch.setattr(solver, "solve_v", solve_v)
+
+
+# each row: a seeded fault, and the exact set of check names it fails
+FAULT_ROWS = [
+    (_level_two_bumped, {"solver.excursions-from-limit",
+                         "solver.family-fixed-point",
+                         "solver.one-level-splitting"}),
+    (_second_excursion_bumped, {"euler.determinant-ladder"}),
+    (_ladder_doubled, {"euler.determinant-ladder"}),
+    # make_context reads the layered limit itself, not solve_v, so the
+    # euler.level-weight-closed-form checks do not see this one
+    (_limit_one_sweep_short, {"solver.scalar-fixed-point",
+                              "solver.excursions-from-limit"}),
+]
+
+
+@pytest.mark.parametrize("fault, failing", FAULT_ROWS,
+                         ids=[fault.__name__[1:] for fault, _ in FAULT_ROWS])
+def test_seeded_fault_fails_exactly(fault, failing, monkeypatch, cold_caches):
+    # the default report under one seeded fault: exactly these names fail
+    fault(monkeypatch)
+    rc, out, err = capture(["verify-all"])
+    failed = {line.split()[1] for line in out.splitlines()
+              if line.startswith("FAIL ")}
+    assert failed == failing and err == "" and rc == 1
 
 
 class TestVerifyAll:

@@ -108,14 +108,16 @@ class TestLevelWeights:
 class TestClosedExcursions:
     def test_base_matches_substituted_walks(self, ctx):
         family = solve_vi(SolverConfig(p=3, deg=ORDER, kmax=1, imax=9))
+        one = XSeries.const(1, ORDER)
         for n in range(5):
-            direct = f_poly(3, n, 0).substitute(family, order=ORDER)
+            direct = _props.evaluate(f_poly(3, n, 0), family, {}, one)
             assert f_closed(n, ctx) == direct, n
 
     def test_lifted_matches_substituted_walks(self, ctx):
         family = solve_vi(SolverConfig(p=3, deg=ORDER, kmax=1, imax=9))
+        one = XSeries.const(1, ORDER)
         for n in range(5):
-            direct = f_poly(3, n, 1).substitute(family, order=ORDER)
+            direct = _props.evaluate(f_poly(3, n, 1), family, {}, one)
             assert f1_closed(n, ctx) == direct, n
 
     def test_alternate_base_form(self, ctx):
@@ -145,8 +147,9 @@ class TestTriangularLadder:
     def test_equals_fib_ladder(self, ctx, no_cofactor):
         # n = 22, 25, 28 and 31 are 7x7 to 10x10 determinants; every pivot
         # is a smaller t determinant, a unit series, so none falls back
+        one = XSeries.const(1, ORDER)
         for n in [*range(1, 13), 22, 25, 28, 31]:
-            want = fib_poly(n).substitute(x_assign={1: ctx.xV}, order=ORDER)
+            want = _props.evaluate(fib_poly(n), {}, {1: ctx.xV}, one)
             assert t_n(n, ctx) == want, n
 
     def test_three_term_recurrence(self, ctx):

@@ -95,15 +95,16 @@ class TestFamily:
 
     def test_sweep_reads_the_mid_path_polynomials(self):
         # the walk DP over series weights equals the mid-path polynomial
-        # substituted: V_i <- 1 + V_i * sum_n x_n * f_mid(p, n, i)(V)
+        # evaluated term by term: V_i <- 1 + V_i * sum_n x_n * f_mid(p, n, i)(V)
         for p, kmax in ((2, 2), (3, 2), (4, 1)):
             cfg = SolverConfig(p=p, deg=3, kmax=kmax, imax=3)
             family = solve_vi(replace(cfg, imax=3 + cfg.window))
             swept = vi_update(cfg, family)
             assert len(swept) == 3
+            one = XSeries.const(1, 3)
             for i, got in swept.items():
-                mids = sum((XSeries.var(n, 3)
-                            * _props.f_mid(p, n, i).substitute(family, order=3)
+                mids = sum((XSeries.var(n, 3) * _props.evaluate(
+                                _props.f_mid(p, n, i), family, {}, one)
                             for n in range(1, kmax + 1)), XSeries.zero(3))
                 assert got == 1 + family[i] * mids, (p, i)
 
@@ -200,16 +201,18 @@ class TestExcursionsFromLimit:
     def test_matches_substituted_walks(self):
         cfg = SolverConfig(p=3, deg=5, kmax=2, imax=1)
         family = solve_vi(SolverConfig(p=3, deg=5, kmax=2, imax=6))
+        one = XSeries.const(1, cfg.deg)
         for n in range(4):
-            direct = f_poly(3, n, 0).substitute(family, order=cfg.deg)
+            direct = _props.evaluate(f_poly(3, n, 0), family, {}, one)
             assert f_from_v(cfg, n) == direct, n
 
     def test_matches_other_step_sizes(self):
         for p in (2, 4):
             cfg = SolverConfig(p=p, deg=4, kmax=1, imax=1)
             family = solve_vi(SolverConfig(p=p, deg=4, kmax=1, imax=6))
+            one = XSeries.const(1, cfg.deg)
             for n in range(3):
-                direct = f_poly(p, n, 0).substitute(family, order=cfg.deg)
+                direct = _props.evaluate(f_poly(p, n, 0), family, {}, one)
                 assert f_from_v(cfg, n) == direct, (p, n)
 
     def test_bracket_matches_fraction_sum(self):
