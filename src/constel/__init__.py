@@ -51,7 +51,7 @@ from .hankel import (
     nilp_unique,
     recover_vi,
 )
-from .paths import PPath, count_closed3, count_paths, enumerate_paths, f_poly, path_weight
+from .paths import PPath, count_closed, count_paths, enumerate_paths, f_poly, path_weight
 from .solver import SolverConfig, f1_tutte_check, f_from_v, solve_v, solve_vi
 
 __version__ = "0.1.0"
@@ -70,7 +70,7 @@ __all__ = [
     "SolverConfig",
     "TSeries",
     "XSeries",
-    "count_closed3",
+    "count_closed",
     "count_paths",
     "det_elements",
     "enumerate_paths",

@@ -6,8 +6,8 @@ weights.  ``MultiPoly`` is the exact sparse polynomial type; ``XSeries``
 is a power series in the x family truncated at a total-degree bound,
 which is what the fixed-point solvers produce.  Coefficients are plain
 Python integers, so there is no precision ceiling anywhere and equality
-is literal equality.  ``det_elements`` is the one determinant, over
-either ring; its ``_Minors`` gives every leading minor from one LU.
+is literal equality.  Every determinant, over either ring, is a leading
+minor of ``_Minors``, one growing LU; ``det_elements`` reads the last.
 An ``XSeries`` is joined from its homogeneous layers (``_of_layers``)
 by ``_layered._Layered``, the solvers' relaxed series, which thereby
 never sees a packed key.
@@ -686,12 +686,10 @@ class XSeries:
     # -- text and JSON ----------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[tuple, int]]:
-        """(x exponent tuple, coefficient) pairs by degree, then tuple."""
-        return [(xs, c) for _, xs, c in sorted((sum(x), tuple(_nonzero(x, count(1))), c)
-                                               for c, _, x in _ordered(self._terms))]
+        """(x exponent tuple, coefficient) pairs in canonical order."""
+        return [(tuple(_nonzero(x, count(1))), c) for c, _, x in _ordered(self._terms)]
 
-    def __str__(self):
-        return _terms_text((_text((), xs), c) for xs, c in self.sorted_terms())
+    __str__ = MultiPoly.__str__
 
     def __repr__(self):
         return f"XSeries(order={self.order}, {self})"
@@ -726,20 +724,15 @@ def _coerce_series(value, order):
 def det_elements(rows):
     """Determinant of a square matrix of MultiPoly or XSeries entries.
 
-    The one determinant entry point, for both rings: the elimination of
-    ``_Minors``, on each ring's pivot rule (a single term for
-    ``MultiPoly``, constant term +1 or -1 for ``XSeries``).  Where it gives
-    up, one division-free cofactor expansion of the whole matrix follows;
-    no smaller minor is wanted.  An empty or ragged matrix raises
-    ``NonSquare``: callers return their ring's one for the empty case.
+    The last leading minor of ``_Minors`` over the rows, on each ring's
+    pivot rule (a single term for ``MultiPoly``, constant term +1 or -1
+    for ``XSeries``).  An empty or ragged matrix raises ``NonSquare``:
+    callers return their ring's one for the empty case.
     """
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise NonSquare("determinant needs a non-empty square matrix")
-    ladder = _Minors(lambda i, j: rows[i][j])
-    if all(ladder._eliminate(k) for k in range(n)):
-        return ladder.minors[-1]
-    return _det_cofactor(rows)
+    return _Minors(lambda i, j: rows[i][j]).minor(n - 1)
 
 
 class _Minors:
@@ -761,9 +754,10 @@ class _Minors:
     s+1 multipliers (the modified Chebyshev algorithm; Gautschi, SIAM J.
     Sci. Stat. Comput. 3, 1982).
 
-    Once a pivot has no divider or a quotient leaves the ring, each larger
-    minor is the cofactor expansion of its leading block, fetched again
-    through ``entry``.
+    ``minor`` is the package's one fallback: once a pivot has no divider
+    or a quotient leaves the ring, each larger minor is the cofactor
+    expansion of its leading block, fetched again through ``entry`` and
+    not kept.
     """
 
     __slots__ = ("_entry", "_shift", "_lower", "_upper", "_divide", "minors")
@@ -778,17 +772,14 @@ class _Minors:
 
     def minor(self, n: int):
         """Determinant of the leading (n+1) x (n+1) block, n >= 0."""
+        # a border that fails or raises leaves the ladder as it was (its U
+        # entries made so far are exact, and kept)
         while len(self.minors) <= n:
-            self._border(len(self.minors))
+            if not self._eliminate(len(self.minors)):
+                entry = self._entry
+                return _det_cofactor([[entry(i, j) for j in range(n + 1)]
+                                      for i in range(n + 1)])
         return self.minors[n]
-
-    def _border(self, n: int):
-        # all or nothing: a border that raises leaves the ladder as it was
-        # (its U entries made so far are exact, and kept)
-        if len(self._upper) < n or not self._eliminate(n):
-            entry = self._entry
-            block = [[entry(i, j) for j in range(n + 1)] for i in range(n + 1)]
-            self.minors.append(_det_cofactor(block))
 
     def _u(self, k: int, c: int):
         # u[k][c] for c >= k, made once

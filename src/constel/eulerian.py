@@ -4,8 +4,9 @@ Everything specializes to series in the single variable x.  The limit
 weight V satisfies V = 1 + 2xV^2; the substitution variable y, defined
 through y + 1/y + 2 = 1/(xV), turns each level weight into an explicit
 ratio of the form V (1-y^i)(1-y^{i+4}) / ((1-y^{i+1})(1-y^{i+3})).  The
-banded determinants, rescaled by explicit powers of V, then march along
-a three-term recurrence shared with a Fibonacci-style polynomial family.
+banded determinants, the Hankel layout (``hankel._banded``) over those
+closed forms and rescaled by explicit powers of V, then march along a
+three-term recurrence shared with a Fibonacci-style polynomial family.
 That family is an ordinary ``MultiPoly`` in z = x1; ``verify_det3`` runs
 the same recurrence on the series z = xV to check the ladder end to end.
 """
@@ -17,9 +18,9 @@ from functools import cache, lru_cache, partial
 from itertools import islice
 
 from ._layered import _Layered
-from .algebra import MultiPoly, XSeries, _Minors
-from .paths import count_closed3
-from .hankel import qr
+from .algebra import MultiPoly, XSeries
+from .hankel import _banded
+from .paths import count_closed
 from .solver import SolverConfig, _limit, solve_vi
 
 
@@ -126,8 +127,8 @@ def f_closed(n: int, ctx: EulerContext) -> XSeries:
     if n < 0:
         raise ValueError("n must be >= 0")
     one = XSeries.const(1, ctx.order)
-    bracket = count_closed3(n, 0) * (one - ctx.xV) \
-        - count_closed3(n, 1) * ctx.xV
+    bracket = count_closed(3, n, 0) * (one - ctx.xV) \
+        - count_closed(3, n, 1) * ctx.xV
     return bracket * ctx.V.pow(2 * n + 1)
 
 
@@ -136,8 +137,8 @@ def f1_closed(n: int, ctx: EulerContext) -> XSeries:
     if n < 0:
         raise ValueError("n must be >= 0")
     one = XSeries.const(1, ctx.order)
-    bracket = count_closed3(n, 1) * (one - ctx.xV).pow(2) \
-        - count_closed3(n + 1, 0) * ctx.xV
+    bracket = count_closed(3, n, 1) * (one - ctx.xV).pow(2) \
+        - count_closed(3, n + 1, 0) * ctx.xV
     return bracket * ctx.V.pow(2 * n + 2)
 
 
@@ -146,8 +147,9 @@ def t_n(n: int, ctx: EulerContext) -> XSeries:
 
     The size-k banded determinant with entries from f_closed/f1_closed is
     divided by an explicit power of V (and, on the third branch, carries
-    the extra factor 1 - xV).  It is a leading minor of the ladder
-    (``algebra._Minors``) of branch s = (n-1) mod 3; every leading minor
+    the extra factor 1 - xV).  It is a leading minor of the ladder of
+    branch s = (n-1) mod 3, the (3, s) banded layout of the Hankel
+    matrices (``hankel._banded``) over f_closed/f1_closed; every leading minor
     is a smaller t determinant of the branch, with constant term 1, so the
     ladder eliminates on unit pivots all the way.  For n <= 3 the matrix
     is empty and the determinant is the series 1.
@@ -157,19 +159,13 @@ def t_n(n: int, ctx: EulerContext) -> XSeries:
     return _t_n(n, ctx, _ladders(ctx))
 
 
-def _ladders(ctx: EulerContext) -> list[_Minors]:
-    # one ladder per branch s, row i of which holds entry (q + j, r) with
-    # (q, r) = qr(i + s, 3); the branches share entries, each built once.
-    # Row i + 2 is row i moved one column left, so from row 2 on the
-    # ladder eliminates by the shift recurrence and reads no entry
+def _ladders(ctx: EulerContext) -> list:
+    # one ladder per branch s, the (3, s) banded layout of the Hankel
+    # matrices over the closed forms; the branches share cells, each built once
     @cache
-    def entry(q, r):
+    def cell(q, r):
         return f_closed(q, ctx) if r == 0 else f1_closed(q, ctx)
-
-    def at(row, j):
-        q, r = qr(row, 3)
-        return entry(q + j, r)
-    return [_Minors(lambda i, j, s=s: at(i + s, j), shift=2) for s in range(3)]
+    return [_banded(3, s, cell) for s in range(3)]
 
 
 def _t_n(n: int, ctx: EulerContext, ladders) -> XSeries:

@@ -4,9 +4,11 @@ The matrix indexed by (i, j) holds the weight polynomial of the paths
 from a staggered source ladder to the excursion endpoints (jp, 0).  Its
 determinant collapses to one monomial, the product of every fall weight
 V_1 .. V_{ip+m} over the rows, and ratios of neighbouring determinants
-peel off a single V_i.  A signed brute-force sum over path systems and a
-direct search for vertex-disjoint configurations give fully independent
-desk-scale checks of the same collapse.
+peel off a single V_i.  The (p, m) layout is one shifted elimination,
+``_banded``, which the cubic case's ladders run over series cells.  A
+signed brute-force sum over path systems and a direct search for
+vertex-disjoint configurations give fully independent desk-scale checks
+of the same collapse.
 """
 
 from __future__ import annotations
@@ -74,34 +76,43 @@ class LGVGraph:
 
 def hankel_matrix(spec: HankelSpec) -> list[list[MultiPoly]]:
     """Rows of the (n+1) x (n+1) matrix of path polynomials for (p, m, n)."""
-    size = spec.n + 1
-    return [[_entry(spec.p, spec.m, i, j) for j in range(size)]
-            for i in range(size)]
+    cell, size = partial(_walks, spec.p), spec.n + 1
+    return [[_at(spec.p, spec.m, cell, i, j) for j in range(size)] for i in range(size)]
 
 
-def _entry(p: int, m: int, i: int, j: int) -> MultiPoly:
-    """Entry (i, j) of the (p, m) matrix: f_poly(p, q+j, r), (q, r) = qr(m+i, p).
+def _walks(p: int, n: int, r: int) -> MultiPoly:
+    # f_poly(p, n, r) off the splitting recursion of p; ``_excursions`` is
+    # looked up at call time, so a table installed in this module takes
+    # effect on every matrix and every fresh ladder
+    return _excursions(p).coeff(n, r)
 
-    It is read off the splitting recursion of p through ``_excursions``,
-    looked up at call time, so a table installed in this module takes
-    effect on every matrix and every fresh ladder.  Row i+p-1 has the same
-    r and q one larger: it is row i moved one column left.
-    """
+
+def _at(p: int, m: int, cell, i: int, j: int):
+    # entry (i, j) of the (p, m) layout
     q, r = qr(m + i, p)
-    return _excursions(p).coeff(q + j, r)
+    return cell(q + j, r)
+
+
+def _banded(p: int, m: int, cell) -> algebra._Minors:
+    """The leading minors of the (p, m) banded matrix over ``cell``.
+
+    Entry (i, j) is cell(q+j, r) with (q, r) = qr(m+i, p).  Row i+p-1 has
+    the same r and q one larger: it is row i moved one column left, so the
+    ladder runs the shift recurrence from row p-1 on (``_Minors`` with
+    shift p-1): each U row from there on is the U row p-1 above it moved
+    left, less p multiples of the rows just above, and reads no entry.
+    """
+    return algebra._Minors(partial(_at, p, m, cell), shift=p - 1)
 
 
 def hankel_det(spec: HankelSpec) -> MultiPoly:
     """Determinant of the banded matrix; the empty case n = -1 gives 1.
 
     The matrices of one (p, m) are the leading blocks of one matrix: this
-    reads a leading minor of its memoized bordered elimination, ``_ladder``,
-    which computes each determinant once.  Only its first p-1 rows read
-    entries; every later row of U comes from the row p-1 above it by the
-    shift recurrence, exact because LU factors are unique.  Every pivot is
-    a ratio of neighbouring minors, a monomial, and the multipliers have
-    divided exactly at every size tested (else cofactor expansion takes
-    over).
+    reads a leading minor of its memoized banded ladder, ``_ladder``, which
+    computes each determinant once.  Every pivot is a ratio of neighbouring
+    minors, a monomial, and the multipliers have divided exactly at every
+    size tested (else cofactor expansion takes over).
     """
     if spec.n == -1:
         return MultiPoly.one()
@@ -110,14 +121,8 @@ def hankel_det(spec: HankelSpec) -> MultiPoly:
 
 @lru_cache(maxsize=16)
 def _ladder(p: int, m: int) -> algebra._Minors:
-    """The leading minors of the (p, m) matrix, one growing LU.
-
-    Row i+p-1 of the matrix is row i moved one column left, so the ladder
-    runs the shift recurrence from row p-1 on (``_Minors`` with shift
-    p-1): each U row from there on is the U row p-1 above it moved left,
-    less p multiples of the rows just above, and reads no entry.
-    """
-    return algebra._Minors(partial(_entry, p, m), shift=p - 1)
+    """The leading minors of the (p, m) Hankel matrix, one growing LU."""
+    return _banded(p, m, partial(_walks, p))
 
 
 def hankel_product(spec: HankelSpec) -> MultiPoly:

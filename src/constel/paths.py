@@ -191,13 +191,16 @@ def count_paths(p: int, n: int, r: int) -> int:
     return _weight_dp(p, n * p + r, r, 0, lambda h: 1, 1)
 
 
-def count_closed3(n: int, r: int) -> int:
-    """Closed form for count_paths(3, n, r); zero when n < 0."""
+def count_closed(p: int, n: int, r: int) -> int:
+    """count_paths(p, n, r) for any r >= 0, zero when n < 0: the Raney
+    number (r+1)/(np+r+1) * C(np+r+1, n)."""
+    if p < 2:
+        raise ValueError("p must be >= 2")
+    if r < 0:
+        raise ValueError("r must be >= 0")
     if n < 0:
         return 0
-    num = (r + 1) * comb(3 * n + r + 1, n)
-    den = 3 * n + r + 1
-    q, rem = divmod(num, den)
+    q, rem = divmod((r + 1) * comb(n * p + r + 1, n), n * p + r + 1)
     if rem:
         raise ArithmeticError("ballot quotient is not integral")
     return q

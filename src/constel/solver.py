@@ -47,7 +47,7 @@ from math import comb
 
 from ._layered import _Layered
 from .algebra import XSeries
-from .paths import _weight_dp
+from .paths import _weight_dp, count_closed
 
 
 @dataclass(frozen=True)
@@ -210,11 +210,7 @@ def f_from_v(cfg: SolverConfig, n: int) -> XSeries:
         raise ValueError("n must be >= 0")
     p = cfg.p
     v = solve_v(cfg)
-    lead_num = comb(n * p + 1, n)
-    lead, rem = divmod(lead_num, n * p + 1)
-    if rem:
-        raise ArithmeticError("excursion count is not integral")
-    out = lead * v.pow(n * (p - 1) + 1)
+    out = count_closed(p, n, 0) * v.pow(n * (p - 1) + 1)
     for k in range(1, cfg.kmax + 1):
         term = XSeries.var(k, cfg.deg) * v.pow((k + n) * (p - 1))
         out = out - _bracket(p, n, k) * term
@@ -222,15 +218,10 @@ def f_from_v(cfg: SolverConfig, n: int) -> XSeries:
 
 
 def _bracket(p: int, n: int, k: int) -> int:
-    """The sum over j of (jp+1)/(np+1) * C(np+1, n-j) * C(kp-1, k+j), an
-    integer although its terms need not be: the numerator is summed in
-    integers and divided once; a remainder raises ArithmeticError."""
-    num = sum((j * p + 1) * comb(n * p + 1, n - j) * comb(k * p - 1, k + j)
-              for j in range(min(n, k * (p - 1) - 1) + 1))
-    bracket, rem = divmod(num, n * p + 1)
-    if rem:
-        raise ArithmeticError("bracket coefficient is not integral")
-    return bracket
+    """The sum over j of count_closed(p, n-j, jp) * C(kp-1, k+j), whose
+    terms (jp+1)/(np+1) * C(np+1, n-j) * C(kp-1, k+j) are integers."""
+    return sum(count_closed(p, n - j, j * p) * comb(k * p - 1, k + j)
+               for j in range(n + 1))
 
 
 def f1_tutte_check(cfg: SolverConfig, n: int) -> bool:

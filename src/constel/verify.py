@@ -64,14 +64,8 @@ def plan_paths(p_values, n_max) -> CheckPlan:
             plan.add("paths.count-closed-form", f"p={p} n={n}",
                      lambda p=p, n=n: _diff(
                          "excursion count", paths.count_paths(p, n, 0),
-                         paths.count_closed3(n, 0) if p == 3 else
-                         _fuss(p, n)))
+                         paths.count_closed(p, n, 0)))
     return plan
-
-
-def _fuss(p, n):
-    from math import comb
-    return comb(n * p + 1, n) // (n * p + 1)
 
 
 def plan_contfrac(p_values, n_max) -> CheckPlan:

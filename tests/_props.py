@@ -746,4 +746,5 @@ def t_series_inv(a: dict, order: int) -> dict:
 
 
 def t_sorted_series(a: dict) -> list:
-    return sorted(a.items(), key=lambda kv: (t_degree(kv[0]), kv[0]))
+    # the canonical order of polynomials, t_word_key, on x tuples
+    return sorted(a.items(), key=lambda kv: t_word_key(((), kv[0])))

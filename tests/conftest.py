@@ -32,10 +32,11 @@ def crooked_walks(monkeypatch):
 
 @pytest.fixture
 def no_cofactor(monkeypatch):
-    """Make the cofactor fallback of ``det_elements`` raise.
+    """Make the cofactor fallback of ``_Minors.minor`` raise.
 
     A determinant computed under this fixture, through ``det_elements`` or
-    a Hankel or ``t_n`` ladder, comes from the elimination.
+    a banded ladder (Hankel, ``t_n`` or an integer image), comes from the
+    elimination.
     """
     def refuse(rows):
         raise AssertionError(f"{len(rows)}x{len(rows)} determinant fell back "

@@ -15,7 +15,7 @@ from constel.eulerian import (fib_chebyshev_check, fib_poly, f1_closed,
                               verify_det3)
 from constel.hankel import (HankelSpec, hankel_det, hankel_product,
                             lgv_signed_sum, nilp_unique, recover_vi)
-from constel.paths import (count_closed3, count_paths, enumerate_paths,
+from constel.paths import (count_closed, count_paths, enumerate_paths,
                            f_poly, path_weight)
 from constel.solver import (SolverConfig, f1_tutte_check, f_from_v,
                             solve_family, solve_v, solve_vi, v_update,
@@ -107,10 +107,10 @@ def test_criterion_6_counting_formulas():
                     assert count_paths(p, n, r) == want, (p, n, r)
         for n in range(7):
             for r in range(4):
-                assert count_closed3(n, r) == count_paths(3, n, r)
+                assert count_closed(3, n, r) == count_paths(3, n, r)
             if n >= 1:
-                assert count_closed3(n, 1) == count_closed3(n, 0) \
-                    + count_closed3(n - 1, 3)
+                assert count_closed(3, n, 1) == count_closed(3, n, 0) \
+                    + count_closed(3, n - 1, 3)
         for p in (2, 3):
             for n in range(4):
                 got = len(enumerate_paths(p, (0, 0), (n * p, 0)))

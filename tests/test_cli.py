@@ -9,7 +9,7 @@ from itertools import product
 import pytest
 
 import constel
-from constel import contfrac, eulerian, hankel, solver, verify
+from constel import contfrac, eulerian, hankel, paths, solver, verify
 from constel.algebra import ExponentOverflow, MultiPoly, XSeries
 from constel.cli import run
 from constel.hankel import IdentityViolation
@@ -124,6 +124,22 @@ class TestCheckPlan:
         assert result.ok is False
         assert result.line() == "FAIL demo.check p=2  ratio is not a polynomial"
 
+    def test_unexpected_error_propagates(self, monkeypatch):
+        # only the identity errors make a FAIL line: any other exception is
+        # a fault of the check itself, and leaves the plan and the CLI
+        def broken(*args):
+            raise KeyError("level 7")
+        plan = verify.CheckPlan()
+        plan.add("demo.ok", "p=2", lambda: None)
+        plan.add("demo.check", "p=2", broken)
+        with pytest.raises(KeyError):
+            plan.run()
+        monkeypatch.setattr(verify, "_nilp_check", broken)
+        out = io.StringIO()
+        with redirect_stdout(out), pytest.raises(KeyError):
+            run(TestVerifyAll.ARGS)
+        assert "FAIL" not in out.getvalue()
+
     def test_wrong_determinant_fails_verify_all(self, monkeypatch):
         # doubled, every determinant misses its weight product; the factors
         # cancel in the ratio recover_vi takes, so its checks stay ok
@@ -179,6 +195,28 @@ def _limit_one_sweep_short(monkeypatch):
     monkeypatch.setattr(solver, "solve_v", solve_v)
 
 
+def _top_coefficient_short(monkeypatch):
+    # expand_f's top coefficient without its first term; the Hankel ladders
+    # read their own expansion, so only the recursion check sees it
+    real = contfrac.expand_f
+
+    def expand_f(p, r, shift=0, order=0):
+        coeffs = list(real(p, r, shift, order).coeffs)
+        coeffs[-1] = MultiPoly.from_terms(coeffs[-1].sorted_terms()[1:])
+        return contfrac.TSeries(coeffs)
+    monkeypatch.setattr(contfrac, "expand_f", expand_f)
+
+
+def _count_two_off_by_one(monkeypatch):
+    # count_closed(p, 2, r) one too large, wherever it is read
+    real = paths.count_closed
+
+    def count_closed(p, n, r):
+        return real(p, n, r) + (n == 2)
+    for module in (paths, solver, eulerian):
+        monkeypatch.setattr(module, "count_closed", count_closed)
+
+
 # each row: a seeded fault, and the exact set of check names it fails
 FAULT_ROWS = [
     (_level_two_bumped, {"solver.excursions-from-limit",
@@ -190,6 +228,12 @@ FAULT_ROWS = [
     # euler.level-weight-closed-form checks do not see this one
     (_limit_one_sweep_short, {"solver.scalar-fixed-point",
                               "solver.excursions-from-limit"}),
+    (_top_coefficient_short, {"contfrac.recursion-vs-paths"}),
+    # one count, three readers: the count check, f_from_v's lead and
+    # brackets, and the cubic closed forms the t_n ladders read
+    (_count_two_off_by_one, {"paths.count-closed-form",
+                             "solver.excursions-from-limit",
+                             "euler.determinant-ladder"}),
 ]
 
 

@@ -9,7 +9,7 @@ from constel.algebra import MultiPoly, XSeries, _Minors
 from constel.eulerian import (EulerContext, f1_closed, f_closed,
                               fib_chebyshev_check, fib_poly, make_context,
                               t_n, v_closed, v_series, verify_det3)
-from constel.paths import count_closed3, f_poly
+from constel.paths import count_closed, f_poly
 from constel.solver import SolverConfig, solve_v, solve_vi
 
 import _props
@@ -124,8 +124,8 @@ class TestClosedExcursions:
         # same excursion series written against the one-higher count family
         one = XSeries.const(1, ORDER)
         for n in range(5):
-            alt = (count_closed3(n, 0) * (one - 2 * ctx.xV)
-                   - count_closed3(n - 1, 3) * ctx.xV) * ctx.V.pow(2 * n + 1)
+            alt = (count_closed(3, n, 0) * (one - 2 * ctx.xV)
+                   - count_closed(3, n - 1, 3) * ctx.xV) * ctx.V.pow(2 * n + 1)
             assert f_closed(n, ctx) == alt, n
 
 

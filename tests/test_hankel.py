@@ -1,4 +1,4 @@
-from functools import partial
+from functools import cache, partial
 from random import Random
 
 import pytest
@@ -10,11 +10,33 @@ from constel.hankel import (HankelSpec, IdentityViolation, LGVGraph,
                             NonUniqueNILP, hankel_det, hankel_matrix,
                             hankel_product, lgv_signed_sum, nilp_unique, qr,
                             recover_vi)
-from constel.paths import f_poly
+from constel.paths import _weight_dp, f_poly
 
 import _props
 
 V = MultiPoly.v_var
+
+
+class _Z(int):
+    """The integers as a ring of ``_Minors``: a pivot's exact division,
+    and the elimination update; +, -, * and bool are int's."""
+
+    def _divider(self):
+        if self:
+            return lambda a: _Z(a // self) if a % self == 0 else None
+
+    def _minus_products(self, pairs):
+        return _Z(self - sum(a * b for a, b in pairs))
+
+
+def _primes(count: int) -> list[int]:
+    found: list[int] = []
+    k = 2
+    while len(found) < count:
+        if all(k % q for q in found if q * q <= k):
+            found.append(k)
+        k += 1
+    return found
 
 
 class TestSpec:
@@ -87,7 +109,7 @@ class TestInversion:
     def test_sweep_computes_each_determinant_once(self, monkeypatch):
         # recover_vi reads four determinants, most of them shared with
         # neighbouring i; each is a leading minor of its (p, m) ladder, and
-        # each border of each ladder is grown once, up to the largest n
+        # each border of each ladder is eliminated once, up to the largest n
         top = {}
         for i in range(1, 17):
             n, m = divmod(i, 3)
@@ -98,12 +120,12 @@ class TestInversion:
             for family, size in specs:
                 top[family] = max(top.get(family, -1), size)
         grown = []
-        border = algebra._Minors._border
+        eliminate = algebra._Minors._eliminate
 
         def spy(ladder, n):
             grown.append((id(ladder), n))
-            border(ladder, n)
-        monkeypatch.setattr(algebra._Minors, "_border", spy)
+            return eliminate(ladder, n)
+        monkeypatch.setattr(algebra._Minors, "_eliminate", spy)
         hankel_mod._ladder.cache_clear()
         for i in range(1, 17):
             assert recover_vi(3, i) == V(i), i
@@ -217,12 +239,14 @@ class TestEngineAgreement:
         for p, n_max in ((2, 7), (3, 5), (4, 4)):
             for m in range(p):
                 rows_read = set()
+                shifted = hankel_mod._banded(p, m, partial(hankel_mod._walks, p))
+                entry = shifted._entry
 
-                def entry(i, j, p=p, m=m):
+                def spy(i, j, entry=entry):
                     rows_read.add(i)
-                    return hankel_mod._entry(p, m, i, j)
-                shifted = algebra._Minors(entry, shift=p - 1)
-                plain = algebra._Minors(partial(hankel_mod._entry, p, m))
+                    return entry(i, j)
+                shifted._entry = spy
+                plain = algebra._Minors(entry)
                 for n in range(n_max + 1):
                     assert shifted.minor(n) == plain.minor(n), (p, m, n)
                 rows = hankel_matrix(HankelSpec(p, m, n_max))
@@ -232,6 +256,23 @@ class TestEngineAgreement:
                     mine, theirs = shifted._upper[k], plain._upper[k]
                     for c in mine.keys() & theirs.keys():
                         assert mine[c] == theirs[c], (p, m, k, c)
+
+    def test_integer_images_of_the_collapse(self, no_cofactor):
+        # V_h -> the h-th prime is a ring map to the integers: each cell is
+        # a walk DP over ints, and every minor of the production ladder,
+        # shift recurrence and all, is the image of its weight product,
+        # far past the sizes the polynomial ladders reach
+        primes = [0, *_primes(120)]  # primes[h] is the h-th prime
+        for p, n_max in ((2, 30), (3, 25), (4, 20), (5, 15)):
+            @cache
+            def cell(n, r, p=p):
+                return _Z(_weight_dp(p, n * p + r, r, 0, primes.__getitem__, 1))
+            for m in range(p):
+                ladder = hankel_mod._banded(p, m, cell)
+                for n in range(n_max + 1):
+                    want = hankel_product(HankelSpec(p, m, n))
+                    assert ladder.minor(n) == _props.evaluate(want, primes, {}, 1), \
+                        (p, m, n)
 
     def test_seven_by_seven(self):
         rng = Random(7)

@@ -3,7 +3,7 @@ from math import comb
 import pytest
 
 from constel.algebra import MultiPoly
-from constel.paths import (PPath, count_closed3, count_paths, enumerate_paths,
+from constel.paths import (PPath, count_closed, count_paths, enumerate_paths,
                            f_poly, path_weight)
 
 import _props
@@ -148,22 +148,27 @@ class TestCounts:
                 for r in range(p + 1):
                     want = (r + 1) * comb(n * p + r + 1, n) // (n * p + r + 1)
                     assert count_paths(p, n, r) == want, (p, n, r)
+                    assert count_closed(p, n, r) == want, (p, n, r)
 
     def test_closed3_agrees_with_dp(self):
         for n in range(7):
             for r in range(4):
-                assert count_closed3(n, r) == count_paths(3, n, r)
+                assert count_closed(3, n, r) == count_paths(3, n, r)
 
     def test_closed3_edge_cases(self):
-        assert count_closed3(-1, 0) == 0
-        assert count_closed3(-1, 3) == 0
-        assert count_closed3(0, 2) == 1
+        assert count_closed(3, -1, 0) == 0
+        assert count_closed(3, -1, 3) == 0
+        assert count_closed(3, 0, 2) == 1
+        with pytest.raises(ValueError):
+            count_closed(1, 2, 0)
+        with pytest.raises(ValueError):
+            count_closed(3, 2, -1)
 
     def test_splice_identity(self):
         # raising the start level by one splits off a top-level excursion
         for n in range(1, 7):
-            assert count_closed3(n, 1) == count_closed3(n, 0) \
-                + count_closed3(n - 1, 3)
+            assert count_closed(3, n, 1) == count_closed(3, n, 0) \
+                + count_closed(3, n - 1, 3)
 
     def test_fixture_twelve(self):
         assert count_paths(3, 3, 0) == 12
