@@ -24,6 +24,7 @@ from .algebra import (
     NonSquare,
     NonUnitConstant,
     NotDivisible,
+    OutOfRange,
     XSeries,
     det_elements,
 )
@@ -66,6 +67,7 @@ __all__ = [
     "NonUniqueNILP",
     "NonUnitConstant",
     "NotDivisible",
+    "OutOfRange",
     "PPath",
     "SolverConfig",
     "TSeries",

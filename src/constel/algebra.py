@@ -64,6 +64,10 @@ class NonUnitConstant(ArithmeticError):
     """Series inversion needs constant term +1 or -1."""
 
 
+class OutOfRange(ValueError):
+    """An argument lies outside the range its function documents."""
+
+
 # ---------------------------------------------------------------------------
 # packed monomials: one int, a 16-bit field per (family, index), degree low
 

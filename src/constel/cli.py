@@ -1,10 +1,11 @@
-"""Command line front end.
+"""Command line front end: parses, prints, and maps errors to exit codes.
 
 Exit codes: 0 on success, 1 when a checked identity fails, 2 on usage
-errors and on inputs too large to compute (out of memory or recursion
-depth, or a monomial degree past its packed field).  Results go to
-stdout, diagnostics to stderr.  Output is deterministic byte for byte
-for a given invocation.
+errors, argument ranges the library refuses (``OutOfRange``) included,
+and on inputs too large to compute (out of memory or recursion depth, or
+a monomial degree past its packed field), each on one stderr line.
+Results go to stdout, diagnostics to stderr.  Output is deterministic
+byte for byte for a given invocation.
 """
 
 from __future__ import annotations
@@ -14,45 +15,46 @@ import json
 import sys
 
 from . import contfrac, eulerian, hankel, paths, verify
-from .algebra import ExponentOverflow, NonUnitConstant
+from .algebra import ExponentOverflow, NonUnitConstant, OutOfRange
 from .hankel import HankelSpec, IdentityViolation, NonUniqueNILP
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # one stderr line, as every exit 2 reports; --help shows the usage
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="constel",
         description="exact path polynomials, nested fractions, banded "
                     "determinants, and their checks")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, *flags):
-        if "p" in flags:
-            p.add_argument("--p", type=int, required=True,
-                           help="step size, >= 2")
-        if "json" in flags:
-            p.add_argument("--json", action="store_true",
-                           help="machine readable output")
+    def common(name, summary):
+        # a command over one step size, with optional JSON output
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--p", type=int, required=True, help="step size, >= 2")
+        p.add_argument("--json", action="store_true",
+                       help="machine readable output")
+        return p
 
-    fn = sub.add_parser("fn", help="one path weight polynomial")
-    common(fn, "p", "json")
+    fn = common("fn", "one path weight polynomial")
     fn.add_argument("--n", type=int, required=True, help="excursion index, >= 0")
     fn.add_argument("--r", type=int, default=0, help="start level, in [0, p-1]")
 
-    cf = sub.add_parser("contfrac", help="nested fraction expansion in t")
-    common(cf, "p", "json")
+    cf = common("contfrac", "nested fraction expansion in t")
     cf.add_argument("--order", type=int, required=True, help="t order, >= 0")
 
-    hk = sub.add_parser("hankel", help="banded determinant")
-    common(hk, "p", "json")
+    hk = common("hankel", "banded determinant")
     hk.add_argument("--m", type=int, required=True, help="row offset, in [0, p-1]")
     hk.add_argument("--n", type=int, required=True, help="size parameter, >= -1")
 
-    inv = sub.add_parser("invert", help="recover one weight from determinants")
-    common(inv, "p", "json")
+    inv = common("invert", "recover one weight from determinants")
     inv.add_argument("--i", type=int, required=True, help="weight index, >= 1")
 
-    lgv = sub.add_parser("lgv", help="brute-force path-system cross-check")
-    common(lgv, "p", "json")
+    lgv = common("lgv", "brute-force path-system cross-check")
     lgv.add_argument("--m", type=int, required=True)
     lgv.add_argument("--n", type=int, required=True)
 
@@ -75,11 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _check(parser, ok: bool, message: str):
-    if not ok:
-        parser.error(message)
-
-
 def _emit_poly(args, payload: dict, poly):
     if args.json:
         payload["result"] = poly.to_json()
@@ -96,6 +93,9 @@ def run(argv) -> int:
     except SystemExit as exc:
         # argparse reports usage problems by raising; keep run() in-process
         return exc.code if isinstance(exc.code, int) else 2
+    except OutOfRange as exc:
+        print(f"constel: error: {exc}", file=sys.stderr)
+        return 2
     except (IdentityViolation, NonUniqueNILP, NonUnitConstant) as exc:
         print(f"identity violation: {exc}", file=sys.stderr)
         return 1
@@ -109,17 +109,12 @@ def _dispatch(parser, args) -> int:
     cmd = args.command
 
     if cmd == "fn":
-        _check(parser, args.p >= 2, "--p must be >= 2")
-        _check(parser, args.n >= 0, "--n must be >= 0")
-        _check(parser, 0 <= args.r <= args.p - 1, "--r must lie in [0, p-1]")
         poly = paths.f_poly(args.p, args.n, args.r)
         _emit_poly(args, {"command": "fn", "p": args.p, "n": args.n,
                           "r": args.r}, poly)
         return 0
 
     if cmd == "contfrac":
-        _check(parser, args.p >= 2, "--p must be >= 2")
-        _check(parser, args.order >= 0, "--order must be >= 0")
         series = contfrac.expand_fraction(args.p, args.order)
         if args.json:
             # the bytes of json.dumps(payload, indent=2), written a term at a
@@ -140,25 +135,17 @@ def _dispatch(parser, args) -> int:
         return 0
 
     if cmd == "hankel":
-        _check(parser, args.p >= 2, "--p must be >= 2")
-        _check(parser, 0 <= args.m <= args.p - 1, "--m must lie in [0, p-1]")
-        _check(parser, args.n >= -1, "--n must be >= -1")
         poly = hankel.hankel_det(HankelSpec(args.p, args.m, args.n))
         _emit_poly(args, {"command": "hankel", "p": args.p, "m": args.m,
                           "n": args.n}, poly)
         return 0
 
     if cmd == "invert":
-        _check(parser, args.p >= 2, "--p must be >= 2")
-        _check(parser, args.i >= 1, "--i must be >= 1")
         poly = hankel.recover_vi(args.p, args.i)
         _emit_poly(args, {"command": "invert", "p": args.p, "i": args.i}, poly)
         return 0
 
     if cmd == "lgv":
-        _check(parser, args.p >= 2, "--p must be >= 2")
-        _check(parser, 0 <= args.m <= args.p - 1, "--m must lie in [0, p-1]")
-        _check(parser, -1 <= args.n <= 3, "--n must lie in [-1, 3] (desk scale)")
         spec = HankelSpec(args.p, args.m, args.n)
         signed = hankel.lgv_signed_sum(spec)
         det = hankel.hankel_det(spec)
@@ -181,17 +168,11 @@ def _dispatch(parser, args) -> int:
         return 0
 
     if cmd == "euler-series":
-        _check(parser, args.order >= 0, "--order must be >= 0")
         what = args.what
-        if what in ("vi", "vi-closed"):
-            _check(parser, args.i is not None and args.i >= 0,
-                   "--i is required and must be >= 0")
-        if what in ("f", "f1"):
-            _check(parser, args.n is not None and args.n >= 0,
-                   "--n is required and must be >= 0")
-        if what == "t":
-            _check(parser, args.n is not None and args.n >= 1,
-                   "--n is required and must be >= 1")
+        if what in ("vi", "vi-closed") and args.i is None:
+            parser.error(f"--i is required for --what {what}")
+        if what in ("f", "f1", "t") and args.n is None:
+            parser.error(f"--n is required for --what {what}")
         if what == "vi":
             series = eulerian.v_series(args.i, args.order)
         elif what == "vi-closed":
@@ -211,31 +192,16 @@ def _dispatch(parser, args) -> int:
         return 0
 
     if cmd == "euler-verify":
-        _check(parser, args.kmax >= 0, "--kmax must be >= 0")
-        _check(parser, args.order >= 0, "--order must be >= 0")
-        ok_det = eulerian.verify_det3(args.kmax, args.order)
-        print(f"{'ok  ' if ok_det else 'FAIL'} euler.determinant-ladder "
-              f"kmax={args.kmax} order={args.order}")
-        bad = [n for n in range(1, 3 * args.kmax + 4)
-               if not eulerian.fib_chebyshev_check(n)]
-        print(f"{'ok  ' if not bad else 'FAIL'} euler.cleared-substitution "
-              f"n<={3 * args.kmax + 3}")
-        return 0 if ok_det and not bad else 1
-
-    if cmd == "verify-all":
-        for p in args.p:
-            _check(parser, p >= 2, "--p values must be >= 2")
-        _check(parser, args.n_max >= 0, "--n-max must be >= 0")
-        _check(parser, args.order >= 0, "--order must be >= 0")
+        results = verify.plan_ladder(args.kmax, args.order,
+                                     3 * args.kmax + 3).run()
+    else:  # verify-all, the last command argparse admits
         results = verify.run_all(tuple(args.p), args.n_max, args.order)
-        for res in results:
-            print(res.line())
-        failures = sum(1 for r in results if not r.ok)
+    for res in results:
+        print(res.line())
+    failures = sum(1 for r in results if not r.ok)
+    if cmd == "verify-all":
         print(f"{len(results)} checks, {failures} failures")
-        return 0 if failures == 0 else 1
-
-    parser.error(f"unknown command {cmd!r}")
-    return 2
+    return 0 if failures == 0 else 1
 
 
 def main() -> None:

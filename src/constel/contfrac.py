@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import count
 
-from .algebra import MultiPoly, _sum_products
+from .algebra import MultiPoly, OutOfRange, _sum_products
 
 
 class TSeries:
@@ -68,13 +68,13 @@ def expand_f(p: int, r: int, shift: int = 0, order: int = 0) -> TSeries:
     r = 0 series is the weight polynomial of the length-np excursions.
     """
     if p < 2:
-        raise ValueError("p must be >= 2")
+        raise OutOfRange("p must be >= 2")
     if not 0 <= r <= p - 1:
-        raise ValueError("r must lie in [0, p-1]")
+        raise OutOfRange("r must lie in [0, p-1]")
     if shift < 0:
-        raise ValueError("shift must be >= 0")
+        raise OutOfRange("shift must be >= 0")
     if order < 0:
-        raise ValueError("order must be >= 0")
+        raise OutOfRange("order must be >= 0")
     cells = _Excursions(p)  # a fresh one makes no cell past (order, r)
     coeffs = [cells.coeff(n, r) for n in range(order + 1)]
     if shift:
@@ -135,9 +135,9 @@ def expand_fraction(p: int, order: int) -> TSeries:
     t^m.
     """
     if p < 2:
-        raise ValueError("p must be >= 2")
+        raise OutOfRange("p must be >= 2")
     if order < 0:
-        raise ValueError("order must be >= 0")
+        raise OutOfRange("order must be >= 0")
     q = [MultiPoly.one()]
     raised = [[] for _ in range(p)]  # raised[i][k] = V_i sigma^i(q[k])
     # chain[i] = prod_{0<j<=i} V_j sigma^j(Q), so chain[p-1] is P

@@ -18,7 +18,7 @@ from functools import cache, lru_cache, partial
 from itertools import islice
 
 from ._layered import _Layered
-from .algebra import MultiPoly, XSeries
+from .algebra import MultiPoly, OutOfRange, XSeries
 from .hankel import _banded
 from .paths import count_closed
 from .solver import SolverConfig, _limit, solve_vi
@@ -31,7 +31,7 @@ def fib_poly(n: int) -> MultiPoly:
     Each member is a polynomial in z, written as x1.
     """
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise OutOfRange("n must be >= 0")
     return next(islice(_fib(MultiPoly.x_var(1), MultiPoly.one()), n, None))
 
 
@@ -51,12 +51,15 @@ def fib_chebyshev_check(n: int) -> bool:
     with y written as x1.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise OutOfRange("n must be >= 1")
     y = MultiPoly.x_var(1)
     cleared = MultiPoly.zero()
-    # sum_j c_j y^j (1+y)^(n-1-2j); the exponent stays >= 0 by the degree bound
+    # sum_j c_j y^j (1+y)^(n-1-2j); a term past the degree bound 2j <= n-1
+    # has no cleared form, and fails the identity
     for (_, z), c in fib_poly(n).sorted_terms():
         j = dict(z).get(1, 0)
+        if 2 * j > n - 1:
+            return False
         cleared = cleared + c * y ** j * (1 + y) ** (n - 1 - 2 * j)
     return (1 - y) * cleared == 1 - y ** n
 
@@ -84,7 +87,7 @@ def make_context(order: int) -> EulerContext:
     shared by every caller.
     """
     if order < 0:
-        raise ValueError("order must be >= 0")
+        raise OutOfRange("order must be >= 0")
     limit = _limit(3, 1)
     xv = _Layered.var(1) * limit
     y = _Layered.later(partial(_y_rule, xv))
@@ -105,7 +108,9 @@ def _y_rule(xv, y):
 def v_series(i: int, order: int) -> XSeries:
     """Level weight V_i solved order-by-order from the weight recursion."""
     if i < 0:
-        raise ValueError("i must be >= 0")
+        raise OutOfRange("i must be >= 0")
+    if order < 0:
+        raise OutOfRange("order must be >= 0")
     if i == 0:
         return XSeries.zero(order)  # boundary convention of the recursion
     return solve_vi(SolverConfig(p=3, deg=order, kmax=1, imax=i))[i]
@@ -114,7 +119,7 @@ def v_series(i: int, order: int) -> XSeries:
 def v_closed(i: int, order: int) -> XSeries:
     """Level weight V_i from the explicit y-ratio form."""
     if i < 0:
-        raise ValueError("i must be >= 0")
+        raise OutOfRange("i must be >= 0")
     ctx = make_context(order)
     one = XSeries.const(1, order)
     num = ctx.V * (one - ctx.y.pow(i)) * (one - ctx.y.pow(i + 4))
@@ -125,7 +130,7 @@ def v_closed(i: int, order: int) -> XSeries:
 def f_closed(n: int, ctx: EulerContext) -> XSeries:
     """Excursion series F_n in terms of V and xV alone."""
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise OutOfRange("n must be >= 0")
     one = XSeries.const(1, ctx.order)
     bracket = count_closed(3, n, 0) * (one - ctx.xV) \
         - count_closed(3, n, 1) * ctx.xV
@@ -135,7 +140,7 @@ def f_closed(n: int, ctx: EulerContext) -> XSeries:
 def f1_closed(n: int, ctx: EulerContext) -> XSeries:
     """One-level-up series in terms of V and xV alone."""
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise OutOfRange("n must be >= 0")
     one = XSeries.const(1, ctx.order)
     bracket = count_closed(3, n, 1) * (one - ctx.xV).pow(2) \
         - count_closed(3, n + 1, 0) * ctx.xV
@@ -155,7 +160,7 @@ def t_n(n: int, ctx: EulerContext) -> XSeries:
     is empty and the determinant is the series 1.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise OutOfRange("n must be >= 1")
     return _t_n(n, ctx, _ladders(ctx))
 
 
@@ -172,14 +177,9 @@ def _t_n(n: int, ctx: EulerContext, ladders) -> XSeries:
     k, s = divmod(n - 1, 3)
     one = XSeries.const(1, ctx.order)
     det = ladders[s].minor(k - 1) if k else one
-    if s == 0:
-        exponent = k * (3 * k - 1) // 2
-    elif s == 1:
-        exponent = k * (3 * k + 1) // 2
-    else:
-        exponent = k * (3 * k + 3) // 2
+    if s == 2:
         det = det * (one - ctx.xV)
-    return det * ctx.V.pow(-exponent)
+    return det * ctx.V.pow(-(k * (3 * k + 2 * s - 1) // 2))
 
 
 def verify_det3(kmax: int, order: int) -> bool:
@@ -190,7 +190,7 @@ def verify_det3(kmax: int, order: int) -> bool:
     Every T_n is a leading minor of one of three ladders, one per branch.
     """
     if kmax < 0:
-        raise ValueError("kmax must be >= 0")
+        raise OutOfRange("kmax must be >= 0")
     ctx = make_context(order)
     top = 3 * kmax + 3
     one = XSeries.const(1, ctx.order)

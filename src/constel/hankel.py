@@ -19,7 +19,7 @@ from functools import lru_cache, partial
 from itertools import permutations
 
 from . import algebra
-from .algebra import MultiPoly, NotDivisible, _perm_sign
+from .algebra import MultiPoly, NotDivisible, OutOfRange, _perm_sign
 from .contfrac import _excursions
 from .paths import enumerate_paths, path_weight
 
@@ -35,7 +35,7 @@ class NonUniqueNILP(ArithmeticError):
 def qr(k: int, p: int) -> tuple[int, int]:
     """Euclidean division of k by p-1: (quotient, remainder)."""
     if k < 0:
-        raise ValueError("k must be >= 0")
+        raise OutOfRange("k must be >= 0")
     return divmod(k, p - 1)
 
 
@@ -49,11 +49,11 @@ class HankelSpec:
 
     def __post_init__(self):
         if self.p < 2:
-            raise ValueError("p must be >= 2")
+            raise OutOfRange("p must be >= 2")
         if not 0 <= self.m <= self.p - 1:
-            raise ValueError("m must lie in [0, p-1]")
+            raise OutOfRange("m must lie in [0, p-1]")
         if self.n < -1:
-            raise ValueError("n must be >= -1")
+            raise OutOfRange("n must be >= -1")
 
 
 @dataclass(frozen=True)
@@ -141,20 +141,13 @@ def recover_vi(p: int, i: int) -> MultiPoly:
     the exact quotient of two products of neighbouring determinants.
     """
     if p < 2:
-        raise ValueError("p must be >= 2")
+        raise OutOfRange("p must be >= 2")
     if i < 1:
-        raise ValueError("i must be >= 1")
+        raise OutOfRange("i must be >= 1")
     n, m = divmod(i, p)
-    if m >= 1:
-        num = hankel_det(HankelSpec(p, m, n)) \
-            * hankel_det(HankelSpec(p, m - 1, n - 1))
-        den = hankel_det(HankelSpec(p, m, n - 1)) \
-            * hankel_det(HankelSpec(p, m - 1, n))
-    else:
-        num = hankel_det(HankelSpec(p, 0, n)) \
-            * hankel_det(HankelSpec(p, p - 1, n - 2))
-        den = hankel_det(HankelSpec(p, 0, n - 1)) \
-            * hankel_det(HankelSpec(p, p - 1, n - 1))
+    b, nb = (m - 1, n) if m else (p - 1, n - 1)  # i - 1 = nb*p + b
+    num = hankel_det(HankelSpec(p, m, n)) * hankel_det(HankelSpec(p, b, nb - 1))
+    den = hankel_det(HankelSpec(p, m, n - 1)) * hankel_det(HankelSpec(p, b, nb))
     try:
         return num.exact_div(den)
     except NotDivisible as exc:
@@ -175,7 +168,7 @@ def _path_sum(p, src, dst) -> MultiPoly:
 def lgv_signed_sum(spec: HankelSpec) -> MultiPoly:
     """Brute-force signed sum over bijections of source-to-sink path sums."""
     if spec.n > _DESK_LIMIT:
-        raise ValueError(f"lgv_signed_sum is desk-scale only (n <= {_DESK_LIMIT})")
+        raise OutOfRange(f"lgv_signed_sum is desk-scale only (n <= {_DESK_LIMIT})")
     if spec.n == -1:
         return MultiPoly.one()
     graph = LGVGraph.for_spec(spec)
@@ -200,7 +193,7 @@ def nilp_unique(spec: HankelSpec) -> tuple[int, MultiPoly]:
     path i through the pinch point (-m, m + ip).  Returns (1, weight).
     """
     if spec.n > _DESK_LIMIT:
-        raise ValueError(f"nilp_unique is desk-scale only (n <= {_DESK_LIMIT})")
+        raise OutOfRange(f"nilp_unique is desk-scale only (n <= {_DESK_LIMIT})")
     if spec.n == -1:
         return 1, MultiPoly.one()
     graph = LGVGraph.for_spec(spec)

@@ -46,7 +46,7 @@ from functools import lru_cache, partial
 from math import comb
 
 from ._layered import _Layered
-from .algebra import XSeries
+from .algebra import OutOfRange, XSeries
 from .paths import _weight_dp, count_closed
 
 
@@ -61,13 +61,13 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.p < 2:
-            raise ValueError("p must be >= 2")
+            raise OutOfRange("p must be >= 2")
         if self.deg < 0:
-            raise ValueError("deg must be >= 0")
+            raise OutOfRange("deg must be >= 0")
         if self.kmax < 0:
-            raise ValueError("kmax must be >= 0")
+            raise OutOfRange("kmax must be >= 0")
         if self.imax < 1:
-            raise ValueError("imax must be >= 1")
+            raise OutOfRange("imax must be >= 1")
 
     @property
     def window(self) -> int:
@@ -207,7 +207,7 @@ def f_from_v(cfg: SolverConfig, n: int) -> XSeries:
     series, with integer coefficients (``_bracket``).
     """
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise OutOfRange("n must be >= 0")
     p = cfg.p
     v = solve_v(cfg)
     out = count_closed(p, n, 0) * v.pow(n * (p - 1) + 1)
@@ -232,9 +232,9 @@ def f1_tutte_check(cfg: SolverConfig, n: int) -> bool:
     meaningful for p = 3, where one rise spans exactly two levels.
     """
     if cfg.p != 3:
-        raise ValueError("the splitting identity is specific to p = 3")
+        raise OutOfRange("the splitting identity is specific to p = 3")
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise OutOfRange("n must be >= 0")
     need = 2 * (n + cfg.kmax) + 1
     big = cfg if cfg.imax >= need else \
         SolverConfig(cfg.p, cfg.deg, cfg.kmax, need)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from . import contfrac, eulerian, hankel, paths, solver
-from .algebra import MultiPoly, XSeries
+from .algebra import MultiPoly, OutOfRange, XSeries
 from .hankel import HankelSpec, IdentityViolation, NonUniqueNILP
 
 
@@ -177,33 +177,37 @@ def plan_solver(order) -> CheckPlan:
     return plan
 
 
-def plan_euler(order, kmax=2) -> CheckPlan:
+def plan_euler(order) -> CheckPlan:
     plan = CheckPlan()
-
-    def level_match(i):
-        return _diff("series vs closed level weight",
-                     eulerian.v_series(i, order), eulerian.v_closed(i, order))
-
     for i in range(0, 5):
         plan.add("euler.level-weight-closed-form", f"i={i} order={order}",
-                 lambda i=i: level_match(i))
-
-    def dets():
-        return None if eulerian.verify_det3(kmax, order) else \
-            "determinant ladder failed"
-
-    plan.add("euler.determinant-ladder", f"kmax={kmax} order={order}", dets)
-
-    def fib():
-        bad = [n for n in range(1, 13) if not eulerian.fib_chebyshev_check(n)]
-        return f"cleared substitution fails at {bad}" if bad else None
-
-    plan.add("euler.cleared-substitution", "n<=12", fib)
+                 lambda i=i: _diff("series vs closed level weight",
+                                   eulerian.v_series(i, order),
+                                   eulerian.v_closed(i, order)))
+    plan.jobs.extend(plan_ladder(2, order, 12).jobs)
     return plan
 
 
-def run_all(p_values=(2, 3, 4), n_max=3, order=10) -> list[CheckResult]:
+def plan_ladder(kmax, order, n_max) -> CheckPlan:
+    """The cubic determinant ladder, and fib_poly's cleared substitution."""
+    plan = CheckPlan()
+    plan.add("euler.determinant-ladder", f"kmax={kmax} order={order}",
+             lambda: None if eulerian.verify_det3(kmax, order)
+             else "determinant ladder failed")
+
+    def fib():
+        bad = [n for n in range(1, n_max + 1)
+               if not eulerian.fib_chebyshev_check(n)]
+        return f"cleared substitution fails at {bad}" if bad else None
+
+    plan.add("euler.cleared-substitution", f"n<={n_max}", fib)
+    return plan
+
+
+def run_all(p_values, n_max, order) -> list[CheckResult]:
     """Run every identity suite; returns one result per parameter point."""
+    if n_max < 0:
+        raise OutOfRange("n_max must be >= 0")
     plan = CheckPlan()
     for sub in (plan_paths(p_values, n_max),
                 plan_contfrac(p_values, n_max),

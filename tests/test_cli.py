@@ -10,9 +10,9 @@ import pytest
 
 import constel
 from constel import contfrac, eulerian, hankel, paths, solver, verify
-from constel.algebra import ExponentOverflow, MultiPoly, XSeries
+from constel.algebra import ExponentOverflow, MultiPoly, OutOfRange, XSeries
 from constel.cli import run
-from constel.hankel import IdentityViolation
+from constel.hankel import HankelSpec, IdentityViolation
 from constel.paths import f_poly
 
 import _props
@@ -84,6 +84,16 @@ class TestBasicCommands:
         assert rc == 0
         lines = out.splitlines()
         assert len(lines) == 2 and all(line.startswith("ok") for line in lines)
+
+    def test_euler_verify_prints_the_ladder_plan(self, monkeypatch, cold_caches):
+        # the lines of verify.plan_ladder, a failure's detail included
+        _fib_five_off_by_x(monkeypatch)
+        rc, out, err = capture(["euler-verify", "--kmax", "1", "--order", "6"])
+        assert rc == 1 and err == ""
+        assert out.splitlines() == [
+            "ok   euler.determinant-ladder kmax=1 order=6",
+            "FAIL euler.cleared-substitution n<=6  cleared substitution "
+            "fails at [5]"]
 
 
 class TestLGVCommand:
@@ -217,6 +227,76 @@ def _count_two_off_by_one(monkeypatch):
         monkeypatch.setattr(module, "count_closed", count_closed)
 
 
+def _top_level_shift_bumped(monkeypatch):
+    # f_poly(p, 2, p-1) + 1; the other checks read f_poly at r = 0 only
+    real = paths.f_poly
+    monkeypatch.setattr(paths, "f_poly", lambda p, n, r:
+                        real(p, n, r) + (n == 2 and r == p - 1))
+
+
+def _fraction_top_short(monkeypatch):
+    # expand_fraction's top coefficient without its first term
+    real = contfrac.expand_fraction
+
+    def expand_fraction(p, order):
+        coeffs = list(real(p, order).coeffs)
+        coeffs[-1] = MultiPoly.from_terms(coeffs[-1].sorted_terms()[1:])
+        return contfrac.TSeries(coeffs)
+    monkeypatch.setattr(contfrac, "expand_fraction", expand_fraction)
+
+
+def _fifth_weight_as_sixth(monkeypatch):
+    # recover_vi(p, 5) answers V6
+    real = hankel.recover_vi
+    monkeypatch.setattr(hankel, "recover_vi", lambda p, i:
+                        MultiPoly.v_var(6) if i == 5 else real(p, i))
+
+
+def _disjoint_weight_doubled(monkeypatch):
+    # nilp_unique's weight doubled at n = 1
+    real = hankel.nilp_unique
+
+    def nilp_unique(spec):
+        count, weight = real(spec)
+        return count, weight * 2 if spec.n == 1 else weight
+    monkeypatch.setattr(hankel, "nilp_unique", nilp_unique)
+
+
+def _fib_five_bumped(monkeypatch, bump):
+    # fib_poly(5) + bump, read by the cleared substitution only: the
+    # determinant ladder runs the recurrence at xV itself
+    real = eulerian.fib_poly
+    monkeypatch.setattr(eulerian, "fib_poly",
+                        lambda n: real(n) + bump if n == 5 else real(n))
+
+
+def _fib_five_off_by_x(monkeypatch):
+    _fib_five_bumped(monkeypatch, MultiPoly.x_var(1))
+
+
+def _fib_five_past_degree_bound(monkeypatch):
+    # x1^7 has 2*7 > 5 - 1: a term with no cleared form fails, not raises
+    _fib_five_bumped(monkeypatch, MultiPoly.x_var(1) ** 7)
+
+
+def _level_three_closed_bumped(monkeypatch):
+    # v_closed(3) + x1^4
+    real = eulerian.v_closed
+    monkeypatch.setattr(eulerian, "v_closed", lambda i, order: real(i, order) + (
+        XSeries.var(1, order) ** 4 if i == 3 else 0))
+
+
+def _wide_family_bumped(monkeypatch):
+    # solve_family's V4 + x2^2: only the cap-doubling side solves afresh
+    real = solver.solve_family
+
+    def solve_family(cfg):
+        levels = real(cfg)
+        levels[4] = levels[4] + XSeries.var(2, cfg.deg) ** 2
+        return levels
+    monkeypatch.setattr(solver, "solve_family", solve_family)
+
+
 # each row: a seeded fault, and the exact set of check names it fails
 FAULT_ROWS = [
     (_level_two_bumped, {"solver.excursions-from-limit",
@@ -234,6 +314,16 @@ FAULT_ROWS = [
     (_count_two_off_by_one, {"paths.count-closed-form",
                              "solver.excursions-from-limit",
                              "euler.determinant-ladder"}),
+    (_top_level_shift_bumped, {"paths.top-level-shift"}),
+    (_fraction_top_short, {"contfrac.fraction-vs-paths"}),
+    # a constant factor on hankel_det would cancel in the ratio: a wrong
+    # weight is seen only here
+    (_fifth_weight_as_sixth, {"hankel.recover-weight"}),
+    (_disjoint_weight_doubled, {"hankel.nilp-unique"}),
+    (_fib_five_off_by_x, {"euler.cleared-substitution"}),
+    (_fib_five_past_degree_bound, {"euler.cleared-substitution"}),
+    (_level_three_closed_bumped, {"euler.level-weight-closed-form"}),
+    (_wide_family_bumped, {"solver.cap-doubling"}),
 ]
 
 
@@ -360,6 +450,18 @@ class TestVerifyAll:
 
 
 class TestUsageErrors:
+    BAD_VALUES = [
+        ["fn", "--p", "1", "--n", "0"],
+        ["fn", "--p", "3", "--n", "-1"],
+        ["fn", "--p", "3", "--n", "0", "--r", "3"],
+        ["hankel", "--p", "3", "--m", "0", "--n", "-2"],
+        ["invert", "--p", "3", "--i", "0"],
+        ["lgv", "--p", "3", "--m", "0", "--n", "4"],
+        ["euler-series", "--what", "vi", "--order", "4"],
+        ["euler-series", "--what", "t", "--n", "0", "--order", "4"],
+        ["verify-all", "--p", "2", "1"],
+    ]
+
     def test_missing_command(self):
         rc, _, _ = capture([])
         assert rc == 2
@@ -369,16 +471,49 @@ class TestUsageErrors:
         assert rc == 2
 
     def test_bad_values(self):
-        assert capture(["fn", "--p", "1", "--n", "0"])[0] == 2
-        assert capture(["fn", "--p", "3", "--n", "-1"])[0] == 2
-        assert capture(["fn", "--p", "3", "--n", "0", "--r", "3"])[0] == 2
-        assert capture(["hankel", "--p", "3", "--m", "0", "--n", "-2"])[0] == 2
-        assert capture(["invert", "--p", "3", "--i", "0"])[0] == 2
-        assert capture(["lgv", "--p", "3", "--m", "0", "--n", "4"])[0] == 2
-        assert capture(["euler-series", "--what", "vi", "--order", "4"])[0] == 2
-        assert capture(["euler-series", "--what", "t", "--n", "0",
-                        "--order", "4"])[0] == 2
-        assert capture(["verify-all", "--p", "2", "1"])[0] == 2
+        for argv in self.BAD_VALUES:
+            assert capture(argv)[0] == 2, argv
+
+    @pytest.mark.parametrize("argv", [
+        [], ["frobnicate"], *BAD_VALUES,
+        ["euler-series", "--what", "f", "--order", "4"],
+        ["euler-series", "--what", "vi", "--i", "0", "--order", "-1"],
+        ["euler-verify", "--kmax", "-1"],
+        ["verify-all", "--p", "--n-max", "-1"]], ids=" ".join)
+    def test_one_stderr_line(self, argv):
+        rc, out, err = capture(argv)
+        assert rc == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("constel")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("call", [
+        lambda: paths.f_poly(3, 0, 3),
+        lambda: paths.count_closed(1, 2, 0),
+        lambda: contfrac.expand_fraction(2, -1),
+        lambda: contfrac.expand_f(3, 0, -1, 2),
+        lambda: HankelSpec(3, 0, -2),
+        lambda: hankel.recover_vi(3, 0),
+        lambda: hankel.lgv_signed_sum(HankelSpec(3, 0, 4)),
+        lambda: solver.SolverConfig(p=3, deg=2, kmax=1, imax=0),
+        lambda: solver.f_from_v(solver.SolverConfig(3, 2, 1, 1), -1),
+        lambda: eulerian.v_series(0, -1),
+        lambda: eulerian.t_n(0, eulerian.make_context(2)),
+        lambda: verify.run_all((), -1, 3)],
+        ids=["f_poly", "count_closed", "expand_fraction", "expand_f",
+             "HankelSpec", "recover_vi", "lgv_signed_sum", "SolverConfig",
+             "f_from_v", "v_series", "t_n", "run_all"])
+    def test_library_refuses_out_of_range(self, call):
+        # the one refusal type, which cli.run maps to exit 2
+        with pytest.raises(OutOfRange):
+            call()
+
+    def test_internal_value_error_is_not_a_refusal(self, monkeypatch):
+        # any other ValueError is a fault of the program, not of the input
+        def fail(*args):
+            raise ValueError("negative power of a polynomial")
+        monkeypatch.setattr(contfrac, "expand_fraction", fail)
+        with pytest.raises(ValueError, match="negative power"):
+            capture(["contfrac", "--p", "3", "--order", "4"])
 
 
 class TestResourceErrors:

@@ -117,6 +117,24 @@ class TestFamily:
         for i in (1, 2):
             assert lo[i] == hi[i]
 
+    @pytest.mark.parametrize("p, kmax", [(3, 3), (4, 2), (2, 3), (2, 1),
+                                         (3, 1), (5, 2), (4, 3)])
+    def test_window_reaches_the_limit(self, p, kmax):
+        # layer t of V_i is the limit's layer t for every i > w*t, and not
+        # at i = w*t: the boundary is felt exactly w levels further per layer
+        cfg = SolverConfig(p=p, deg=4, kmax=kmax, imax=1)
+        w = cfg.window
+        family = solve_family(replace(cfg, imax=w * cfg.deg + 2))
+        limit = solve_v(cfg)
+
+        def layer(s, t):
+            return {x: c for x, c in s.sorted_terms()
+                    if _props.t_degree(x) == t}
+        for t in range(cfg.deg + 1):
+            for i, vi in family.items():
+                assert (layer(vi, t) == layer(limit, t)) == (i > w * t), \
+                    (t, i)
+
     def test_cap_doubling_certificate(self):
         cfg = SolverConfig(p=3, deg=3, kmax=2, imax=3)
         wide = SolverConfig(p=3, deg=3, kmax=2, imax=6)
