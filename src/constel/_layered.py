@@ -13,7 +13,7 @@ variables, never from an ``XSeries``, and leaves through
 
 from __future__ import annotations
 
-from .algebra import MultiPoly, XSeries, _sum_products
+from .algebra import MultiPoly, XSeries, _layer_sum
 
 _EMPTY = MultiPoly.zero()
 _NEVER = 1 << 62  # the valuation of zero; no bound on the degree
@@ -29,7 +29,7 @@ class _Layered:
     constant or an x variable), a sum of products a*b of nodes (a summand
     s is the product s*1), or a node made by ``later`` from a rule that
     may read the node itself.  Layer t of a sum of products is the sum
-    over its pairs and over u of a_u * b_(t-u), one ``_sum_products``,
+    over its pairs and over u of a_u * b_(t-u), one ``_layer_sum``,
     where u runs only where both layers can be nonzero: ``val`` is a lower
     bound on a node's valuation and ``top`` an upper bound on its degree.
     So V = 1 + V*S is well defined whenever S has valuation >= 1, since
@@ -91,20 +91,16 @@ class _Layered:
             return _EMPTY
         if kind == _SUM:
             parts = self._fold()
-        pairs = []
+        blocks = []
         for a, b in parts:
-            # a_u * b_(t-u) for lo <= u <= hi: make those layers, then slice
+            # a_u * b_(t-u) for lo <= u <= hi: make those layers first
             lo, hi = max(a.val, t - b.top), min(a.top, t - b.val)
             if lo <= hi:
                 a.layer(hi)
                 b.layer(t - lo)
-                pairs += zip(a._layers[lo:hi + 1],
-                             reversed(b._layers[t - hi:t - lo + 1]))
-        out = _sum_products(pairs)
-        if not out._terms:
-            return _EMPTY
-        out._deg = t  # every term has degree t: total_degree needs no scan
-        return out
+                blocks.append((a._layers, b._layers, lo, hi))
+        out = _layer_sum(blocks, t)
+        return out if out._terms else _EMPTY
 
     def _fold(self) -> list:
         # take over the pairs of each summand s (the pair (s, 1)) that only

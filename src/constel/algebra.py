@@ -8,9 +8,12 @@ which is what the fixed-point solvers produce.  Coefficients are plain
 Python integers, so there is no precision ceiling anywhere and equality
 is literal equality.  Every determinant, over either ring, is a leading
 minor of ``_Minors``, one growing LU; ``det_elements`` reads the last.
-An ``XSeries`` is joined from its homogeneous layers (``_of_layers``)
-by ``_layered._Layered``, the solvers' relaxed series, which thereby
-never sees a packed key.
+``_layered._Layered``, the solvers' relaxed series, makes each of its
+homogeneous layers by one ``_layer_sum`` and joins them by
+``XSeries._of_layers``, so it never sees a packed key.  Both rings raise
+to a power by halving, s^e = (s^(e//2))^2 * s^(e&1); an ``XSeries`` keeps
+each power it makes, and its inverse, in a memo of its own (``_memo``),
+so its sub-powers are shared across exponents and it is inverted once.
 
 Packed monomials: inside both types a monomial is one non-negative
 Python int made of fixed-width fields of ``_WIDTH`` = 16 bits.  Field 0,
@@ -182,18 +185,6 @@ def _merge(a: dict, b: dict, sign: int) -> dict:
     return out
 
 
-def _power(base, e: int, one):
-    """base**e for e >= 0 by binary powering, one being the ring's one."""
-    result = one
-    while e:
-        if e & 1:
-            result = result * base
-        e >>= 1
-        if e:
-            base = base * base
-    return result
-
-
 def _text(v, x) -> str:
     # v and x as (index, exp) pairs, the index an int or its string
     parts = [f"V{i}" if e == 1 else f"V{i}^{e}" for i, e in v]
@@ -336,7 +327,10 @@ class MultiPoly:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        return _power(self, e, MultiPoly.one())
+        if e < 2:
+            return self if e else MultiPoly.one()
+        half = self ** (e >> 1)  # as ``XSeries.pow``, with no memo
+        return half * half * self if e & 1 else half * half
 
     def __eq__(self, other):
         other = _coerce(other)
@@ -466,6 +460,28 @@ def _sum_products(pairs, start=(), sign=1) -> MultiPoly:
     return total
 
 
+def _layer_sum(blocks, t: int) -> MultiPoly:
+    """Layer t of a product of series given by their homogeneous layers, as
+    ``_layered._Layered`` and ``XSeries.inv`` make them: the sum over
+    (a, b, lo, hi) blocks of a[u] * b[t-u] for lo <= u <= hi.  Every
+    product has degree t, so one degree check covers the layer."""
+    _check_degree(t)
+    out: dict[int, int] = {}
+    get = out.get
+    for a, b, lo, hi in blocks:
+        for u in range(lo, hi + 1):
+            ta, tb = a[u]._terms, b[t - u]._terms
+            if len(ta) > len(tb):
+                ta, tb = tb, ta
+            for ma, ca in ta.items():
+                for mb, cb in tb.items():
+                    m = ma + mb
+                    out[m] = get(m, 0) + ca * cb
+    layer = MultiPoly({m: c for m, c in out.items() if c})
+    layer._deg = t if layer._terms else None
+    return layer
+
+
 def _coerce(value):
     if isinstance(value, MultiPoly):
         return value
@@ -500,11 +516,12 @@ class XSeries:
     monomials, as in ``MultiPoly``, with only x fields in use.
     """
 
-    __slots__ = ("order", "_terms")
+    __slots__ = ("order", "_terms", "_memo")
 
     def __init__(self, order: int, terms: dict):
         self.order = order
         self._terms = terms
+        self._memo = None  # {e: self**e for e >= 2, -1: the inverse}, on demand
 
     @classmethod
     def zero(cls, order: int) -> "XSeries":
@@ -619,7 +636,12 @@ class XSeries:
     __rmul__ = __mul__
 
     def inv(self) -> "XSeries":
-        """Multiplicative inverse; the constant term must be +1 or -1."""
+        """Multiplicative inverse, kept in the memo; constant term +1 or -1."""
+        memo = self._memo
+        if memo is None:
+            memo = self._memo = {}
+        if -1 in memo:
+            return memo[-1]
         c0 = self.constant_term()
         if c0 not in (1, -1):
             raise NonUnitConstant(f"constant term {c0} is not a unit")
@@ -627,28 +649,12 @@ class XSeries:
         _check_degree(order)  # the inverse has terms up to the order
         by_deg: list[dict] = [{} for _ in range(order + 1)]
         for key, coeff in self._terms.items():
-            by_deg[key & _FIELD][key] = coeff
-        inv_layers: list[dict] = [{0: c0}]
+            by_deg[key & _FIELD][key] = -c0 * coeff
+        # inverse layer d is the sum over k >= 1 of -c0 * a_k * inverse_(d-k)
+        layers, inv = [MultiPoly(terms) for terms in by_deg], [MultiPoly({0: c0})]
         for d in range(1, order + 1):
-            acc: dict[int, int] = {}
-            for k in range(1, d + 1):
-                layer_a = by_deg[k]
-                if not layer_a:
-                    continue
-                layer_b = inv_layers[d - k]
-                for ka, ca in layer_a.items():
-                    for kb, cb in layer_b.items():
-                        key = ka + kb
-                        c = acc.get(key, 0) + ca * cb
-                        if c:
-                            acc[key] = c
-                        elif key in acc:
-                            del acc[key]
-            inv_layers.append({k: -c0 * c for k, c in acc.items()})
-        out: dict[int, int] = {}
-        for layer in inv_layers:
-            out.update(layer)
-        return XSeries(order, out)
+            inv.append(_layer_sum([(layers, inv, 1, d)], d))
+        return memo.setdefault(-1, XSeries._of_layers(inv))
 
     def _divider(self):
         """Division by this series as an elimination pivot, or None.
@@ -669,9 +675,19 @@ class XSeries:
         return out
 
     def pow(self, e: int) -> "XSeries":
+        """self**e by halving, each power kept in the memo, so sub-powers are
+        shared across exponents; self**-e is the inverse's own power e."""
+        if e in (0, 1):
+            return self if e else XSeries.const(1, self.order)
+        memo = self._memo
+        if memo is None:
+            memo = self._memo = {}
         if e < 0:
-            return self.inv().pow(-e)
-        return _power(self, e, XSeries.const(1, self.order))
+            return (memo[-1] if -1 in memo else self.inv()).pow(-e)
+        if e not in memo:
+            half = self.pow(e >> 1)
+            memo[e] = half * half * self if e & 1 else half * half
+        return memo[e]
 
     __pow__ = pow
 

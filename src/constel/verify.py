@@ -208,6 +208,8 @@ def run_all(p_values, n_max, order) -> list[CheckResult]:
     """Run every identity suite; returns one result per parameter point."""
     if n_max < 0:
         raise OutOfRange("n_max must be >= 0")
+    if order < 0:
+        raise OutOfRange("order must be >= 0")
     plan = CheckPlan()
     for sub in (plan_paths(p_values, n_max),
                 plan_contfrac(p_values, n_max),

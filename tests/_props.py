@@ -64,10 +64,11 @@ def rand_poly(rng: Random, max_terms=4, max_idx=4, max_exp=3) -> MultiPoly:
     return MultiPoly.from_terms(pairs)
 
 
-def rand_series(rng: Random, order=5, max_terms=4) -> XSeries:
+def rand_series(rng: Random, order=5, max_terms=4, nvars=2) -> XSeries:
+    # a sum of up to max_terms terms c * x_k^e with 1 <= k <= nvars
     out = XSeries.zero(order)
     for _ in range(rng.randint(0, max_terms)):
-        k = rng.randint(1, 2)
+        k = rng.randint(1, nvars)
         e = rng.randint(0, order)
         out = out + XSeries.var(k, order).pow(e) * rng.randint(-5, 5)
     return out

@@ -1,4 +1,5 @@
 from collections import Counter
+from random import Random
 
 import pytest
 
@@ -164,6 +165,79 @@ class TestXSeries:
             {"coeff": "5", "x": {}}, {"coeff": "1", "x": {}}]}
         got = _props.ok(XSeries.from_json(data))
         assert got == 6 + 3 * XSeries.var(1, 2) * XSeries.var(2, 2)
+
+
+class TestPowerMemo:
+    """``XSeries.pow`` keeps each power and the inverse on its series."""
+
+    @staticmethod
+    def repeated(s: XSeries, e: int) -> XSeries:
+        out = XSeries.const(1, s.order)
+        for _ in range(e):
+            out = out * s
+        return out
+
+    @pytest.mark.parametrize("nvars", [1, 2], ids=["univariate", "multivariate"])
+    def test_pow_matches_repeated_multiplication(self, nvars):
+        rng = Random(230 + nvars)
+        for _ in range(25):
+            s = _props.rand_series(rng, rng.randint(2, 8), max_terms=5, nvars=nvars)
+            # out of order first, so that later powers read kept sub-powers
+            for e in (7, 3, 12, 7, *range(13)):
+                assert _props.ok(s.pow(e)) == self.repeated(s, e), (s, e)
+            assert s.pow(7) is s.pow(7) and s ** 12 is s.pow(12)
+
+    @pytest.mark.parametrize("nvars", [1, 2], ids=["univariate", "multivariate"])
+    def test_negative_pow_is_the_inverse_repeated(self, nvars):
+        rng = Random(240 + nvars)
+        for _ in range(25):
+            order = rng.randint(2, 8)
+            s = _props.rand_series(rng, order, nvars=nvars) * XSeries.var(1, order) \
+                + rng.choice((1, -1))
+            for e in (5, 2, 9, 5, 1):
+                assert _props.ok(s.pow(-e)) == self.repeated(s.inv(), e), (s, e)
+            assert s.inv() is s.pow(-1) and s.pow(-3) is s.inv().pow(3)
+            assert s.pow(-4) * s.pow(4) == XSeries.const(1, order)
+
+    def test_each_power_is_made_once(self, monkeypatch):
+        real, made = XSeries.__mul__, []
+
+        def counted(a, b):
+            made.append(1)
+            return real(a, b)
+        monkeypatch.setattr(XSeries, "__mul__", counted)
+        s = XSeries.const(1, 6) + S(1) - 2 * S(2)
+        first = s.pow(12)  # s^3 = s^2 * s, s^6, s^12: four products
+        assert len(made) == 4
+        assert s.pow(12) is first and s ** 12 is first
+        made.clear()
+        s.pow(3), s.pow(6), s.pow(7)  # only s^7 = (s^3)^2 * s is new
+        assert len(made) == 2
+        inverse = s.inv()
+        assert s.pow(-1) is inverse and s.pow(-6) is inverse.pow(6)
+
+    def test_no_failure_is_kept(self):
+        s = XSeries.const(2, 4) + XSeries.var(1, 4)
+        for _ in range(2):
+            with pytest.raises(NonUnitConstant):
+                s.inv()
+        for _ in range(2):
+            with pytest.raises(NonUnitConstant):
+                s.pow(-2)
+        assert s.pow(2) == s * s
+
+    def test_equality_and_hash_ignore_the_memo(self):
+        rng = Random(25)
+        for _ in range(25):
+            order = rng.randint(2, 6)
+            s = _props.rand_series(rng, order) * XSeries.var(2, order) + 1
+            twin = XSeries.from_json(s.to_json())
+            before = hash(s)
+            s.pow(5), s.pow(-3), s.inv()
+            assert s == twin and twin == s
+            assert hash(s) == hash(twin) == before
+            assert len({s, twin}) == 1
+            assert s.pow(5) == twin.pow(5)
 
 
 def key_of(poly: MultiPoly) -> int:

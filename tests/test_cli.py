@@ -486,6 +486,13 @@ class TestUsageErrors:
         assert err.count("\n") == 1 and err.startswith("constel")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["verify-all", "euler-verify"])
+    def test_negative_order_names_the_option(self, command):
+        # verify-all once passed min(order, 4) to the solver, whose refusal
+        # named its own field: "deg must be >= 0"
+        assert capture([command, "--order", "-1"]) == \
+            (2, "", "constel: error: order must be >= 0\n")
+
     @pytest.mark.parametrize("call", [
         lambda: paths.f_poly(3, 0, 3),
         lambda: paths.count_closed(1, 2, 0),

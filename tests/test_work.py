@@ -17,21 +17,31 @@ from constel.paths import f_poly
 
 
 def count_sum_products(monkeypatch):
-    """Count the calls of ``algebra._sum_products`` and their term pairs.
-
-    ``contfrac`` and ``_layered`` bind the kernel by name, so their
-    bindings are patched too.
+    """Count the calls of the sum-of-products kernels and their term pairs:
+    ``algebra._sum_products`` and ``algebra._layer_sum``.  ``contfrac``
+    binds the first by name and ``_layered`` the second, so their bindings
+    are patched too.
     """
     real, counts = algebra._sum_products, {"calls": 0, "pairs": 0}
+    real_layer = algebra._layer_sum
+
+    def count(pairs):
+        counts["calls"] += 1
+        counts["pairs"] += sum(len(a._terms) * len(b._terms) for a, b in pairs)
 
     def counted(pairs, start=(), sign=1):
         pairs = list(pairs)
-        counts["calls"] += 1
-        counts["pairs"] += sum(len(a._terms) * len(b._terms) for a, b in pairs)
+        count(pairs)
         return real(pairs, start, sign)
+
+    def counted_layer(blocks, t):
+        count([(a[u], b[t - u]) for a, b, lo, hi in blocks
+               for u in range(lo, hi + 1)])
+        return real_layer(blocks, t)
     monkeypatch.setattr(algebra, "_sum_products", counted)
     monkeypatch.setattr(contfrac, "_sum_products", counted)
-    monkeypatch.setattr(_layered, "_sum_products", counted)
+    monkeypatch.setattr(algebra, "_layer_sum", counted_layer)
+    monkeypatch.setattr(_layered, "_layer_sum", counted_layer)
     return counts
 
 
@@ -117,3 +127,28 @@ def test_cached_solves_heap():
         tracemalloc.stop()
         solver._family.cache_clear()
     assert kept <= 3_400 * 1024
+
+
+def test_cubic_ladder_series_products(monkeypatch):
+    # from cold caches, verify_det3(3, 12) and the closed-form level weights
+    # at order 12, counted as the benchmark's series_mul counts: V and y
+    # keep their powers, and V its inverse, for the life of the cached
+    # context, so the ladder's V^(2n+1), V^(2n+2) and V^-e and the weights'
+    # y^i are each made once.  With every power made afresh and V inverted
+    # once per T_n, the same calls made 460 products (51,104 pairs)
+    solver._limit.cache_clear()
+    eulerian.make_context.cache_clear()
+    real, counts = algebra.XSeries.__mul__, {"calls": 0, "pairs": 0}
+
+    def counted(a, b):
+        counts["calls"] += 1
+        counts["pairs"] += a.nterms * (b.nterms if isinstance(b, algebra.XSeries)
+                                       else 1 if b else 0)
+        return real(a, b)
+    monkeypatch.setattr(algebra.XSeries, "__mul__", counted)
+    monkeypatch.setattr(algebra.XSeries, "__rmul__", counted)
+    assert eulerian.verify_det3(3, 12)
+    for i in range(9):
+        eulerian.v_closed(i, 12)
+    assert counts["pairs"] <= 32_443
+    assert counts["calls"] <= 264
