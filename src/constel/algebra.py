@@ -8,6 +8,9 @@ which is what the fixed-point solvers produce.  Coefficients are plain
 Python integers, so there is no precision ceiling anywhere and equality
 is literal equality.  Every determinant, over either ring, is a leading
 minor of ``_Minors``, one growing LU; ``det_elements`` reads the last.
+A pivot that breaks its ring's rule raises that ring's error
+(``NotDivisible``, ``NonUnitConstant``); only ``det_elements`` then
+expands cofactors.
 ``_layered._Layered``, the solvers' relaxed series, makes each of its
 homogeneous layers by one ``_layer_sum`` and joins them by
 ``XSeries._of_layers``, so it never sees a packed key.  Both rings raise
@@ -195,12 +198,11 @@ def _text(v, x) -> str:
 class MultiPoly:
     """Sparse polynomial in Z[V_*; x_*] with exact integer coefficients."""
 
-    __slots__ = ("_terms", "_hash", "_deg")
+    __slots__ = ("_terms", "_deg")
 
     def __init__(self, terms: dict):
         # trusts the caller: packed keys, no zero coefficients
         self._terms = terms
-        self._hash = None
         self._deg = None
 
     # -- constructors -------------------------------------------------
@@ -339,10 +341,11 @@ class MultiPoly:
         return self._terms == other._terms
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = self._hash = hash(frozenset(self._terms.items()))
-        return h
+        # a constant equals its int, so it hashes as that int
+        terms = self._terms
+        if terms.keys() <= {0}:
+            return hash(terms.get(0, 0))
+        return hash(frozenset(terms.items()))
 
     def __bool__(self):
         return bool(self._terms)
@@ -356,20 +359,17 @@ class MultiPoly:
         """
         if not other._terms:
             raise ZeroDivisionError("exact division by the zero polynomial")
-        divide = other._divider()
-        quo = divide(self) if divide else None
-        if quo is None:
-            raise NotDivisible("the divisor is not a term dividing every term")
-        return quo
+        return other._divider()(self)
 
     def _divider(self):
-        """Division by this polynomial as an elimination pivot, or None.
+        """Division by this polynomial as an elimination pivot.
 
-        The pivot must be a single term c*m.  The callable returns
-        entry / (c*m), or None when m or c fails to divide some term.
+        The pivot must be a single term c*m, else NotDivisible.  The
+        callable returns entry / (c*m), and raises NotDivisible when m or c
+        fails to divide some term.
         """
         if len(self._terms) != 1:
-            return None
+            raise NotDivisible(f"the divisor has {len(self._terms)} terms, not one")
         (mono, coeff), = self._terms.items()
 
         def divide(entry):
@@ -378,7 +378,8 @@ class MultiPoly:
                 q_key = _quotient(key, mono)
                 q, r = divmod(c, coeff)
                 if q_key is None or r:
-                    return None
+                    raise NotDivisible(f"the divisor {self} does not divide "
+                                       "every term")
                 quo[q_key] = q
             return MultiPoly(quo)
         return divide
@@ -657,13 +658,9 @@ class XSeries:
         return memo.setdefault(-1, XSeries._of_layers(inv))
 
     def _divider(self):
-        """Division by this series as an elimination pivot, or None.
-
-        The pivot must be a unit, constant term +1 or -1; the callable
-        multiplies by its inverse and never leaves the ring.
-        """
-        if self.constant_term() not in (1, -1):
-            return None
+        """Division by this series as an elimination pivot: the product with
+        its inverse, which never leaves the ring.  ``inv`` raises
+        NonUnitConstant unless the constant term is +1 or -1."""
         return self.inv().__mul__
 
     def _minus_products(self, pairs) -> "XSeries":
@@ -697,8 +694,7 @@ class XSeries:
             return NotImplemented
         return self.order == other.order and self._terms == other._terms
 
-    def __hash__(self):
-        return hash((self.order, frozenset(self._terms.items())))
+    __hash__ = MultiPoly.__hash__  # equal series have equal terms
 
     def __bool__(self):
         return bool(self._terms)
@@ -746,13 +742,18 @@ def det_elements(rows):
 
     The last leading minor of ``_Minors`` over the rows, on each ring's
     pivot rule (a single term for ``MultiPoly``, constant term +1 or -1
-    for ``XSeries``).  An empty or ragged matrix raises ``NonSquare``:
-    callers return their ring's one for the empty case.
+    for ``XSeries``).  A matrix whose pivots break that rule is expanded
+    by cofactors instead: this is the package's one fallback.  An empty or
+    ragged matrix raises ``NonSquare``: callers return their ring's one
+    for the empty case.
     """
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise NonSquare("determinant needs a non-empty square matrix")
-    return _Minors(lambda i, j: rows[i][j]).minor(n - 1)
+    try:
+        return _Minors(lambda i, j: rows[i][j]).minor(n - 1)
+    except (NotDivisible, NonUnitConstant):
+        return _det_cofactor(rows)
 
 
 class _Minors:
@@ -774,10 +775,11 @@ class _Minors:
     s+1 multipliers (the modified Chebyshev algorithm; Gautschi, SIAM J.
     Sci. Stat. Comput. 3, 1982).
 
-    ``minor`` is the package's one fallback: once a pivot has no divider
-    or a quotient leaves the ring, each larger minor is the cofactor
-    expansion of its leading block, fetched again through ``entry`` and
-    not kept.
+    A pivot that breaks its ring's rule, or a quotient that leaves the
+    ring, raises the ring's own error (``NotDivisible``,
+    ``NonUnitConstant``) on every request for a minor past it; the ladder
+    keeps the borders before it, and only ``det_elements`` expands
+    cofactors instead.
     """
 
     __slots__ = ("_entry", "_shift", "_lower", "_upper", "_divide", "minors")
@@ -792,13 +794,10 @@ class _Minors:
 
     def minor(self, n: int):
         """Determinant of the leading (n+1) x (n+1) block, n >= 0."""
-        # a border that fails or raises leaves the ladder as it was (its U
-        # entries made so far are exact, and kept)
+        # a border that raises leaves the ladder as it was (its U entries
+        # made so far are exact, and kept)
         while len(self.minors) <= n:
-            if not self._eliminate(len(self.minors)):
-                entry = self._entry
-                return _det_cofactor([[entry(i, j) for j in range(n + 1)]
-                                      for i in range(n + 1)])
+            self._eliminate(len(self.minors))
         return self.minors[n]
 
     def _u(self, k: int, c: int):
@@ -820,30 +819,23 @@ class _Minors:
         ups = [self._u(j, c) for j in range(j0, j0 + len(mults))]
         return base._minus_products(zip(mults, ups))
 
-    def _eliminate(self, n: int) -> bool:
-        # row n of L and U's pivot n, then minor(n); False if a pivot fails
+    def _eliminate(self, n: int):
+        # row n of L and U's pivot n, then minor(n); kept only at the end
         dividers = self._divide
         if n:
-            divide = self._upper[n - 1][n - 1]._divider()
-            if divide is None:
-                return False
-            dividers = dividers + [divide]
+            dividers = dividers + [self._upper[n - 1][n - 1]._divider()]
         shift = self._shift
         j0 = 0 if shift is None or n < shift else max(0, n - shift - 1)
         mults = []
         for j in range(j0, n):
             mult = self._residual(n, j, j0, mults)
-            mult = dividers[j](mult) if mult else mult
-            if mult is None:
-                return False
-            mults.append(mult)
+            mults.append(dividers[j](mult) if mult else mult)
         pivot = self._residual(n, n, j0, mults)
         det = self.minors[-1] * pivot if n else pivot
         self._lower.append((j0, mults))
         self._upper.append({n: pivot})
         self._divide = dividers
         self.minors.append(det)
-        return True
 
 
 def _perm_sign(perm) -> int:

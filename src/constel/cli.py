@@ -184,11 +184,7 @@ def _dispatch(parser, args) -> int:
                       "f": lambda: eulerian.f_closed(args.n, ctx),
                       "f1": lambda: eulerian.f1_closed(args.n, ctx),
                       "t": lambda: eulerian.t_n(args.n, ctx)}[what]()
-        if args.json:
-            print(json.dumps({"command": "euler-series", "what": what,
-                              "result": series.to_json()}, indent=2))
-        else:
-            print(series)
+        _emit_poly(args, {"command": "euler-series", "what": what}, series)
         return 0
 
     if cmd == "euler-verify":

@@ -111,12 +111,16 @@ def hankel_det(spec: HankelSpec) -> MultiPoly:
     The matrices of one (p, m) are the leading blocks of one matrix: this
     reads a leading minor of its memoized banded ladder, ``_ladder``, which
     computes each determinant once.  Every pivot is a ratio of neighbouring
-    minors, a monomial, and the multipliers have divided exactly at every
-    size tested (else cofactor expansion takes over).
+    minors, a monomial, and every multiplier divides exactly; a ladder
+    that finds otherwise refuses, and this raises ``IdentityViolation``.
     """
     if spec.n == -1:
         return MultiPoly.one()
-    return _ladder(spec.p, spec.m).minor(spec.n)
+    try:
+        return _ladder(spec.p, spec.m).minor(spec.n)
+    except NotDivisible as exc:
+        raise IdentityViolation(f"the (p={spec.p}, m={spec.m}) ladder refuses "
+                                f"minor {spec.n}: {exc}") from exc
 
 
 @lru_cache(maxsize=16)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from . import contfrac, eulerian, hankel, paths, solver
-from .algebra import MultiPoly, OutOfRange, XSeries
+from .algebra import MultiPoly, NonUnitConstant, OutOfRange, XSeries
 from .hankel import HankelSpec, IdentityViolation, NonUniqueNILP
 
 
@@ -42,7 +42,7 @@ class CheckPlan:
                 detail = fn()
                 results.append(CheckResult(name, params, detail is None,
                                            detail or ""))
-            except (IdentityViolation, NonUniqueNILP) as exc:
+            except (IdentityViolation, NonUniqueNILP, NonUnitConstant) as exc:
                 results.append(CheckResult(name, params, False, str(exc)))
         return results
 

@@ -34,8 +34,9 @@ from operator import mul
 from random import Random
 
 from constel._layered import _Layered
-from constel.algebra import (MultiPoly, NotDivisible, XSeries, _Minors,
-                             _det_cofactor, _sum_products, det_elements)
+from constel.algebra import (MultiPoly, NonUnitConstant, NotDivisible,
+                             XSeries, _Minors, _det_cofactor, _sum_products,
+                             det_elements)
 from constel.contfrac import TSeries
 from constel.paths import _weight_dp, f_poly
 from constel.solver import SolverConfig, v_update, vi_update
@@ -175,11 +176,12 @@ def perm_expansion_det(rows, one=MultiPoly.one()):
 
 
 def eliminated(rows):
-    """``det_elements(rows)`` when its elimination runs to the end, None
-    when it falls back to cofactor expansion."""
-    ladder = _Minors(lambda i, j: rows[i][j])
-    det = ladder.minor(len(rows) - 1)
-    return det if len(ladder._upper) == len(rows) else None
+    """The determinant by elimination alone, None when the ladder refuses a
+    pivot (``det_elements`` then expands cofactors)."""
+    try:
+        return _Minors(lambda i, j: rows[i][j]).minor(len(rows) - 1)
+    except (NotDivisible, NonUnitConstant):
+        return None
 
 
 def check_det_oracle(seed: int, cases: int) -> int:

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from constel import algebra, contfrac, eulerian, paths, solver
+from constel import contfrac, eulerian, paths, solver
 import constel.hankel as hankel_mod
 
 
@@ -28,20 +28,6 @@ def crooked_walks(monkeypatch):
                             lambda p: SimpleNamespace(coeff=partial(walk, p)))
     yield install
     hankel_mod._ladder.cache_clear()
-
-
-@pytest.fixture
-def no_cofactor(monkeypatch):
-    """Make the cofactor fallback of ``_Minors.minor`` raise.
-
-    A determinant computed under this fixture, through ``det_elements`` or
-    a banded ladder (Hankel, ``t_n`` or an integer image), comes from the
-    elimination.
-    """
-    def refuse(rows):
-        raise AssertionError(f"{len(rows)}x{len(rows)} determinant fell back "
-                             "to cofactor expansion")
-    monkeypatch.setattr(algebra, "_det_cofactor", refuse)
 
 
 @pytest.fixture

@@ -1,4 +1,3 @@
-from collections import Counter
 from random import Random
 
 import pytest
@@ -106,6 +105,16 @@ class TestMultiPoly:
         data = (2 * V(1) * X(2)).to_json()
         assert data == [{"coeff": "2", "V": {"1": 1}, "x": {"2": 1}}]
         assert MultiPoly.from_json(data) == 2 * V(1) * X(2)
+
+
+@pytest.mark.parametrize("c", [0, 1, -1, 3])
+def test_constants_hash_as_their_int(c):
+    # a constant of either ring equals its int, so a set or dict finds it
+    # by that int, and the int by it
+    for const in (C(c), XSeries.const(c, ORDER)):
+        assert const == c and hash(const) == hash(c)
+        assert c in {const} and const in {c}
+        assert {c: c}[const] == c
 
 
 class TestXSeries:
@@ -332,7 +341,7 @@ class TestDeterminants:
         assert [[e._terms for e in row] for row in rows] == before
 
     @pytest.mark.parametrize("last", [V(1) + V(2), S(1) + 2])
-    def test_last_pivot_needs_no_divider(self, last, no_cofactor):
+    def test_last_pivot_needs_no_divider(self, last):
         # L*U with unit pivots but the last, which has no divider: bordered
         # elimination never divides by the last pivot, so it needs none
         if isinstance(last, MultiPoly):
@@ -343,30 +352,30 @@ class TestDeterminants:
         upper = [[one, var(4), var(5)], [zero, -one, var(6)], [zero, zero, last]]
         rows = [[sum((lower[i][k] * upper[k][j] for k in range(3)), zero)
                  for j in range(3)] for i in range(3)]
-        assert det_elements(rows) == -last
+        assert _Minors(lambda i, j: rows[i][j]).minor(2) == -last
 
-    def test_border_that_raises_leaves_ladder_unchanged(self, monkeypatch):
-        # the two-term first pivot sends borders 1 and 2 to cofactor
-        # expansion, whose first call raises as if memory ran out; the
-        # ladder must be left as before, not half a border larger
-        rows = [[V(i + 1) * V(j + 1) + C(i == j) for j in range(3)]
-                for i in range(3)]
-        cofactor, calls = algebra._det_cofactor, []
-
-        def flaky(block):
-            calls.append(len(block))
-            if len(calls) == 1:
-                raise MemoryError
-            return cofactor(block)
-        monkeypatch.setattr(algebra, "_det_cofactor", flaky)
-        ladder = _Minors(lambda i, j: rows[i][j])
-        with pytest.raises(MemoryError):
-            ladder.minor(1)
-        for n in (2, 1, 0):
-            block = [row[:n + 1] for row in rows[:n + 1]]
-            assert ladder.minor(n) == _props.perm_expansion_det(block), n
-        # a fallback minor is not kept: minor(1) expands its block again
-        assert calls == [2, 3, 2]
+    def test_border_that_raises_leaves_ladder_unchanged(self):
+        # border 1 refuses, on every request for minor(1) or past it, with
+        # the ring's own error; the ladder keeps border 0 as it was, and
+        # still answers minor(0)
+        def state(ladder):
+            # everything a ladder keeps, copied
+            return ([dict(row) for row in ladder._upper], list(ladder._lower),
+                    list(ladder._divide), list(ladder.minors))
+        for pivot, below, error in (
+                (V(1) + V(2), V(3), NotDivisible),    # two-term pivot
+                (V(2), V(1), NotDivisible),           # inexact multiplier
+                (S(1) + 2, S(2), NonUnitConstant)):   # series, constant 2
+            one = pivot ** 0
+            rows = [[pivot, one, one], [below, one, one], [one, one, one]]
+            ladder = _Minors(lambda i, j: rows[i][j])
+            assert ladder.minor(0) == pivot
+            before = state(ladder)
+            for n in (1, 2, 1):
+                with pytest.raises(error):
+                    ladder.minor(n)
+                assert state(ladder) == before, (pivot, n)
+            assert ladder.minor(0) == pivot
 
     def test_one_shot_falls_back_to_one_expansion(self, monkeypatch):
         # the two-term first pivot stops the elimination at border 1; a
@@ -382,28 +391,6 @@ class TestDeterminants:
         monkeypatch.setattr(algebra, "_det_cofactor", spy)
         assert det_elements(rows) == _props.perm_expansion_det(rows)
         assert calls == [5]
-
-    def test_fallback_minors_refetch_their_block(self):
-        # the two-term first pivot sends borders 1 to 3 to cofactor
-        # expansion; each fetches its leading block again, as the ladder
-        # keeps no entries
-        rows = [[V(i + 1) * V(j + 1) + C(i == j) for j in range(4)]
-                for i in range(4)]
-        fetched = Counter()
-
-        def entry(i, j):
-            fetched[i, j] += 1
-            return rows[i][j]
-        ladder = _Minors(entry)
-        for n in range(4):
-            block = [row[:n + 1] for row in rows[:n + 1]]
-            assert ladder.minor(n) == _det_cofactor(block) \
-                == _props.perm_expansion_det(block), n
-        assert len(ladder._upper) == 1
-        # entry (i, j) is in the blocks of borders max(i, j, 1) .. 3, and
-        # (0, 0) was fetched once more by border 0's elimination
-        assert fetched == {(i, j): 4 - max(i, j)
-                           for i in range(4) for j in range(4)}
 
 
 # randomized suites; counts well above the hundred-case floor

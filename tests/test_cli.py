@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import inspect
 import io
 import json
 import pkgutil
@@ -133,6 +134,17 @@ class TestCheckPlan:
         result, = plan.run()
         assert result.ok is False
         assert result.line() == "FAIL demo.check p=2  ratio is not a polynomial"
+
+    def test_refused_series_pivot_fails(self):
+        # a t_n ladder refuses a pivot with no unit constant term by the
+        # series ring's own error, which fails its check as a violation does
+        def broken():
+            XSeries.const(2, 3).inv()
+        plan = verify.CheckPlan()
+        plan.add("demo.check", "p=2", broken)
+        result, = plan.run()
+        assert result.line() == \
+            "FAIL demo.check p=2  constant term 2 is not a unit"
 
     def test_unexpected_error_propagates(self, monkeypatch):
         # only the identity errors make a FAIL line: any other exception is
@@ -297,6 +309,12 @@ def _wide_family_bumped(monkeypatch):
     monkeypatch.setattr(solver, "solve_family", solve_family)
 
 
+def _hankel_entry_bumped(crooked_walks):
+    # f(4, 0) + 1, one Hankel entry: the ladders that reach it refuse, and
+    # the ones that stop short of it give a wrong minor
+    crooked_walks(lambda p, n, r: f_poly(p, n, r) + int((n, r) == (4, 0)))
+
+
 # each row: a seeded fault, and the exact set of check names it fails
 FAULT_ROWS = [
     (_level_two_bumped, {"solver.excursions-from-limit",
@@ -324,14 +342,18 @@ FAULT_ROWS = [
     (_fib_five_past_degree_bound, {"euler.cleared-substitution"}),
     (_level_three_closed_bumped, {"euler.level-weight-closed-form"}),
     (_wide_family_bumped, {"solver.cap-doubling"}),
+    (_hankel_entry_bumped, {"hankel.det-collapse", "hankel.recover-weight",
+                            "hankel.lgv-signed-sum"}),
 ]
 
 
 @pytest.mark.parametrize("fault, failing", FAULT_ROWS,
                          ids=[fault.__name__[1:] for fault, _ in FAULT_ROWS])
-def test_seeded_fault_fails_exactly(fault, failing, monkeypatch, cold_caches):
-    # the default report under one seeded fault: exactly these names fail
-    fault(monkeypatch)
+def test_seeded_fault_fails_exactly(fault, failing, request, cold_caches):
+    # the default report under one seeded fault, given the fixture its one
+    # parameter names (monkeypatch or crooked_walks): exactly these names fail
+    name, = inspect.signature(fault).parameters
+    fault(request.getfixturevalue(name))
     rc, out, err = capture(["verify-all"])
     failed = {line.split()[1] for line in out.splitlines()
               if line.startswith("FAIL ")}

@@ -144,9 +144,9 @@ class TestTriangularLadder:
         assert got == want
         assert _props.univar_coeffs(got)[:3] == [1, -3, -5]
 
-    def test_equals_fib_ladder(self, ctx, no_cofactor):
+    def test_equals_fib_ladder(self, ctx):
         # n = 22, 25, 28 and 31 are 7x7 to 10x10 determinants; every pivot
-        # is a smaller t determinant, a unit series, so none falls back
+        # is a smaller t determinant, a unit series, so none refuses
         one = XSeries.const(1, ORDER)
         for n in [*range(1, 13), 22, 25, 28, 31]:
             want = _props.evaluate(fib_poly(n), {}, {1: ctx.xV}, one)
@@ -165,7 +165,7 @@ class TestTriangularLadder:
     def test_full_ladder_check(self):
         assert verify_det3(3, 12)
 
-    def test_branch_ladders_by_the_shift_recurrence(self, ctx, no_cofactor):
+    def test_branch_ladders_by_the_shift_recurrence(self, ctx):
         # row i+2 of a branch ladder is row i moved one column left; LU
         # factors are unique, so every minor is the plain elimination's
         for ladder in eulerian._ladders(ctx):

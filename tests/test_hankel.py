@@ -5,7 +5,7 @@ import pytest
 
 from constel import algebra
 import constel.hankel as hankel_mod
-from constel.algebra import MultiPoly, _det_cofactor, det_elements
+from constel.algebra import MultiPoly, NotDivisible, _det_cofactor, det_elements
 from constel.hankel import (HankelSpec, IdentityViolation, LGVGraph,
                             NonUniqueNILP, hankel_det, hankel_matrix,
                             hankel_product, lgv_signed_sum, nilp_unique, qr,
@@ -18,15 +18,26 @@ V = MultiPoly.v_var
 
 
 class _Z(int):
-    """The integers as a ring of ``_Minors``: a pivot's exact division,
-    and the elimination update; +, -, * and bool are int's."""
+    """The integers as a ring of ``_Minors``, and of ``recover_vi``'s ratio:
+    a product that stays in the class, a pivot's exact division, which
+    refuses with ``NotDivisible`` as ``MultiPoly``'s does, the elimination
+    update, and the exact quotient; +, - and bool are int's."""
 
     def _divider(self):
-        if self:
-            return lambda a: _Z(a // self) if a % self == 0 else None
+        def divide(a):
+            if not self or a % self:
+                raise NotDivisible(f"{self} does not divide {a}")
+            return _Z(a // self)
+        return divide
+
+    def __mul__(self, other):
+        return _Z(int(self) * other)
 
     def _minus_products(self, pairs):
         return _Z(self - sum(a * b for a, b in pairs))
+
+    def exact_div(self, other):
+        return other._divider()(self)
 
 
 def _primes(count: int) -> list[int]:
@@ -147,10 +158,11 @@ class TestInversion:
         with pytest.raises(IdentityViolation):
             recover_vi(3, 3)
 
-    def test_crooked_entry_falls_back_in_a_recurrence_row(self, crooked_walks):
+    def test_crooked_entry_refuses_in_a_recurrence_row(self, crooked_walks):
         # one crooked entry, f(4, 0), leaves pivots 0..2 single terms but a
-        # multiplier of row 3, a shift-recurrence row, inexact; from there
-        # the ladder's minors are cofactor expansions of its leading blocks
+        # multiplier of row 3, a shift-recurrence row, inexact: the ladder
+        # refuses every minor from there on at once (cofactor expansion of
+        # the 7x7 block ran for minutes), and keeps its three good borders
         real = f_poly
 
         def crooked(p, n, r):
@@ -158,9 +170,13 @@ class TestInversion:
             return base + 1 if (n, r) == (4, 0) else base
 
         crooked_walks(crooked)
-        spec = HankelSpec(3, 1, 3)
-        assert hankel_det(spec) == _det_cofactor(hankel_matrix(spec))
-        assert len(hankel_mod._ladder(3, 1)._upper) == 3
+        for n in (6, 3, 5):
+            with pytest.raises(IdentityViolation):
+                hankel_det(HankelSpec(3, 1, n))
+            assert len(hankel_mod._ladder(3, 1)._upper) == 3, n
+        for n in range(3):
+            spec = HankelSpec(3, 1, n)
+            assert hankel_det(spec) == hankel_product(spec), n
 
 
 class TestLGV:
@@ -215,15 +231,16 @@ class TestEngineAgreement:
             assert det == det_elements(rows), spec
             assert det == _det_cofactor(rows), spec
 
-    def test_large_determinants_collapse(self, no_cofactor):
+    def test_large_determinants_collapse(self):
         # both by elimination: by cofactor the 7x7 took 5 s, and the 9x9
         # had not finished after 120 s by the characteristic-polynomial
         # scheme that used to serve sizes past 8x8
         for spec in (HankelSpec(2, 0, 8), HankelSpec(3, 1, 6)):
-            got = det_elements(hankel_matrix(spec))
+            rows = hankel_matrix(spec)
+            got = algebra._Minors(lambda i, j: rows[i][j]).minor(spec.n)
             assert got == hankel_product(spec), spec
 
-    def test_ladder_grid_without_fallback(self, no_cofactor):
+    def test_ladder_grid_without_fallback(self):
         # n ascending: each determinant borders the one before on its ladder
         hankel_mod._ladder.cache_clear()
         for p in (2, 3, 4):
@@ -232,7 +249,7 @@ class TestEngineAgreement:
                     spec = HankelSpec(p, m, n)
                     assert hankel_det(spec) == hankel_product(spec), spec
 
-    def test_shift_recurrence_matches_elimination(self, no_cofactor):
+    def test_shift_recurrence_matches_elimination(self):
         # from row p-1 on, the ladder's U rows come from the shift
         # recurrence and read no entry; LU factors are unique, so U, and
         # with it every minor, is the one plain elimination gives
@@ -250,29 +267,38 @@ class TestEngineAgreement:
                 for n in range(n_max + 1):
                     assert shifted.minor(n) == plain.minor(n), (p, m, n)
                 rows = hankel_matrix(HankelSpec(p, m, n_max))
-                assert shifted.minor(n_max) == det_elements(rows), (p, m)
+                assert shifted.minor(n_max) == algebra._Minors(
+                    lambda i, j: rows[i][j]).minor(n_max), (p, m)
                 assert rows_read == set(range(p - 1)), (p, m)
                 for k in range(n_max + 1):
                     mine, theirs = shifted._upper[k], plain._upper[k]
                     for c in mine.keys() & theirs.keys():
                         assert mine[c] == theirs[c], (p, m, k, c)
 
-    def test_integer_images_of_the_collapse(self, no_cofactor):
+    def test_integer_images_of_the_collapse(self, monkeypatch):
         # V_h -> the h-th prime is a ring map to the integers: each cell is
         # a walk DP over ints, and every minor of the production ladder,
         # shift recurrence and all, is the image of its weight product,
-        # far past the sizes the polynomial ladders reach
+        # far past the sizes the polynomial ladders reach; recover_vi's
+        # ratio of four of those minors is then the image of V_i
         primes = [0, *_primes(120)]  # primes[h] is the h-th prime
         for p, n_max in ((2, 30), (3, 25), (4, 20), (5, 15)):
             @cache
             def cell(n, r, p=p):
                 return _Z(_weight_dp(p, n * p + r, r, 0, primes.__getitem__, 1))
-            for m in range(p):
-                ladder = hankel_mod._banded(p, m, cell)
+            ladders = [hankel_mod._banded(p, m, cell) for m in range(p)]
+            for m, ladder in enumerate(ladders):
                 for n in range(n_max + 1):
                     want = hankel_product(HankelSpec(p, m, n))
                     assert ladder.minor(n) == _props.evaluate(want, primes, {}, 1), \
                         (p, m, n)
+
+            def det(spec, ladders=ladders):
+                return ladders[spec.m].minor(spec.n) if spec.n >= 0 else _Z(1)
+            monkeypatch.setattr(hankel_mod, "hankel_det", det)
+            # V_i reads minor i // p at most, so i stops short of p*(n_max+1)
+            for i in range(1, p * (n_max + 1)):
+                assert recover_vi(p, i) == primes[i], (p, i)
 
     def test_seven_by_seven(self):
         rng = Random(7)

@@ -60,6 +60,23 @@ def test_hankel_ladder_term_pairs(monkeypatch):
     assert counts["calls"] <= 36
 
 
+def test_hankel_ladder_live_terms():
+    # what a cold (3, 1) ladder to n = 6 keeps: its U rows, multipliers and
+    # minors, and the excursion cells it read; counted once per object, so
+    # a new store or a dropped one moves the pin either way
+    hankel_mod._ladder.cache_clear()
+    contfrac._excursions.cache_clear()
+    assert hankel_det(HankelSpec(3, 1, 6)) == hankel_product(HankelSpec(3, 1, 6))
+    ladder = hankel_mod._ladder(3, 1)
+    held = [*ladder.minors,
+            *(u for row in ladder._upper for u in row.values()),
+            *(l for _, mults in ladder._lower for l in mults),
+            *(cell for column in contfrac._excursions(3)._e for cell in column)]
+    distinct = {id(poly): poly for poly in held}.values()
+    assert len(distinct) == 68
+    assert sum(poly.nterms for poly in distinct) == 47_144
+
+
 def test_hankel_entry_term_pairs(monkeypatch):
     # every entry of the (3, 1, 6) matrix, f_poly(3, n, r) for n <= 9, from
     # a cold expansion: cells (0, 1) .. (9, 1), one convolution each
