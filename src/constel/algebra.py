@@ -217,7 +217,7 @@ class MultiPoly:
 
     @classmethod
     def const(cls, c: int) -> "MultiPoly":
-        return cls({0: c}) if c else cls({})
+        return cls({0: int(c)}) if c else cls({})
 
     @classmethod
     def v_var(cls, i: int, exp: int = 1) -> "MultiPoly":
@@ -265,10 +265,11 @@ class MultiPoly:
         return deg
 
     def _check(self) -> "MultiPoly":
-        """Assert canonical form: nonzero int coefficients, and non-negative
-        keys whose fields sum to their degree (a carry breaks that)."""
+        """Assert canonical form: nonzero int coefficients (no bool), and
+        non-negative keys whose fields sum to their degree (a carry breaks
+        that)."""
         for key, coeff in self._terms.items():
-            if not isinstance(coeff, int) or not coeff or key < 0:
+            if type(coeff) is not int or not coeff or key < 0:
                 raise AssertionError(f"stored term {key!r}: {coeff!r}")
             if sum(map(sum, _used((key,)))) != key & _FIELD:
                 raise AssertionError(f"packed monomial {key:#x} is not canonical")
@@ -530,7 +531,7 @@ class XSeries:
 
     @classmethod
     def const(cls, c: int, order: int) -> "XSeries":
-        return cls(order, {0: c} if c else {})
+        return cls(order, {0: int(c)} if c else {})
 
     @classmethod
     def var(cls, k: int, order: int) -> "XSeries":

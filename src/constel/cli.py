@@ -15,8 +15,8 @@ import json
 import sys
 
 from . import contfrac, eulerian, hankel, paths, verify
-from .algebra import ExponentOverflow, NonUnitConstant, OutOfRange
-from .hankel import HankelSpec, IdentityViolation, NonUniqueNILP
+from .algebra import ExponentOverflow, OutOfRange
+from .hankel import HankelSpec
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,7 +96,7 @@ def run(argv) -> int:
     except OutOfRange as exc:
         print(f"constel: error: {exc}", file=sys.stderr)
         return 2
-    except (IdentityViolation, NonUniqueNILP, NonUnitConstant) as exc:
+    except verify._REFUSALS as exc:
         print(f"identity violation: {exc}", file=sys.stderr)
         return 1
     except (MemoryError, RecursionError, ExponentOverflow) as exc:

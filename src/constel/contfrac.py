@@ -1,23 +1,21 @@
 """Series in t whose coefficients are the path weight polynomials.
 
-Two independent constructions of the same object.  ``expand_f`` runs the
+One relaxed expansion, ``_Excursions``, makes them all.  It runs the
 splitting recursion: an excursion is empty or one rise followed by a
 maximal-start descent, and a descent splits at its first return to the
 next level down, which costs one fall weight and one shifted excursion
-factor.  ``expand_fraction`` instead expands the nested fraction
+factor.  The series at shift s is the shift-0 series with every V_i
+renamed V_{i+s} (sigma^s, ``MultiPoly._raised``), so only the shift-0
+series e[j] of each remainder j are expanded, one t-coefficient at a
+time, and coefficient n reads only coefficients below n of their raised
+copies (a relaxed expansion, van der Hoeven, JSC 2002).
 
-    1 / (1 - t * prod_i V_{s+i} * [same shape at shift s+i])
-
-Both are self-similar: the series at shift s is the shift-0 series with
-every V_i renamed V_{i+s} (sigma^s, ``MultiPoly._raised``).  So each
-expands only its shift-0 series, one t-coefficient at a time, and reads
-every shifted level as a raised copy of coefficients already made: a
-coefficient n reads only coefficients below n of the raised copies (a
-relaxed expansion, van der Hoeven, JSC 2002).  Matching the two against
-the direct path aggregation is the core cross-check.
-
-The coefficients of ``expand_f``, f_poly(p, n, r), are the Hankel entries
-too: ``_excursions(p)`` keeps one expansion per p for the Hankel ladders.
+The paper's nested fraction Q = 1/(1 - t*P), P = prod_{0<i<p} V_i
+sigma^i(Q), is column 0: e[p-1] = P*e[0], so e[0] = 1 + t*P*e[0] is its
+fixed point (the path reading of continued fractions, Flajolet 1980).
+``expand_f`` reads column r, ``expand_fraction`` column 0, and the Hankel
+entries the cached ``_excursions(p)``; the walk DP of ``paths.f_poly``
+is the independent check.
 """
 
 from __future__ import annotations
@@ -129,26 +127,14 @@ def expand_fraction(p: int, order: int) -> TSeries:
     """Expansion of the nested fraction, exact through t^order.
 
     The fraction is Q = 1/(1 - t*P) with P = prod_{0<i<p} V_i sigma^i(Q),
-    so coefficient n of Q reads P only through t^(n-1):
-    Q_n = sum_{k=1..n} P_(k-1) Q_(n-k).  P_m is the last link of a chain
-    of convolutions of the raised copies of Q, and reads Q only through
-    t^m.
+    the excursion series e[0]: column 0 of a fresh ``_Excursions(p)``.
     """
     if p < 2:
         raise OutOfRange("p must be >= 2")
     if order < 0:
         raise OutOfRange("order must be >= 0")
-    q = [MultiPoly.one()]
-    raised = [[] for _ in range(p)]  # raised[i][k] = V_i sigma^i(q[k])
-    # chain[i] = prod_{0<j<=i} V_j sigma^j(Q), so chain[p-1] is P
-    chain = raised[:2] + [[] for _ in range(2, p)]
-    for m in range(order):  # Q_(m+1) is coefficient m of P*Q
-        for i in range(1, p):
-            raised[i].append(q[m]._raised(i, MultiPoly.v_var(i)))
-        for i in range(2, p):
-            chain[i].append(_convolved(raised[i], chain[i - 1], m))
-        q.append(_convolved(chain[p - 1], q, m))
-    return TSeries(q)
+    cells = _Excursions(p)  # a fresh one makes no cell past (order, 0)
+    return TSeries(cells.coeff(n, 0) for n in range(order + 1))
 
 
 def _convolved(a, b, n: int) -> MultiPoly:

@@ -24,7 +24,6 @@ from .paths import count_closed
 from .solver import SolverConfig, _limit, solve_vi
 
 
-@lru_cache(maxsize=64)
 def fib_poly(n: int) -> MultiPoly:
     """The Fibonacci-style family: f_0 = 0, f_1 = 1, f_{n+2} = f_{n+1} - z f_n.
 

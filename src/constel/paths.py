@@ -179,7 +179,6 @@ def f_poly(p: int, n: int, r: int) -> MultiPoly:
     return _weight_dp(p, n * p + r, r, 0, _v_weight, MultiPoly.one())
 
 
-@lru_cache(maxsize=128)
 def count_paths(p: int, n: int, r: int) -> int:
     """Number of p-paths from (-r, r) to (np, 0); r may reach p."""
     if p < 2:

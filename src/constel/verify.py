@@ -12,6 +12,9 @@ from . import contfrac, eulerian, hankel, paths, solver
 from .algebra import MultiPoly, NonUnitConstant, OutOfRange, XSeries
 from .hankel import HankelSpec, IdentityViolation, NonUniqueNILP
 
+# the errors that report a failed identity: a FAIL line here, exit 1 in the CLI
+_REFUSALS = (IdentityViolation, NonUniqueNILP, NonUnitConstant)
+
 
 @dataclass
 class CheckResult:
@@ -42,7 +45,7 @@ class CheckPlan:
                 detail = fn()
                 results.append(CheckResult(name, params, detail is None,
                                            detail or ""))
-            except (IdentityViolation, NonUniqueNILP, NonUnitConstant) as exc:
+            except _REFUSALS as exc:
                 results.append(CheckResult(name, params, False, str(exc)))
         return results
 

@@ -6,7 +6,8 @@ actually performed so callers can enforce a minimum.  Every ring result
 they compute passes through ``ok``, the opt-in canonical-form check.
 
 ``full_order_fraction`` is the nested fraction with every level at the
-full t-order, the oracle of ``expand_fraction``, and
+full t-order, inverted level by level, the oracle of ``expand_fraction``
+(which reads column 0 of the splitting recursion), and
 ``splitting_recursion`` expands every shifted level of the splitting
 recursion on its own, the oracle of ``expand_f``; both multiply by
 ``tseries_mul``.  ``full_order_family``, ``full_order_limit`` and

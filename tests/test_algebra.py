@@ -117,6 +117,17 @@ def test_constants_hash_as_their_int(c):
         assert {c: c}[const] == c
 
 
+def test_bool_constants_store_an_int():
+    # True is an int to isinstance, but "True" is no JSON coefficient
+    for got, want in ((C(True), C(1)), (C(True) + 0, C(1)),
+                      (V(1) + True, V(1) + 1),
+                      (XSeries.const(True, 2), XSeries.const(1, 2))):
+        assert _props.ok(got) == want
+        assert type(got).from_json(got.to_json()) == want
+    with pytest.raises(AssertionError):
+        MultiPoly({0: True})._check()
+
+
 class TestXSeries:
     def test_basics(self):
         s = XSeries.var(1, 5)
