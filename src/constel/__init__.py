@@ -21,12 +21,10 @@ Every identity the library relies on has a runnable cross-check in
 from .algebra import (
     ExponentOverflow,
     MultiPoly,
-    NonSquare,
     NonUnitConstant,
     NotDivisible,
     OutOfRange,
     XSeries,
-    det_elements,
 )
 from .contfrac import TSeries, expand_f, expand_fraction
 from .eulerian import (
@@ -63,7 +61,6 @@ __all__ = [
     "HankelSpec",
     "IdentityViolation",
     "MultiPoly",
-    "NonSquare",
     "NonUniqueNILP",
     "NonUnitConstant",
     "NotDivisible",
@@ -74,7 +71,6 @@ __all__ = [
     "XSeries",
     "count_closed",
     "count_paths",
-    "det_elements",
     "enumerate_paths",
     "expand_f",
     "expand_fraction",

@@ -7,10 +7,9 @@ is a power series in the x family truncated at a total-degree bound,
 which is what the fixed-point solvers produce.  Coefficients are plain
 Python integers, so there is no precision ceiling anywhere and equality
 is literal equality.  Every determinant, over either ring, is a leading
-minor of ``_Minors``, one growing LU; ``det_elements`` reads the last.
-A pivot that breaks its ring's rule raises that ring's error
-(``NotDivisible``, ``NonUnitConstant``); only ``det_elements`` then
-expands cofactors.
+minor of ``_Minors``, one growing LU.  A pivot that breaks its ring's
+rule raises that ring's error (``NotDivisible``, ``NonUnitConstant``);
+there is no second engine to fall back on.
 ``_layered._Layered``, the solvers' relaxed series, makes each of its
 homogeneous layers by one ``_layer_sum`` and joins them by
 ``XSeries._of_layers``, so it never sees a packed key.  Both rings raise
@@ -50,7 +49,7 @@ from __future__ import annotations
 import sys
 from collections.abc import Iterable, Mapping, Sequence
 from functools import reduce
-from itertools import combinations, compress, count
+from itertools import compress, count
 from operator import or_
 
 
@@ -60,10 +59,6 @@ class NotDivisible(ArithmeticError):
 
 class ExponentOverflow(ArithmeticError):
     """A monomial degree does not fit its packed 16-bit field."""
-
-
-class NonSquare(ValueError):
-    """Determinant of a non-square matrix was requested."""
 
 
 class NonUnitConstant(ArithmeticError):
@@ -735,26 +730,7 @@ def _coerce_series(value, order):
 
 
 # ---------------------------------------------------------------------------
-# division-free determinants
-
-
-def det_elements(rows):
-    """Determinant of a square matrix of MultiPoly or XSeries entries.
-
-    The last leading minor of ``_Minors`` over the rows, on each ring's
-    pivot rule (a single term for ``MultiPoly``, constant term +1 or -1
-    for ``XSeries``).  A matrix whose pivots break that rule is expanded
-    by cofactors instead: this is the package's one fallback.  An empty or
-    ragged matrix raises ``NonSquare``: callers return their ring's one
-    for the empty case.
-    """
-    n = len(rows)
-    if n == 0 or any(len(r) != n for r in rows):
-        raise NonSquare("determinant needs a non-empty square matrix")
-    try:
-        return _Minors(lambda i, j: rows[i][j]).minor(n - 1)
-    except (NotDivisible, NonUnitConstant):
-        return _det_cofactor(rows)
+# determinants: the leading minors of one elimination
 
 
 class _Minors:
@@ -779,8 +755,7 @@ class _Minors:
     A pivot that breaks its ring's rule, or a quotient that leaves the
     ring, raises the ring's own error (``NotDivisible``,
     ``NonUnitConstant``) on every request for a minor past it; the ladder
-    keeps the borders before it, and only ``det_elements`` expands
-    cofactors instead.
+    keeps the borders before it, and never falls back.
     """
 
     __slots__ = ("_entry", "_shift", "_lower", "_upper", "_divide", "minors")
@@ -837,68 +812,4 @@ class _Minors:
         self._upper.append({n: pivot})
         self._divide = dividers
         self.minors.append(det)
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def _det_cofactor(rows):
-    # Heavy lines should only ever multiply fully collapsed minors, so the
-    # expansion is reordered: transpose if that makes the off-heavy mass
-    # smaller, then sort lines by weight descending (line 0 enters last).
-    n = len(rows)
-    grid = [list(r) for r in rows]
-    weights = [[getattr(e, "nterms", 1) for e in r] for r in grid]
-    row_w = [sum(r) for r in weights]
-    col_w = [sum(c) for c in zip(*weights)]
-    if sum(col_w) - max(col_w) < sum(row_w) - max(row_w):
-        grid = [[grid[i][j] for i in range(n)] for j in range(n)]
-        row_w = col_w
-    order = sorted(range(n), key=lambda i: row_w[i], reverse=True)
-    sign = _perm_sign(order)
-    grid = [grid[i] for i in order]
-
-    one = grid[0][0] ** 0  # the ring's one: MultiPoly or XSeries at its order
-    zero = one - one
-    # minors[mask] = det of the last popcount(mask) lines on columns in mask
-    minors = {0: one}
-    for size in range(1, n + 1):
-        line = grid[n - size]
-        nxt: dict[int, object] = {}
-        for combo in combinations(range(n), size):
-            cols = sum(1 << c for c in combo)
-            acc = None
-            parity = 0
-            m = cols
-            while m:
-                low = m & -m
-                c = low.bit_length() - 1
-                entry = line[c]
-                if entry:
-                    sub = minors[cols ^ low]
-                    if sub:
-                        piece = entry * sub
-                        if parity & 1:
-                            piece = -piece
-                        acc = piece if acc is None else acc + piece
-                parity += 1
-                m ^= low
-            nxt[cols] = zero if acc is None else acc
-        minors = nxt
-    det = minors[(1 << n) - 1]
-    return det if sign == 1 else -det
 

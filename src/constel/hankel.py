@@ -19,7 +19,7 @@ from functools import lru_cache, partial
 from itertools import permutations
 
 from . import algebra
-from .algebra import MultiPoly, NotDivisible, OutOfRange, _perm_sign
+from .algebra import MultiPoly, NotDivisible, OutOfRange
 from .contfrac import _excursions
 from .paths import enumerate_paths, path_weight
 
@@ -167,6 +167,24 @@ def _path_sum(p, src, dst) -> MultiPoly:
     # every path's weight, V_h for each fall from height h, in one sum
     return MultiPoly.from_terms(((Counter(path.fall_heights()), ()), 1)
                                 for path in enumerate_paths(p, src, dst))
+
+
+def _perm_sign(perm) -> int:
+    # (-1) to the number of even-length cycles
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
 
 
 def lgv_signed_sum(spec: HankelSpec) -> MultiPoly:

@@ -36,8 +36,7 @@ from random import Random
 
 from constel._layered import _Layered
 from constel.algebra import (MultiPoly, NonUnitConstant, NotDivisible,
-                             XSeries, _Minors, _det_cofactor, _sum_products,
-                             det_elements)
+                             XSeries, _Minors, _sum_products)
 from constel.contfrac import TSeries
 from constel.paths import _weight_dp, f_poly
 from constel.solver import SolverConfig, v_update, vi_update
@@ -177,27 +176,49 @@ def perm_expansion_det(rows, one=MultiPoly.one()):
 
 
 def eliminated(rows):
-    """The determinant by elimination alone, None when the ladder refuses a
-    pivot (``det_elements`` then expands cofactors)."""
+    """The determinant by one ladder, None when it refuses a pivot with its
+    ring's error."""
     try:
         return _Minors(lambda i, j: rows[i][j]).minor(len(rows) - 1)
     except (NotDivisible, NonUnitConstant):
         return None
 
 
+def ladder_matches_leibniz(rows, one) -> bool:
+    """Every minor one ladder gives is the Leibniz expansion of its leading
+    block: True when it gives them all, False when it refuses a pivot with
+    its ring's error (any other error propagates)."""
+    ladder = _Minors(lambda i, j: rows[i][j])
+    for k in range(len(rows)):
+        try:
+            det = ladder.minor(k)
+        except (NotDivisible, NonUnitConstant):
+            return False
+        block = [row[:k + 1] for row in rows[:k + 1]]
+        assert ok(det) == ok(perm_expansion_det(block, one)), k
+    return True
+
+
 def check_det_oracle(seed: int, cases: int) -> int:
+    """Random general matrices up to 4x4 over MultiPoly, each asked of one
+    ladder.  A matrix it refuses is followed by an L*U product up to 4x4,
+    over each ring in turn, which it must answer in full.  Returns the
+    number of full determinants compared with the Leibniz expansion."""
     rng = Random(seed)
+    compared = refused = 0
     for _ in range(cases):
         n = rng.randint(1, 4)
         rows = [[rand_poly(rng, max_terms=2, max_idx=3, max_exp=2)
                  for _ in range(n)] for _ in range(n)]
-        want = ok(perm_expansion_det(rows))
-        assert ok(det_elements(rows)) == want
-        # the cofactor fallback on every matrix, whatever the elimination does
-        assert ok(_det_cofactor(rows)) == want
-        det = eliminated(rows)
-        assert det is None or ok(det) == want
-    return cases
+        if not ladder_matches_leibniz(rows, MultiPoly.one()):
+            refused += 1
+            draw = rand_lu_series if refused % 2 else rand_lu_poly
+            rows, diag = draw(rng, 4)
+            assert ladder_matches_leibniz(rows, diag[0] ** 0)
+        compared += 1
+    # both paths ran: matrices answered in full, and refusals
+    assert 0 < refused < cases, refused
+    return compared
 
 
 def _rand_term(rng: Random) -> MultiPoly:
@@ -211,11 +232,11 @@ def _lu_rows(lower, upper, zero):
              for j in range(n)] for i in range(n)]
 
 
-def rand_lu_poly(rng: Random):
-    """(rows, U's diagonal) of L*U up to 6x6 over MultiPoly, L unit lower
-    and U upper on single-term diagonals."""
+def rand_lu_poly(rng: Random, max_n=6):
+    """(rows, U's diagonal) of L*U up to max_n x max_n over MultiPoly, L
+    unit lower and U upper on single-term diagonals."""
     zero, one = MultiPoly.zero(), MultiPoly.one()
-    n = rng.randint(1, 6)
+    n = rng.randint(1, max_n)
     lower = [[one if i == j else
               rand_poly(rng, max_terms=2, max_idx=3, max_exp=1)
               if j < i else zero for j in range(n)] for i in range(n)]
@@ -231,11 +252,11 @@ def _rand_unit_series(rng: Random, order: int) -> XSeries:
         + XSeries.const(rng.choice((1, -1)), order)
 
 
-def rand_lu_series(rng: Random):
-    """(rows, U's diagonal) of L*U up to 6x6 over XSeries, L unit lower
-    and U upper on unit diagonals."""
+def rand_lu_series(rng: Random, max_n=6):
+    """(rows, U's diagonal) of L*U up to max_n x max_n over XSeries, L
+    unit lower and U upper on unit diagonals."""
     order = rng.randint(3, 7)
-    n = rng.randint(1, 6)
+    n = rng.randint(1, max_n)
     zero, one = XSeries.zero(order), XSeries.const(1, order)
     lower = [[one if i == j else rand_series(rng, order) if j < i else zero
               for j in range(n)] for i in range(n)]
@@ -265,7 +286,6 @@ def check_lu_elimination(seed: int, cases: int) -> int:
         rows, diag = rand_lu_poly(rng)
         want = leading_minors(diag)[-1]
         assert ok(eliminated(rows)) == want
-        assert ok(det_elements(rows)) == want
         assert ok(perm_expansion_det(rows)) == want
     return cases
 
@@ -275,8 +295,8 @@ def check_series_lu_elimination(seed: int, cases: int) -> int:
 
     The series form of ``check_lu_elimination``: every pivot of such a
     product is a unit of the truncated ring, so the elimination runs to
-    the end and gives U's diagonal product, which ``det_elements``, the
-    cofactor expansion and the Leibniz expansion confirm.
+    the end and gives U's diagonal product, which the Leibniz expansion
+    confirms.
     """
     rng = Random(seed)
     for _ in range(cases):
@@ -285,8 +305,6 @@ def check_series_lu_elimination(seed: int, cases: int) -> int:
         det = eliminated(rows)
         assert det is not None
         assert ok(det) == want
-        assert ok(det_elements(rows)) == want
-        assert ok(_det_cofactor(rows)) == want
         assert ok(perm_expansion_det(rows, diag[0] ** 0)) == want
     return cases
 
@@ -294,8 +312,8 @@ def check_series_lu_elimination(seed: int, cases: int) -> int:
 def check_ladder_minors(seed: int, cases: int) -> int:
     """Leading minors of L*U up to 6x6, over both rings, from a ladder.
 
-    Asked in ascending and in descending order, and through
-    ``det_elements`` on each leading block, every minor is U's running
+    Asked in ascending and in descending order, and of a fresh ladder on
+    each leading block, every minor is U's running
     diagonal product, which the Leibniz expansion confirms; each ladder
     fetches each entry once, however often its minors are asked again.
     """
@@ -317,7 +335,7 @@ def check_ladder_minors(seed: int, cases: int) -> int:
             assert fetched == Counter(product(range(n), repeat=2))
         for k in range(n):
             block = [row[:k + 1] for row in rows[:k + 1]]
-            assert ok(det_elements(block)) == want[k]
+            assert ok(eliminated(block)) == want[k]
             assert ok(perm_expansion_det(block, diag[0] ** 0)) == want[k]
     return cases
 

@@ -2,10 +2,8 @@ from random import Random
 
 import pytest
 
-from constel import algebra
-from constel.algebra import (MultiPoly, NonSquare, NonUnitConstant,
-                             NotDivisible, XSeries, _Minors, _det_cofactor,
-                             det_elements)
+from constel.algebra import (MultiPoly, NonUnitConstant, NotDivisible,
+                             XSeries, _Minors)
 
 import _props
 
@@ -293,36 +291,44 @@ class TestCanonicalCheck:
             XSeries(order, terms)._check()
 
 
+def full_minor(rows):
+    # the determinant: the last leading minor of one ladder over the rows
+    return _Minors(lambda i, j: rows[i][j]).minor(len(rows) - 1)
+
+
 class TestDeterminants:
     def test_two_by_two(self):
+        # the multiplier a*c / a stays in the ring
         a, b, c, d = V(1), V(2), V(3), V(4)
-        got = det_elements([[a, b], [c, d]])
-        assert got == a * d - b * c
+        rows = [[a, b], [a * c, d]]
+        assert full_minor(rows) == a * d - a * b * c
+        assert full_minor(rows) == _props.perm_expansion_det(rows)
 
     def test_identity_and_zero_row(self):
         one, zero = MultiPoly.one(), MultiPoly.zero()
         eye = [[one if i == j else zero for j in range(3)] for i in range(3)]
-        assert det_elements(eye) == one
-        eye[1] = [zero, zero, zero]
-        assert det_elements(eye) == zero
-
-    def test_non_square_and_ragged(self):
-        for rows in ([[V(1), V(2)]], [[V(1), V(2)], [V(3)]],
-                     [[V(1)], [V(2), V(3)]]):
-            with pytest.raises(NonSquare):
-                det_elements(rows)
-
-    def test_empty_matrix(self):
-        # callers return their ring's one for the empty matrix themselves
-        with pytest.raises(NonSquare):
-            det_elements([])
+        assert full_minor(eye) == one
+        eye[2] = [zero, zero, zero]
+        assert full_minor(eye) == zero
+        # a zero pivot before the last has no divider: the ladder gives the
+        # zero minor it ends, and refuses every minor past it
+        eye[1], eye[2] = eye[2], [zero, zero, one]
+        ladder = _Minors(lambda i, j: eye[i][j])
+        assert ladder.minor(1) == zero
+        with pytest.raises(NotDivisible):
+            ladder.minor(2)
 
     def test_engines_agree_on_5x5(self):
-        rows = [[V((i + j) % 3 + 1) + C(i * j % 4) for j in range(5)]
-                for i in range(5)]
-        want = _props.perm_expansion_det(rows)
-        assert det_elements(rows) == want
-        assert _det_cofactor(rows) == want
+        # L*U with two-term multipliers and single-term pivots: every
+        # leading minor of the ladder is the Leibniz expansion of its block
+        zero = MultiPoly.zero()
+        lower = [[C(1) if i == k else V((i + k) % 3 + 1) + C(i * k % 4)
+                  if k < i else zero for k in range(5)] for i in range(5)]
+        upper = [[V(k + 1) if k == j else V((k + j) % 3 + 1) + C(k * j % 4)
+                  if k < j else zero for j in range(5)] for k in range(5)]
+        rows = [[sum((lower[i][k] * upper[k][j] for k in range(5)), zero)
+                 for j in range(5)] for i in range(5)]
+        assert _props.ladder_matches_leibniz(rows, MultiPoly.one())
 
     @pytest.mark.parametrize("pivot, below", [
         (C(0), V(1)),              # zero pivot
@@ -334,22 +340,22 @@ class TestDeterminants:
     ])
     def test_elimination_falls_back_unchanged(self, pivot, below):
         # step 0 eliminates on the unit pivot and leaves `pivot` at (1, 1)
-        # over `below`, where step 1 has to give up; the single terms var(5)
-        # and var(1) left in column 2 would let a step 1 that went on end in
-        # a wrong single-term product
+        # over `below`, where step 2 has to give up with the ring's error;
+        # the single terms var(5) and var(1) left in column 2 would let a
+        # step 2 that went on end in a wrong single-term product
         if isinstance(pivot, MultiPoly):
-            var, one = V, MultiPoly.one()
+            var, one, error = V, MultiPoly.one(), NotDivisible
         else:
-            var, one = S, XSeries.const(1, ORDER)
+            var, one, error = S, XSeries.const(1, ORDER), NonUnitConstant
         rows = [[one, var(2), var(3)],
                 [var(4), var(4) * var(2) + pivot, var(4) * var(3) + var(5)],
                 [var(6), var(6) * var(2) + below, var(6) * var(3) + var(1)]]
         before = [[dict(e._terms) for e in row] for row in rows]
-        assert _props.eliminated(rows) is None
-        got = det_elements(rows)
-        assert got == _det_cofactor(rows)
-        assert got == _props.perm_expansion_det(rows, one)
+        ladder = _Minors(lambda i, j: rows[i][j])
+        with pytest.raises(error):
+            ladder.minor(2)
         assert [[e._terms for e in row] for row in rows] == before
+        assert ladder.minor(0) == _props.perm_expansion_det([[rows[0][0]]], one)
 
     @pytest.mark.parametrize("last", [V(1) + V(2), S(1) + 2])
     def test_last_pivot_needs_no_divider(self, last):
@@ -387,21 +393,6 @@ class TestDeterminants:
                     ladder.minor(n)
                 assert state(ladder) == before, (pivot, n)
             assert ladder.minor(0) == pivot
-
-    def test_one_shot_falls_back_to_one_expansion(self, monkeypatch):
-        # the two-term first pivot stops the elimination at border 1; a
-        # one-shot determinant wants no smaller minor, so it expands the
-        # whole matrix once instead of every border from 1 to 4
-        rows = [[V(i + 1) * V(j + 1) + C(i == j) for j in range(5)]
-                for i in range(5)]
-        cofactor, calls = algebra._det_cofactor, []
-
-        def spy(block):
-            calls.append(len(block))
-            return cofactor(block)
-        monkeypatch.setattr(algebra, "_det_cofactor", spy)
-        assert det_elements(rows) == _props.perm_expansion_det(rows)
-        assert calls == [5]
 
 
 # randomized suites; counts well above the hundred-case floor

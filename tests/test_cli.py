@@ -445,7 +445,7 @@ class TestVerifyAll:
 
     def test_polynomial_determinant_bytes_are_pinned(self):
         # digests of banded determinants, their ratios and the path-system
-        # picture, each through det_elements over MultiPoly
+        # picture, each a leading minor of a MultiPoly ladder
         for argv, digest in (
                 (["hankel", "--p", "2", "--m", "0", "--n", "6", "--json"],
                  "665f166f301ea194e7465e4a58b3dde87bdbc479299ed6711949ba7ca0dcda69"),

@@ -5,7 +5,7 @@ import pytest
 
 from constel import algebra
 import constel.hankel as hankel_mod
-from constel.algebra import MultiPoly, NotDivisible, _det_cofactor, det_elements
+from constel.algebra import MultiPoly, NotDivisible
 from constel.hankel import (HankelSpec, IdentityViolation, LGVGraph,
                             NonUniqueNILP, hankel_det, hankel_matrix,
                             hankel_product, lgv_signed_sum, nilp_unique, qr,
@@ -48,6 +48,45 @@ def _primes(count: int) -> list[int]:
             found.append(k)
         k += 1
     return found
+
+
+def _walk_lu(p: int, m: int, size: int, cols: int, weight, one):
+    """L and U of the (p, m) Hankel matrix as walk sums, by the walk DP
+    alone (Viennot's combinatorial LU, in the p-step form of Petreolle,
+    Sokal and Zhu, arXiv:1807.03271).  Every path from row k's source to
+    a sink crosses height h_j = jp + m at x = -m for one j: L[k][j] sums
+    the walks up from the source to (-m, h_j), U[j][c] those from there
+    down to (cp, 0).  L is size x size, U has size rows and cols columns,
+    each U row the sums of every length from one sweep."""
+    lower = []
+    for k in range(size):
+        q, r = qr(m + k, p)
+        lower.append([_weight_dp(p, q * p + r - m, r, j * p + m, weight, one)
+                      for j in range(size)])
+    upper = [_weight_dp(p, (cols - 1) * p + m, j * p + m, 0, weight, one,
+                        every=True)[m::p] for j in range(size)]
+    return lower, upper
+
+
+def _check_walk_lu(ladder, n: int, entry, lower, upper, one):
+    # H = L*U on the leading (n+1) x (n+1) block, L unit lower triangular,
+    # every U cell the ladder has made (far columns too) the walk U, and
+    # every minor the running product of U's diagonal
+    zero = one - one
+    for i in range(n + 1):
+        for c in range(n + 1):
+            got = sum((lower[i][j] * upper[j][c] for j in range(i + 1)), zero)
+            assert entry(i, c) == got, (i, c)
+        assert lower[i][i] == one and lower[i][i + 1:] == [zero] * (n - i), i
+    assert len(ladder.minors) == n + 1
+    assert max(c for row in ladder._upper for c in row) > n
+    for k, row in enumerate(ladder._upper):
+        for c, u in row.items():
+            assert u == upper[k][c], (k, c)
+    det = one
+    for k in range(n + 1):
+        det = det * upper[k][k]
+        assert ladder.minors[k] == det, k
 
 
 class TestSpec:
@@ -161,8 +200,8 @@ class TestInversion:
     def test_crooked_entry_refuses_in_a_recurrence_row(self, crooked_walks):
         # one crooked entry, f(4, 0), leaves pivots 0..2 single terms but a
         # multiplier of row 3, a shift-recurrence row, inexact: the ladder
-        # refuses every minor from there on at once (cofactor expansion of
-        # the 7x7 block ran for minutes), and keeps its three good borders
+        # refuses every minor from there on at once, and keeps its three
+        # good borders
         real = f_poly
 
         def crooked(p, n, r):
@@ -219,22 +258,21 @@ class TestLGV:
 
 
 class TestEngineAgreement:
-    def test_elimination_matches_cofactor(self):
-        # every pivot of a banded Hankel matrix is a single term, so the
-        # elimination, not its fallback, gives det_elements' value
+    def test_elimination_matches_leibniz(self):
+        # every pivot of a banded Hankel matrix is a single term, so plain
+        # elimination never refuses: its determinant is the weight product,
+        # and the Leibniz expansion's up to 3x3
         specs = [HankelSpec(p, m, n) for p in (2, 3, 4) for m in range(p)
                  for n in range(5)] + [HankelSpec(3, 1, 5)]
         for spec in specs:
             rows = hankel_matrix(spec)
             det = _props.eliminated(rows)
-            assert det is not None, spec
-            assert det == det_elements(rows), spec
-            assert det == _det_cofactor(rows), spec
+            assert det == hankel_product(spec), spec
+            if spec.n <= 2:
+                assert det == _props.perm_expansion_det(rows), spec
 
     def test_large_determinants_collapse(self):
-        # both by elimination: by cofactor the 7x7 took 5 s, and the 9x9
-        # had not finished after 120 s by the characteristic-polynomial
-        # scheme that used to serve sizes past 8x8
+        # both by plain elimination, without the shift recurrence
         for spec in (HankelSpec(2, 0, 8), HankelSpec(3, 1, 6)):
             rows = hankel_matrix(spec)
             got = algebra._Minors(lambda i, j: rows[i][j]).minor(spec.n)
@@ -301,11 +339,58 @@ class TestEngineAgreement:
                 assert recover_vi(p, i) == primes[i], (p, i)
 
     def test_seven_by_seven(self):
+        # L*U with constant multipliers and single-term pivots, its entries
+        # up to four terms: the ladder gives the Leibniz expansion
         rng = Random(7)
-        rows = [[V(rng.randint(1, 3)) * rng.randint(-2, 2)
-                 + MultiPoly.const(rng.randint(0, 2)) for _ in range(7)]
-                for _ in range(7)]
-        det = det_elements(rows)
+        zero, one = MultiPoly.zero(), MultiPoly.one()
+
+        def small():
+            return V(rng.randint(1, 3)) * rng.randint(-2, 2) \
+                + MultiPoly.const(rng.randint(0, 2))
+        lower = [[one if i == k else MultiPoly.const(rng.randint(-2, 2))
+                  if k < i else zero for k in range(7)] for i in range(7)]
+        upper = [[V(rng.randint(1, 3)) * rng.choice((-1, 1)) if k == j
+                  else small() if k < j else zero for j in range(7)]
+                 for k in range(7)]
+        rows = [[sum((lower[i][k] * upper[k][j] for k in range(7)), zero)
+                 for j in range(7)] for i in range(7)]
+        det = algebra._Minors(lambda i, j: rows[i][j]).minor(6)
         assert det == _props.perm_expansion_det(rows)
-        assert _det_cofactor(rows) == det
         assert not det.is_zero()
+
+
+class TestWalkLU:
+    # the ladders against their walk-sum LU: an oracle that shares neither
+    # the excursion cells nor the elimination, and checks every U cell the
+    # ladder has made, the far columns only the shift recurrence reads too
+    @pytest.mark.parametrize("p, m, n", [(2, 0, 5), (3, 1, 5), (3, 2, 4),
+                                         (4, 2, 5), (5, 3, 4)])
+    def test_ladder_is_the_walk_lu(self, p, m, n):
+        ladder = hankel_mod._banded(p, m, partial(hankel_mod._walks, p))
+        ladder.minor(n)
+        cols = 1 + max(c for row in ladder._upper for c in row)
+        one = MultiPoly.one()
+        lower, upper = _walk_lu(p, m, n + 1, cols, V, one)
+        rows = hankel_matrix(HankelSpec(p, m, n))
+        _check_walk_lu(ladder, n, lambda i, c: rows[i][c], lower, upper, one)
+
+    @pytest.mark.parametrize("p, m, n", [(3, 1, 30), (4, 2, 20)])
+    def test_integer_image(self, p, m, n):
+        # V_h -> the h-th prime, in plain ints: rows far past the sizes the
+        # polynomial ladders reach
+        primes = [0, *_primes(160)]  # primes[h] is the h-th prime
+        weight = primes.__getitem__
+
+        @cache
+        def cell(k, r):
+            return _Z(_weight_dp(p, k * p + r, r, 0, weight, 1))
+
+        def walks(i, c):
+            # entry (i, c) of the matrix: the walks from source i to sink c
+            q, r = qr(m + i, p)
+            return cell(q + c, r)
+        ladder = hankel_mod._banded(p, m, cell)
+        ladder.minor(n)
+        cols = 1 + max(c for row in ladder._upper for c in row)
+        lower, upper = _walk_lu(p, m, n + 1, cols, weight, 1)
+        _check_walk_lu(ladder, n, walks, lower, upper, 1)
