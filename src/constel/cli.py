@@ -188,8 +188,8 @@ def _dispatch(parser, args) -> int:
         return 0
 
     if cmd == "euler-verify":
-        results = verify.plan_ladder(args.kmax, args.order,
-                                     3 * args.kmax + 3).run()
+        results = verify.run(verify.plan_ladder(args.kmax, args.order,
+                                                3 * args.kmax + 3))
     else:  # verify-all, the last command argparse admits
         results = verify.run_all(tuple(args.p), args.n_max, args.order)
     for res in results:

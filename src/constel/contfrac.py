@@ -14,14 +14,13 @@ The paper's nested fraction Q = 1/(1 - t*P), P = prod_{0<i<p} V_i
 sigma^i(Q), is column 0: e[p-1] = P*e[0], so e[0] = 1 + t*P*e[0] is its
 fixed point (the path reading of continued fractions, Flajolet 1980).
 ``expand_f`` reads column r, ``expand_fraction`` column 0, and the Hankel
-entries the cached ``_excursions(p)``; the walk DP of ``paths.f_poly``
-is the independent check.
+entries the cached ``_excursions(p)``, whose cells outlive a step that
+raises; the walk DP of ``paths.f_poly`` is the independent check.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import count
 
 from .algebra import MultiPoly, OutOfRange, _sum_products
 
@@ -84,37 +83,29 @@ def expand_f(p: int, r: int, shift: int = 0, order: int = 0) -> TSeries:
 class _Excursions:
     """The shift-0 series e[j] of each remainder j, made on request:
     e[0] = 1 + t*e[p-1] and e[j] = V_j sigma^j(e[0]) e[j-1].  Cells are
-    made in order of n, then j, until the one asked for exists."""
+    made in order of n, then j, until the one asked for exists.  A cell is
+    stored only once whole, so a step that raises keeps every cell made."""
 
-    __slots__ = ("_e", "_cells")
+    __slots__ = ("_e", "_raised")
 
     def __init__(self, p: int):
         self._e = [[] for _ in range(p)]
-        self._cells = _fill(self._e)  # holds e, not self: no cycle to collect
+        self._raised = [[] for _ in range(p)]  # [j][k]: V_j sigma^j(e[0][k])
 
     def coeff(self, n: int, r: int) -> MultiPoly:
         """Coefficient n of e[r]: f_poly(p, n, r)."""
-        column = self._e[r]
-        try:
-            while len(column) <= n:
-                next(self._cells)
-        except BaseException:  # a generator that raised is finished: restart
-            self.__init__(len(self._e))
-            raise
-        return column[n]
-
-
-def _fill(e):
-    # makes one cell of e per step: (n, 0), (n, 1), ..., (n, p-1), (n+1, 0)
-    p = len(e)
-    raised = [[] for _ in range(p)]  # raised[j][k] = V_j sigma^j(e[0][k])
-    for n in count():
-        e[0].append(e[p - 1][n - 1] if n else MultiPoly.one())
-        yield
-        for j in range(1, p):
-            raised[j].append(e[0][n]._raised(j, MultiPoly.v_var(j)))
-            e[j].append(_convolved(raised[j], e[j - 1], n))
-            yield
+        e, raised = self._e, self._raised
+        while len(e[r]) <= n:
+            # the next cell is (k, j): row k lacks columns j and on
+            k = len(e[-1])
+            j = sum(len(column) > k for column in e)
+            if j == 0:
+                e[0].append(e[-1][k - 1] if k else MultiPoly.one())
+                continue
+            if len(raised[j]) == k:
+                raised[j].append(e[0][k]._raised(j, MultiPoly.v_var(j)))
+            e[j].append(_convolved(raised[j], e[j - 1], k))
+        return e[r][n]
 
 
 @lru_cache(maxsize=8)

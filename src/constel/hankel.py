@@ -7,8 +7,8 @@ V_1 .. V_{ip+m} over the rows, and ratios of neighbouring determinants
 peel off a single V_i.  The (p, m) layout is one shifted elimination,
 ``_banded``, which the cubic case's ladders run over series cells.  A
 signed brute-force sum over path systems and a direct search for
-vertex-disjoint configurations give fully independent desk-scale checks
-of the same collapse.
+vertex-disjoint configurations, both between the sources and sinks of
+``_ends``, give fully independent desk-scale checks of the same collapse.
 """
 
 from __future__ import annotations
@@ -54,24 +54,6 @@ class HankelSpec:
             raise OutOfRange("m must lie in [0, p-1]")
         if self.n < -1:
             raise OutOfRange("n must be >= -1")
-
-
-@dataclass(frozen=True)
-class LGVGraph:
-    """Sources and sinks of the path-system picture of one determinant."""
-
-    p: int
-    sources: tuple[tuple[int, int], ...]
-    sinks: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def for_spec(cls, spec: HankelSpec) -> "LGVGraph":
-        sources = []
-        for i in range(spec.n + 1):
-            q, r = qr(spec.m + i, spec.p)
-            sources.append((-spec.p * q - r, r))
-        sinks = [(j * spec.p, 0) for j in range(spec.n + 1)]
-        return cls(spec.p, tuple(sources), tuple(sinks))
 
 
 def hankel_matrix(spec: HankelSpec) -> list[list[MultiPoly]]:
@@ -187,16 +169,24 @@ def _perm_sign(perm) -> int:
     return sign
 
 
+def _ends(spec: HankelSpec):
+    # the sources and sinks of the path-system picture of one determinant
+    sources = []
+    for i in range(spec.n + 1):
+        q, r = qr(spec.m + i, spec.p)
+        sources.append((-spec.p * q - r, r))
+    return sources, [(j * spec.p, 0) for j in range(spec.n + 1)]
+
+
 def lgv_signed_sum(spec: HankelSpec) -> MultiPoly:
     """Brute-force signed sum over bijections of source-to-sink path sums."""
     if spec.n > _DESK_LIMIT:
         raise OutOfRange(f"lgv_signed_sum is desk-scale only (n <= {_DESK_LIMIT})")
     if spec.n == -1:
         return MultiPoly.one()
-    graph = LGVGraph.for_spec(spec)
+    sources, sinks = _ends(spec)
     size = spec.n + 1
-    sums = [[_path_sum(spec.p, graph.sources[i], graph.sinks[j])
-             for j in range(size)] for i in range(size)]
+    sums = [[_path_sum(spec.p, a, b) for b in sinks] for a in sources]
     total = MultiPoly.zero()
     for perm in permutations(range(size)):
         prod = MultiPoly.const(_perm_sign(perm))
@@ -218,10 +208,8 @@ def nilp_unique(spec: HankelSpec) -> tuple[int, MultiPoly]:
         raise OutOfRange(f"nilp_unique is desk-scale only (n <= {_DESK_LIMIT})")
     if spec.n == -1:
         return 1, MultiPoly.one()
-    graph = LGVGraph.for_spec(spec)
     size = spec.n + 1
-    candidates = [enumerate_paths(spec.p, graph.sources[i], graph.sinks[i])
-                  for i in range(size)]
+    candidates = [enumerate_paths(spec.p, a, b) for a, b in zip(*_ends(spec))]
     found: list[list] = []
 
     def extend(i, used):

@@ -1,12 +1,13 @@
 """Cross-module identity checks with first-counterexample reporting.
 
-Each check compares two independently computed objects and reports one
-line per parameter point, in submission order.
+Each check compares two independently computed objects.  A ``plan_*``
+function lists its checks as (name, params, fn) triples, and ``run``
+calls them in order, reporting one line per parameter point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from . import contfrac, eulerian, hankel, paths, solver
 from .algebra import MultiPoly, NonUnitConstant, OutOfRange, XSeries
@@ -29,25 +30,18 @@ class CheckResult:
         return f"{status} {self.name} {self.params}{tail}"
 
 
-@dataclass
-class CheckPlan:
-    """A named list of independent check callables, run then aggregated."""
-
-    jobs: list = field(default_factory=list)
-
-    def add(self, name: str, params: str, fn):
-        self.jobs.append((name, params, fn))
-
-    def run(self) -> list[CheckResult]:
-        results = []
-        for name, params, fn in self.jobs:
-            try:
-                detail = fn()
-                results.append(CheckResult(name, params, detail is None,
-                                           detail or ""))
-            except _REFUSALS as exc:
-                results.append(CheckResult(name, params, False, str(exc)))
-        return results
+def run(jobs) -> list[CheckResult]:
+    """Run (name, params, fn) checks in order: fn returns None when the
+    identity holds, else the failure's detail, or raises a refusal."""
+    results = []
+    for name, params, fn in jobs:
+        try:
+            detail = fn()
+            results.append(CheckResult(name, params, detail is None,
+                                       detail or ""))
+        except _REFUSALS as exc:
+            results.append(CheckResult(name, params, False, str(exc)))
+    return results
 
 
 def _diff(kind, a, b):
@@ -56,77 +50,69 @@ def _diff(kind, a, b):
     return f"{kind}: {a} != {b}"
 
 
-def plan_paths(p_values, n_max) -> CheckPlan:
-    plan = CheckPlan()
+def plan_paths(p_values, n_max) -> list:
+    jobs = []
     for p in p_values:
         for n in range(n_max + 1):
-            plan.add("paths.top-level-shift", f"p={p} n={n}",
-                     lambda p=p, n=n: _diff(
-                         "one level below the roof equals the next excursion",
-                         paths.f_poly(p, n, p - 1), paths.f_poly(p, n + 1, 0)))
-            plan.add("paths.count-closed-form", f"p={p} n={n}",
-                     lambda p=p, n=n: _diff(
-                         "excursion count", paths.count_paths(p, n, 0),
-                         paths.count_closed(p, n, 0)))
-    return plan
+            jobs += [("paths.top-level-shift", f"p={p} n={n}",
+                      lambda p=p, n=n: _diff(
+                          "one level below the roof equals the next excursion",
+                          paths.f_poly(p, n, p - 1), paths.f_poly(p, n + 1, 0))),
+                     ("paths.count-closed-form", f"p={p} n={n}",
+                      lambda p=p, n=n: _diff(
+                          "excursion count", paths.count_paths(p, n, 0),
+                          paths.count_closed(p, n, 0)))]
+    return jobs
 
 
-def plan_contfrac(p_values, n_max) -> CheckPlan:
-    plan = CheckPlan()
+def plan_contfrac(p_values, n_max) -> list:
+    jobs = []
     for p in p_values:
         series = contfrac.expand_fraction(p, n_max)
         ladder = contfrac.expand_f(p, 0, 0, n_max)
         for n in range(n_max + 1):
-            plan.add("contfrac.fraction-vs-paths", f"p={p} n={n}",
-                     lambda p=p, n=n, s=series: _diff(
-                         "fraction coefficient", s.coeff(n),
-                         paths.f_poly(p, n, 0)))
-            plan.add("contfrac.recursion-vs-paths", f"p={p} n={n}",
-                     lambda p=p, n=n, s=ladder: _diff(
-                         "recursion coefficient", s.coeff(n),
-                         paths.f_poly(p, n, 0)))
-    return plan
+            jobs += [("contfrac.fraction-vs-paths", f"p={p} n={n}",
+                      lambda p=p, n=n, s=series: _diff(
+                          "fraction coefficient", s.coeff(n),
+                          paths.f_poly(p, n, 0))),
+                     ("contfrac.recursion-vs-paths", f"p={p} n={n}",
+                      lambda p=p, n=n, s=ladder: _diff(
+                          "recursion coefficient", s.coeff(n),
+                          paths.f_poly(p, n, 0)))]
+    return jobs
 
 
-def plan_hankel(p_values, n_max) -> CheckPlan:
-    plan = CheckPlan()
-    for p in p_values:
-        for m in range(p):
-            for n in range(-1, n_max + 1):
-                plan.add("hankel.det-collapse", f"p={p} m={m} n={n}",
-                         lambda p=p, m=m, n=n: _diff(
-                             "determinant vs weight product",
-                             hankel.hankel_det(HankelSpec(p, m, n)),
-                             hankel.hankel_product(HankelSpec(p, m, n))))
-    return plan
+def plan_hankel(p_values, n_max) -> list:
+    return [("hankel.det-collapse", f"p={p} m={m} n={n}",
+             lambda p=p, m=m, n=n: _diff(
+                 "determinant vs weight product",
+                 hankel.hankel_det(HankelSpec(p, m, n)),
+                 hankel.hankel_product(HankelSpec(p, m, n))))
+            for p in p_values for m in range(p) for n in range(-1, n_max + 1)]
 
 
-def plan_inversion(p_values, n_max) -> CheckPlan:
-    plan = CheckPlan()
-    for p in p_values:
-        for i in range(1, p * n_max + p):
-            plan.add("hankel.recover-weight", f"p={p} i={i}",
-                     lambda p=p, i=i: _diff(
-                         "recovered weight", hankel.recover_vi(p, i),
-                         MultiPoly.v_var(i)))
-    return plan
+def plan_inversion(p_values, n_max) -> list:
+    return [("hankel.recover-weight", f"p={p} i={i}",
+             lambda p=p, i=i: _diff("recovered weight", hankel.recover_vi(p, i),
+                                    MultiPoly.v_var(i)))
+            for p in p_values for i in range(1, p * n_max + p)]
 
 
-def plan_lgv(p_values, n_max) -> CheckPlan:
-    plan = CheckPlan()
+def plan_lgv(p_values, n_max) -> list:
+    jobs = []
     for p in p_values:
         if p > 3:
             continue  # brute force is desk-scale only
         for m in range(p):
             for n in range(min(n_max, 2) + 1):
                 spec = HankelSpec(p, m, n)
-                plan.add("hankel.lgv-signed-sum", f"p={p} m={m} n={n}",
-                         lambda s=spec: _diff(
-                             "signed path-system sum vs determinant",
-                             hankel.lgv_signed_sum(s), hankel.hankel_det(s)))
-                plan.add("hankel.nilp-unique", f"p={p} m={m} n={n}",
-                         lambda s=spec: _nilp_check(s))
-    return plan
+                jobs += [("hankel.lgv-signed-sum", f"p={p} m={m} n={n}",
+                          lambda s=spec: _diff(
+                              "signed path-system sum vs determinant",
+                              hankel.lgv_signed_sum(s), hankel.hankel_det(s))),
+                         ("hankel.nilp-unique", f"p={p} m={m} n={n}",
+                          lambda s=spec: _nilp_check(s))]
+    return jobs
 
 
 def _nilp_check(spec):
@@ -137,8 +123,7 @@ def _nilp_check(spec):
                  hankel.hankel_product(spec))
 
 
-def plan_solver(order) -> CheckPlan:
-    plan = CheckPlan()
+def plan_solver(order) -> list:
     cfg = solver.SolverConfig(p=3, deg=min(order, 4), kmax=2, imax=6)
 
     def scalar_fixed_point():
@@ -172,39 +157,33 @@ def plan_solver(order) -> CheckPlan:
                 return f"splitting identity fails at n={n}"
         return None
 
-    plan.add("solver.scalar-fixed-point", f"p=3 deg={cfg.deg}", scalar_fixed_point)
-    plan.add("solver.family-fixed-point", f"p=3 deg={cfg.deg}", family_fixed_point)
-    plan.add("solver.excursions-from-limit", f"p=3 deg={cfg.deg}", from_limit)
-    plan.add("solver.cap-doubling", f"p=3 deg={cfg.deg}", cap_doubling)
-    plan.add("solver.one-level-splitting", f"p=3 deg={cfg.deg}", tutte)
-    return plan
+    params = f"p=3 deg={cfg.deg}"
+    return [("solver.scalar-fixed-point", params, scalar_fixed_point),
+            ("solver.family-fixed-point", params, family_fixed_point),
+            ("solver.excursions-from-limit", params, from_limit),
+            ("solver.cap-doubling", params, cap_doubling),
+            ("solver.one-level-splitting", params, tutte)]
 
 
-def plan_euler(order) -> CheckPlan:
-    plan = CheckPlan()
-    for i in range(0, 5):
-        plan.add("euler.level-weight-closed-form", f"i={i} order={order}",
-                 lambda i=i: _diff("series vs closed level weight",
-                                   eulerian.v_series(i, order),
-                                   eulerian.v_closed(i, order)))
-    plan.jobs.extend(plan_ladder(2, order, 12).jobs)
-    return plan
+def plan_euler(order) -> list:
+    return [("euler.level-weight-closed-form", f"i={i} order={order}",
+             lambda i=i: _diff("series vs closed level weight",
+                               eulerian.v_series(i, order),
+                               eulerian.v_closed(i, order)))
+            for i in range(0, 5)] + plan_ladder(2, order, 12)
 
 
-def plan_ladder(kmax, order, n_max) -> CheckPlan:
+def plan_ladder(kmax, order, n_max) -> list:
     """The cubic determinant ladder, and fib_poly's cleared substitution."""
-    plan = CheckPlan()
-    plan.add("euler.determinant-ladder", f"kmax={kmax} order={order}",
-             lambda: None if eulerian.verify_det3(kmax, order)
-             else "determinant ladder failed")
-
     def fib():
         bad = [n for n in range(1, n_max + 1)
                if not eulerian.fib_chebyshev_check(n)]
         return f"cleared substitution fails at {bad}" if bad else None
 
-    plan.add("euler.cleared-substitution", f"n<={n_max}", fib)
-    return plan
+    return [("euler.determinant-ladder", f"kmax={kmax} order={order}",
+             lambda: None if eulerian.verify_det3(kmax, order)
+             else "determinant ladder failed"),
+            ("euler.cleared-substitution", f"n<={n_max}", fib)]
 
 
 def run_all(p_values, n_max, order) -> list[CheckResult]:
@@ -213,13 +192,7 @@ def run_all(p_values, n_max, order) -> list[CheckResult]:
         raise OutOfRange("n_max must be >= 0")
     if order < 0:
         raise OutOfRange("order must be >= 0")
-    plan = CheckPlan()
-    for sub in (plan_paths(p_values, n_max),
-                plan_contfrac(p_values, n_max),
-                plan_hankel(p_values, n_max),
-                plan_inversion(p_values, n_max),
-                plan_lgv(p_values, n_max),
-                plan_solver(order),
-                plan_euler(min(order, 10))):
-        plan.jobs.extend(sub.jobs)
-    return plan.run()
+    return run(plan_paths(p_values, n_max) + plan_contfrac(p_values, n_max)
+               + plan_hankel(p_values, n_max) + plan_inversion(p_values, n_max)
+               + plan_lgv(p_values, n_max) + plan_solver(order)
+               + plan_euler(min(order, 10)))

@@ -119,19 +119,17 @@ class TestLGVCommand:
 
 
 class TestCheckPlan:
+    # a check plan is a list of (name, params, fn) triples; verify.run runs it
+
     def test_detail_string_fails(self):
-        plan = verify.CheckPlan()
-        plan.add("demo.check", "p=2", lambda: "left: 1 != 2")
-        result, = plan.run()
+        result, = verify.run([("demo.check", "p=2", lambda: "left: 1 != 2")])
         assert result.ok is False
         assert result.line() == "FAIL demo.check p=2  left: 1 != 2"
 
     def test_identity_violation_fails(self):
         def broken():
             raise IdentityViolation("ratio is not a polynomial")
-        plan = verify.CheckPlan()
-        plan.add("demo.check", "p=2", broken)
-        result, = plan.run()
+        result, = verify.run([("demo.check", "p=2", broken)])
         assert result.ok is False
         assert result.line() == "FAIL demo.check p=2  ratio is not a polynomial"
 
@@ -140,22 +138,18 @@ class TestCheckPlan:
         # series ring's own error, which fails its check as a violation does
         def broken():
             XSeries.const(2, 3).inv()
-        plan = verify.CheckPlan()
-        plan.add("demo.check", "p=2", broken)
-        result, = plan.run()
+        result, = verify.run([("demo.check", "p=2", broken)])
         assert result.line() == \
             "FAIL demo.check p=2  constant term 2 is not a unit"
 
     def test_unexpected_error_propagates(self, monkeypatch):
         # only the identity errors make a FAIL line: any other exception is
-        # a fault of the check itself, and leaves the plan and the CLI
+        # a fault of the check itself, and leaves the run and the CLI
         def broken(*args):
             raise KeyError("level 7")
-        plan = verify.CheckPlan()
-        plan.add("demo.ok", "p=2", lambda: None)
-        plan.add("demo.check", "p=2", broken)
         with pytest.raises(KeyError):
-            plan.run()
+            verify.run([("demo.ok", "p=2", lambda: None),
+                        ("demo.check", "p=2", broken)])
         monkeypatch.setattr(verify, "_nilp_check", broken)
         out = io.StringIO()
         with redirect_stdout(out), pytest.raises(KeyError):

@@ -136,22 +136,31 @@ class TestExcursions:
         cells.coeff(2, 2)  # made already
         assert [len(column) for column in cells._e] == [5, 5, 4]
 
-    def test_a_failed_step_starts_afresh(self, monkeypatch):
-        # a MemoryError inside a step must not leave a finished generator
-        # or a half-made row behind in the cached expansion
-        real, calls = contfrac._convolved, []
+    def test_a_failed_step_keeps_whole_cells(self, monkeypatch):
+        # a MemoryError inside a step leaves every cell made before it, and
+        # no half-made one, in the cached expansion: the retry convolves
+        # only the cells still missing
+        real, calls, made = contfrac._convolved, [], []
+        cells = _Excursions(3)
 
         def failing(a, b, n):
-            calls.append(n)
+            # the cell (n, j) being made: b is column j - 1
+            calls.append((n, 1 + [c is b for c in cells._e].index(True)))
             if len(calls) == 3:
+                made.append([len(c) for c in cells._e])
                 raise MemoryError
             return real(a, b, n)
         monkeypatch.setattr(contfrac, "_convolved", failing)
-        cells = _Excursions(3)
         with pytest.raises(MemoryError):
             cells.coeff(3, 2)
-        for n, r in ((3, 2), (0, 1), (4, 0)):
-            assert cells.coeff(n, r) == f_poly(3, n, r)
+        lens, = made
+        assert [len(c) for c in cells._e] == lens
+        assert cells.coeff(3, 2) == f_poly(3, 3, 2)
+        assert calls[3:] == [(n, j) for n in range(4) for j in (1, 2)
+                             if n >= lens[j]]
+        for r, column in enumerate(cells._e):
+            for n, cell in enumerate(column):
+                assert cell == f_poly(3, n, r), (n, r)
 
 
 class TestNestedFraction:

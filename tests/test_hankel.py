@@ -6,10 +6,9 @@ import pytest
 from constel import algebra
 import constel.hankel as hankel_mod
 from constel.algebra import MultiPoly, NotDivisible
-from constel.hankel import (HankelSpec, IdentityViolation, LGVGraph,
-                            NonUniqueNILP, hankel_det, hankel_matrix,
-                            hankel_product, lgv_signed_sum, nilp_unique, qr,
-                            recover_vi)
+from constel.hankel import (HankelSpec, IdentityViolation, NonUniqueNILP,
+                            _ends, hankel_det, hankel_matrix, hankel_product,
+                            lgv_signed_sum, nilp_unique, qr, recover_vi)
 from constel.paths import _weight_dp, f_poly
 
 import _props
@@ -220,9 +219,9 @@ class TestInversion:
 
 class TestLGV:
     def test_graph_geometry(self):
-        g = LGVGraph.for_spec(HankelSpec(3, 1, 1))
-        assert g.sinks == ((0, 0), (3, 0))
-        assert g.sources == ((-1, 1), (-3, 0))
+        sources, sinks = _ends(HankelSpec(3, 1, 1))
+        assert sinks == [(0, 0), (3, 0)]
+        assert sources == [(-1, 1), (-3, 0)]
 
     def test_signed_sum_is_determinant(self):
         for p in (2, 3):
@@ -249,10 +248,9 @@ class TestLGV:
     def test_corruption_breaks_uniqueness_contract(self, monkeypatch):
         # collapsing the sinks onto one vertex kills every disjoint system
         spec = HankelSpec(2, 0, 1)
-        real = LGVGraph.for_spec(spec)
-        pinched = LGVGraph(spec.p, real.sources, (real.sinks[-1],) * 2)
-        monkeypatch.setattr(LGVGraph, "for_spec",
-                            classmethod(lambda cls, s: pinched))
+        sources, sinks = _ends(spec)
+        monkeypatch.setattr(hankel_mod, "_ends",
+                            lambda s: (sources, [sinks[-1]] * 2))
         with pytest.raises(NonUniqueNILP):
             nilp_unique(spec)
 
