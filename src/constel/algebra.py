@@ -69,6 +69,13 @@ class OutOfRange(ValueError):
     """An argument lies outside the range its function documents."""
 
 
+def _at_least(low: int, **values: int) -> None:
+    """Refuse the first of ``values``, in keyword order, below ``low``."""
+    for name, value in values.items():
+        if value < low:
+            raise OutOfRange(f"{name} must be >= {low}")
+
+
 # ---------------------------------------------------------------------------
 # packed monomials: one int, a 16-bit field per (family, index), degree low
 
@@ -758,14 +765,13 @@ class _Minors:
     keeps the borders before it, and never falls back.
     """
 
-    __slots__ = ("_entry", "_shift", "_lower", "_upper", "_divide", "minors")
+    __slots__ = ("_entry", "_shift", "_lower", "_upper", "minors")
 
     def __init__(self, entry, shift=None):
         self._entry = entry
         self._shift = shift
         self._lower = []   # _lower[k]: (j0, l[k][j0 .. k-1]); 0 before j0
         self._upper = []   # _upper[k]: {c: u[k][c]} made so far
-        self._divide = []  # _divide[k]: pivot k's divider
         self.minors = []   # minors[n]: the leading (n+1) x (n+1) minor
 
     def minor(self, n: int):
@@ -797,19 +803,18 @@ class _Minors:
 
     def _eliminate(self, n: int):
         # row n of L and U's pivot n, then minor(n); kept only at the end
-        dividers = self._divide
-        if n:
-            dividers = dividers + [self._upper[n - 1][n - 1]._divider()]
         shift = self._shift
         j0 = 0 if shift is None or n < shift else max(0, n - shift - 1)
+        # the pivots' dividers first: a pivot that breaks its ring's rule
+        # refuses before any work on this border
+        dividers = [self._upper[j][j]._divider() for j in range(j0, n)]
         mults = []
-        for j in range(j0, n):
+        for j, divide in enumerate(dividers, j0):
             mult = self._residual(n, j, j0, mults)
-            mults.append(dividers[j](mult) if mult else mult)
+            mults.append(divide(mult) if mult else mult)
         pivot = self._residual(n, n, j0, mults)
         det = self.minors[-1] * pivot if n else pivot
         self._lower.append((j0, mults))
         self._upper.append({n: pivot})
-        self._divide = dividers
         self.minors.append(det)
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import MultiPoly, OutOfRange, _sum_products
+from .algebra import MultiPoly, OutOfRange, _at_least, _sum_products
 
 
 class TSeries:
@@ -64,14 +64,10 @@ def expand_f(p: int, r: int, shift: int = 0, order: int = 0) -> TSeries:
     All fall-weight indices are offset by ``shift``.  Coefficient n of the
     r = 0 series is the weight polynomial of the length-np excursions.
     """
-    if p < 2:
-        raise OutOfRange("p must be >= 2")
+    _at_least(2, p=p)
     if not 0 <= r <= p - 1:
         raise OutOfRange("r must lie in [0, p-1]")
-    if shift < 0:
-        raise OutOfRange("shift must be >= 0")
-    if order < 0:
-        raise OutOfRange("order must be >= 0")
+    _at_least(0, shift=shift, order=order)
     cells = _Excursions(p)  # a fresh one makes no cell past (order, r)
     coeffs = [cells.coeff(n, r) for n in range(order + 1)]
     if shift:
@@ -120,10 +116,8 @@ def expand_fraction(p: int, order: int) -> TSeries:
     The fraction is Q = 1/(1 - t*P) with P = prod_{0<i<p} V_i sigma^i(Q),
     the excursion series e[0]: column 0 of a fresh ``_Excursions(p)``.
     """
-    if p < 2:
-        raise OutOfRange("p must be >= 2")
-    if order < 0:
-        raise OutOfRange("order must be >= 0")
+    _at_least(2, p=p)
+    _at_least(0, order=order)
     cells = _Excursions(p)  # a fresh one makes no cell past (order, 0)
     return TSeries(cells.coeff(n, 0) for n in range(order + 1))
 

@@ -18,7 +18,7 @@ from functools import cache, lru_cache, partial
 from itertools import islice
 
 from ._layered import _Layered
-from .algebra import MultiPoly, OutOfRange, XSeries
+from .algebra import MultiPoly, XSeries, _at_least
 from .hankel import _banded
 from .paths import count_closed
 from .solver import SolverConfig, _limit, solve_vi
@@ -29,8 +29,7 @@ def fib_poly(n: int) -> MultiPoly:
 
     Each member is a polynomial in z, written as x1.
     """
-    if n < 0:
-        raise OutOfRange("n must be >= 0")
+    _at_least(0, n=n)
     return next(islice(_fib(MultiPoly.x_var(1), MultiPoly.one()), n, None))
 
 
@@ -49,8 +48,7 @@ def fib_chebyshev_check(n: int) -> bool:
     (1-y) * (1+y)^(n-1) * f_n = 1 - y^n exactly as polynomials in y,
     with y written as x1.
     """
-    if n < 1:
-        raise OutOfRange("n must be >= 1")
+    _at_least(1, n=n)
     y = MultiPoly.x_var(1)
     cleared = MultiPoly.zero()
     # sum_j c_j y^j (1+y)^(n-1-2j); a term past the degree bound 2j <= n-1
@@ -85,8 +83,7 @@ def make_context(order: int) -> EulerContext:
     certifies the result.  Each order is solved once and its context
     shared by every caller.
     """
-    if order < 0:
-        raise OutOfRange("order must be >= 0")
+    _at_least(0, order=order)
     limit = _limit(3, 1)
     xv = _Layered.var(1) * limit
     y = _Layered.later(partial(_y_rule, xv))
@@ -106,10 +103,7 @@ def _y_rule(xv, y):
 
 def v_series(i: int, order: int) -> XSeries:
     """Level weight V_i solved order-by-order from the weight recursion."""
-    if i < 0:
-        raise OutOfRange("i must be >= 0")
-    if order < 0:
-        raise OutOfRange("order must be >= 0")
+    _at_least(0, i=i, order=order)
     if i == 0:
         return XSeries.zero(order)  # boundary convention of the recursion
     return solve_vi(SolverConfig(p=3, deg=order, kmax=1, imax=i))[i]
@@ -117,8 +111,7 @@ def v_series(i: int, order: int) -> XSeries:
 
 def v_closed(i: int, order: int) -> XSeries:
     """Level weight V_i from the explicit y-ratio form."""
-    if i < 0:
-        raise OutOfRange("i must be >= 0")
+    _at_least(0, i=i)
     ctx = make_context(order)
     one = XSeries.const(1, order)
     num = ctx.V * (one - ctx.y.pow(i)) * (one - ctx.y.pow(i + 4))
@@ -128,8 +121,7 @@ def v_closed(i: int, order: int) -> XSeries:
 
 def f_closed(n: int, ctx: EulerContext) -> XSeries:
     """Excursion series F_n in terms of V and xV alone."""
-    if n < 0:
-        raise OutOfRange("n must be >= 0")
+    _at_least(0, n=n)
     one = XSeries.const(1, ctx.order)
     bracket = count_closed(3, n, 0) * (one - ctx.xV) \
         - count_closed(3, n, 1) * ctx.xV
@@ -138,8 +130,7 @@ def f_closed(n: int, ctx: EulerContext) -> XSeries:
 
 def f1_closed(n: int, ctx: EulerContext) -> XSeries:
     """One-level-up series in terms of V and xV alone."""
-    if n < 0:
-        raise OutOfRange("n must be >= 0")
+    _at_least(0, n=n)
     one = XSeries.const(1, ctx.order)
     bracket = count_closed(3, n, 1) * (one - ctx.xV).pow(2) \
         - count_closed(3, n + 1, 0) * ctx.xV
@@ -158,8 +149,7 @@ def t_n(n: int, ctx: EulerContext) -> XSeries:
     ladder eliminates on unit pivots all the way.  For n <= 3 the matrix
     is empty and the determinant is the series 1.
     """
-    if n < 1:
-        raise OutOfRange("n must be >= 1")
+    _at_least(1, n=n)
     return _t_n(n, ctx, _ladders(ctx))
 
 
@@ -188,8 +178,7 @@ def verify_det3(kmax: int, order: int) -> bool:
     bound for recurrence instances T_{n+3} = (1-xV) T_{n+1} - xV T_n.
     Every T_n is a leading minor of one of three ladders, one per branch.
     """
-    if kmax < 0:
-        raise OutOfRange("kmax must be >= 0")
+    _at_least(0, kmax=kmax)
     ctx = make_context(order)
     top = 3 * kmax + 3
     one = XSeries.const(1, ctx.order)

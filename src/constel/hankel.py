@@ -16,10 +16,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import permutations
+from itertools import islice, permutations
 
 from . import algebra
-from .algebra import MultiPoly, NotDivisible, OutOfRange
+from .algebra import MultiPoly, NotDivisible, OutOfRange, _at_least
 from .contfrac import _excursions
 from .paths import enumerate_paths, path_weight
 
@@ -34,8 +34,7 @@ class NonUniqueNILP(ArithmeticError):
 
 def qr(k: int, p: int) -> tuple[int, int]:
     """Euclidean division of k by p-1: (quotient, remainder)."""
-    if k < 0:
-        raise OutOfRange("k must be >= 0")
+    _at_least(0, k=k)
     return divmod(k, p - 1)
 
 
@@ -48,12 +47,10 @@ class HankelSpec:
     n: int
 
     def __post_init__(self):
-        if self.p < 2:
-            raise OutOfRange("p must be >= 2")
+        _at_least(2, p=self.p)
         if not 0 <= self.m <= self.p - 1:
             raise OutOfRange("m must lie in [0, p-1]")
-        if self.n < -1:
-            raise OutOfRange("n must be >= -1")
+        _at_least(-1, n=self.n)
 
 
 def hankel_matrix(spec: HankelSpec) -> list[list[MultiPoly]]:
@@ -126,10 +123,8 @@ def recover_vi(p: int, i: int) -> MultiPoly:
     Only determinant values of the path polynomials enter; the answer is
     the exact quotient of two products of neighbouring determinants.
     """
-    if p < 2:
-        raise OutOfRange("p must be >= 2")
-    if i < 1:
-        raise OutOfRange("i must be >= 1")
+    _at_least(2, p=p)
+    _at_least(1, i=i)
     n, m = divmod(i, p)
     b, nb = (m - 1, n) if m else (p - 1, n - 1)  # i - 1 = nb*p + b
     num = hankel_det(HankelSpec(p, m, n)) * hankel_det(HankelSpec(p, b, nb - 1))
@@ -208,37 +203,14 @@ def nilp_unique(spec: HankelSpec) -> tuple[int, MultiPoly]:
         raise OutOfRange(f"nilp_unique is desk-scale only (n <= {_DESK_LIMIT})")
     if spec.n == -1:
         return 1, MultiPoly.one()
-    size = spec.n + 1
     candidates = [enumerate_paths(spec.p, a, b) for a, b in zip(*_ends(spec))]
-    found: list[list] = []
-
-    def extend(i, used):
-        if i == size:
-            return
-        for path in candidates[i]:
-            pts = set(path.points())
-            if pts & used:
-                continue
-            if i + 1 == size:
-                found.append(stack + [path])
-                if len(found) > 1:
-                    return
-            else:
-                stack.append(path)
-                extend(i + 1, used | pts)
-                stack.pop()
-            if len(found) > 1:
-                return
-
-    stack: list = []
-    extend(0, frozenset())
+    found = list(islice(_disjoint(candidates, frozenset()), 2))
     if len(found) != 1:
         raise NonUniqueNILP(
             f"{len(found)} disjoint configurations at "
             f"p={spec.p} m={spec.m} n={spec.n}")
-    config = found[0]
     weight = MultiPoly.one()
-    for i, path in enumerate(config):
+    for i, path in enumerate(found[0]):
         pinch = (-spec.m, spec.m + i * spec.p)
         if pinch not in path.points():
             raise IdentityViolation(
@@ -246,3 +218,16 @@ def nilp_unique(spec: HankelSpec) -> tuple[int, MultiPoly]:
                 f"p={spec.p} m={spec.m} n={spec.n}")
         weight = weight * path_weight(path)
     return 1, weight
+
+
+def _disjoint(candidates, used):
+    # each tuple of pairwise vertex-disjoint paths, one from each list of
+    # candidates and none through a point of used, in depth-first order
+    if not candidates:
+        yield ()
+        return
+    for path in candidates[0]:
+        pts = set(path.points())
+        if not pts & used:
+            for rest in _disjoint(candidates[1:], used | pts):
+                yield (path, *rest)

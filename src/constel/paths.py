@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .algebra import MultiPoly, OutOfRange
+from .algebra import MultiPoly, OutOfRange, _at_least
 
 RISE = "R"
 FALL = "F"
@@ -39,8 +39,7 @@ class PPath:
     steps: tuple[str, ...]
 
     def __post_init__(self):
-        if self.p < 2:
-            raise OutOfRange("p must be >= 2")
+        _at_least(2, p=self.p)
         if self.start[1] < 0:
             raise OutOfRange("start height must be >= 0")
         h = self.start[1]
@@ -95,10 +94,8 @@ def _step_counts(p, start, end):
 def enumerate_paths(p: int, start: tuple[int, int],
                     end: tuple[int, int]) -> list[PPath]:
     """All p-paths between two points, in rise-before-fall DFS order."""
-    if p < 2:
-        raise OutOfRange("p must be >= 2")
-    if start[1] < 0 or end[1] < 0:
-        raise OutOfRange("heights must be >= 0")
+    _at_least(2, p=p)
+    _at_least(0, heights=min(start[1], end[1]))
     counts = _step_counts(p, start, end)
     if counts is None:
         return []
@@ -170,10 +167,8 @@ _v_weight = lru_cache(maxsize=256)(MultiPoly.v_var)
 @lru_cache(maxsize=128)
 def f_poly(p: int, n: int, r: int) -> MultiPoly:
     """Weight polynomial of the p-paths from (-r, r) to (np, 0)."""
-    if p < 2:
-        raise OutOfRange("p must be >= 2")
-    if n < 0:
-        raise OutOfRange("n must be >= 0")
+    _at_least(2, p=p)
+    _at_least(0, n=n)
     if not 0 <= r <= p - 1:
         raise OutOfRange("r must lie in [0, p-1]")
     return _weight_dp(p, n * p + r, r, 0, _v_weight, MultiPoly.one())
@@ -181,10 +176,8 @@ def f_poly(p: int, n: int, r: int) -> MultiPoly:
 
 def count_paths(p: int, n: int, r: int) -> int:
     """Number of p-paths from (-r, r) to (np, 0); r may reach p."""
-    if p < 2:
-        raise OutOfRange("p must be >= 2")
-    if n < 0:
-        raise OutOfRange("n must be >= 0")
+    _at_least(2, p=p)
+    _at_least(0, n=n)
     if not 0 <= r <= p:
         raise OutOfRange("r must lie in [0, p]")
     return _weight_dp(p, n * p + r, r, 0, lambda h: 1, 1)
@@ -193,10 +186,8 @@ def count_paths(p: int, n: int, r: int) -> int:
 def count_closed(p: int, n: int, r: int) -> int:
     """count_paths(p, n, r) for any r >= 0, zero when n < 0: the Raney
     number (r+1)/(np+r+1) * C(np+r+1, n)."""
-    if p < 2:
-        raise OutOfRange("p must be >= 2")
-    if r < 0:
-        raise OutOfRange("r must be >= 0")
+    _at_least(2, p=p)
+    _at_least(0, r=r)
     if n < 0:
         return 0
     q, rem = divmod((r + 1) * comb(n * p + r + 1, n), n * p + r + 1)

@@ -46,7 +46,7 @@ from functools import lru_cache, partial
 from math import comb
 
 from ._layered import _Layered
-from .algebra import OutOfRange, XSeries
+from .algebra import OutOfRange, XSeries, _at_least
 from .paths import _weight_dp, count_closed
 
 
@@ -60,14 +60,9 @@ class SolverConfig:
     imax: int
 
     def __post_init__(self):
-        if self.p < 2:
-            raise OutOfRange("p must be >= 2")
-        if self.deg < 0:
-            raise OutOfRange("deg must be >= 0")
-        if self.kmax < 0:
-            raise OutOfRange("kmax must be >= 0")
-        if self.imax < 1:
-            raise OutOfRange("imax must be >= 1")
+        _at_least(2, p=self.p)
+        _at_least(0, deg=self.deg, kmax=self.kmax)
+        _at_least(1, imax=self.imax)
 
     @property
     def window(self) -> int:
@@ -206,8 +201,7 @@ def f_from_v(cfg: SolverConfig, n: int) -> XSeries:
     The closed form trades the per-level family for powers of the limit
     series, with integer coefficients (``_bracket``).
     """
-    if n < 0:
-        raise OutOfRange("n must be >= 0")
+    _at_least(0, n=n)
     p = cfg.p
     v = solve_v(cfg)
     out = count_closed(p, n, 0) * v.pow(n * (p - 1) + 1)
@@ -233,8 +227,7 @@ def f1_tutte_check(cfg: SolverConfig, n: int) -> bool:
     """
     if cfg.p != 3:
         raise OutOfRange("the splitting identity is specific to p = 3")
-    if n < 0:
-        raise OutOfRange("n must be >= 0")
+    _at_least(0, n=n)
     need = 2 * (n + cfg.kmax) + 1
     big = cfg if cfg.imax >= need else \
         SolverConfig(cfg.p, cfg.deg, cfg.kmax, need)

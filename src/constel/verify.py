@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import contfrac, eulerian, hankel, paths, solver
-from .algebra import MultiPoly, NonUnitConstant, OutOfRange, XSeries
+from .algebra import MultiPoly, NonUnitConstant, XSeries, _at_least
 from .hankel import HankelSpec, IdentityViolation, NonUniqueNILP
 
 # the errors that report a failed identity: a FAIL line here, exit 1 in the CLI
@@ -188,10 +188,7 @@ def plan_ladder(kmax, order, n_max) -> list:
 
 def run_all(p_values, n_max, order) -> list[CheckResult]:
     """Run every identity suite; returns one result per parameter point."""
-    if n_max < 0:
-        raise OutOfRange("n_max must be >= 0")
-    if order < 0:
-        raise OutOfRange("order must be >= 0")
+    _at_least(0, n_max=n_max, order=order)
     return run(plan_paths(p_values, n_max) + plan_contfrac(p_values, n_max)
                + plan_hankel(p_values, n_max) + plan_inversion(p_values, n_max)
                + plan_lgv(p_values, n_max) + plan_solver(order)

@@ -378,7 +378,7 @@ class TestDeterminants:
         def state(ladder):
             # everything a ladder keeps, copied
             return ([dict(row) for row in ladder._upper], list(ladder._lower),
-                    list(ladder._divide), list(ladder.minors))
+                    list(ladder.minors))
         for pivot, below, error in (
                 (V(1) + V(2), V(3), NotDivisible),    # two-term pivot
                 (V(2), V(1), NotDivisible),           # inexact multiplier

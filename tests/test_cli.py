@@ -509,26 +509,81 @@ class TestUsageErrors:
         assert capture([command, "--order", "-1"]) == \
             (2, "", "constel: error: order must be >= 0\n")
 
-    @pytest.mark.parametrize("call", [
-        lambda: paths.f_poly(3, 0, 3),
-        lambda: paths.count_closed(1, 2, 0),
-        lambda: contfrac.expand_fraction(2, -1),
-        lambda: contfrac.expand_f(3, 0, -1, 2),
-        lambda: HankelSpec(3, 0, -2),
-        lambda: hankel.recover_vi(3, 0),
-        lambda: hankel.lgv_signed_sum(HankelSpec(3, 0, 4)),
-        lambda: solver.SolverConfig(p=3, deg=2, kmax=1, imax=0),
-        lambda: solver.f_from_v(solver.SolverConfig(3, 2, 1, 1), -1),
-        lambda: eulerian.v_series(0, -1),
-        lambda: eulerian.t_n(0, eulerian.make_context(2)),
-        lambda: verify.run_all((), -1, 3)],
-        ids=["f_poly", "count_closed", "expand_fraction", "expand_f",
-             "HankelSpec", "recover_vi", "lgv_signed_sum", "SolverConfig",
-             "f_from_v", "v_series", "t_n", "run_all"])
-    def test_library_refuses_out_of_range(self, call):
-        # the one refusal type, which cli.run maps to exit 2
-        with pytest.raises(OutOfRange):
+    # every refusal of the library, with its exact wording: the CLI prints
+    # it as "constel: error: <message>"
+    REFUSALS = [
+        ("PPath", lambda: paths.PPath(1, (0, 0), ()), "p must be >= 2"),
+        ("PPath-start", lambda: paths.PPath(3, (0, -1), ()),
+         "start height must be >= 0"),
+        ("enumerate_paths", lambda: paths.enumerate_paths(3, (0, 0), (3, -1)),
+         "heights must be >= 0"),
+        ("f_poly", lambda: paths.f_poly(3, 0, 3), "r must lie in [0, p-1]"),
+        ("f_poly-n", lambda: paths.f_poly(3, -1, 0), "n must be >= 0"),
+        ("count_paths", lambda: paths.count_paths(3, -1, 0), "n must be >= 0"),
+        ("count_paths-r", lambda: paths.count_paths(3, 0, 4),
+         "r must lie in [0, p]"),
+        ("count_closed", lambda: paths.count_closed(1, 2, 0), "p must be >= 2"),
+        ("count_closed-r", lambda: paths.count_closed(3, 2, -1), "r must be >= 0"),
+        ("expand_fraction", lambda: contfrac.expand_fraction(2, -1),
+         "order must be >= 0"),
+        ("expand_fraction-p", lambda: contfrac.expand_fraction(1, -1),
+         "p must be >= 2"),
+        ("expand_f", lambda: contfrac.expand_f(3, 0, -1, 2), "shift must be >= 0"),
+        ("expand_f-order", lambda: contfrac.expand_f(3, 0, 0, -1),
+         "order must be >= 0"),
+        ("expand_f-r", lambda: contfrac.expand_f(3, 3, -1, -1),
+         "r must lie in [0, p-1]"),
+        ("qr", lambda: hankel.qr(-1, 3), "k must be >= 0"),
+        ("HankelSpec", lambda: HankelSpec(3, 0, -2), "n must be >= -1"),
+        ("HankelSpec-p", lambda: HankelSpec(1, 0, -2), "p must be >= 2"),
+        ("HankelSpec-m", lambda: HankelSpec(3, 3, -2), "m must lie in [0, p-1]"),
+        ("recover_vi", lambda: hankel.recover_vi(3, 0), "i must be >= 1"),
+        ("recover_vi-p", lambda: hankel.recover_vi(1, 0), "p must be >= 2"),
+        ("lgv_signed_sum", lambda: hankel.lgv_signed_sum(HankelSpec(3, 0, 4)),
+         "lgv_signed_sum is desk-scale only (n <= 3)"),
+        ("nilp_unique", lambda: hankel.nilp_unique(HankelSpec(3, 0, 4)),
+         "nilp_unique is desk-scale only (n <= 3)"),
+        ("SolverConfig", lambda: solver.SolverConfig(p=3, deg=2, kmax=1, imax=0),
+         "imax must be >= 1"),
+        ("SolverConfig-p", lambda: solver.SolverConfig(1, -1, -1, 0),
+         "p must be >= 2"),
+        ("SolverConfig-deg", lambda: solver.SolverConfig(3, -1, -1, 0),
+         "deg must be >= 0"),
+        ("SolverConfig-kmax", lambda: solver.SolverConfig(3, 0, -1, 0),
+         "kmax must be >= 0"),
+        ("f_from_v", lambda: solver.f_from_v(solver.SolverConfig(3, 2, 1, 1), -1),
+         "n must be >= 0"),
+        ("f1_tutte_check",
+         lambda: solver.f1_tutte_check(solver.SolverConfig(3, 2, 1, 1), -1),
+         "n must be >= 0"),
+        ("f1_tutte_check-p",
+         lambda: solver.f1_tutte_check(solver.SolverConfig(2, 2, 1, 1), -1),
+         "the splitting identity is specific to p = 3"),
+        ("fib_poly", lambda: eulerian.fib_poly(-1), "n must be >= 0"),
+        ("fib_chebyshev_check", lambda: eulerian.fib_chebyshev_check(0),
+         "n must be >= 1"),
+        ("make_context", lambda: eulerian.make_context(-1), "order must be >= 0"),
+        ("v_series", lambda: eulerian.v_series(0, -1), "order must be >= 0"),
+        ("v_series-i", lambda: eulerian.v_series(-1, -1), "i must be >= 0"),
+        ("v_closed", lambda: eulerian.v_closed(-1, 2), "i must be >= 0"),
+        ("f_closed", lambda: eulerian.f_closed(-1, eulerian.make_context(2)),
+         "n must be >= 0"),
+        ("f1_closed", lambda: eulerian.f1_closed(-1, eulerian.make_context(2)),
+         "n must be >= 0"),
+        ("t_n", lambda: eulerian.t_n(0, eulerian.make_context(2)), "n must be >= 1"),
+        ("verify_det3", lambda: eulerian.verify_det3(-1, 2), "kmax must be >= 0"),
+        ("run_all", lambda: verify.run_all((), -1, 3), "n_max must be >= 0"),
+        ("run_all-order", lambda: verify.run_all((), 0, -1), "order must be >= 0"),
+    ]
+
+    @pytest.mark.parametrize("call, message",
+                             [pytest.param(*case[1:], id=case[0]) for case in REFUSALS])
+    def test_library_refuses_out_of_range(self, call, message):
+        # the one refusal type, which cli.run maps to exit 2, and its words
+        with pytest.raises(OutOfRange) as refused:
             call()
+        assert type(refused.value) is OutOfRange
+        assert str(refused.value) == message
 
     def test_internal_value_error_is_not_a_refusal(self, monkeypatch):
         # any other ValueError is a fault of the program, not of the input

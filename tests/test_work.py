@@ -61,20 +61,24 @@ def test_hankel_ladder_term_pairs(monkeypatch):
 
 
 def test_hankel_ladder_live_terms():
-    # what a cold (3, 1) ladder to n = 6 keeps: its U rows, multipliers and
-    # minors, and the excursion cells it read; counted once per object, so
-    # a new store or a dropped one moves the pin either way
+    # what a cold (3, 1) ladder to n = 6 keeps, and the excursion cells it
+    # read: every polynomial reachable from the two through lists, tuples
+    # and dicts, counted once per object, so a new store or a dropped one
+    # moves the pin either way
     hankel_mod._ladder.cache_clear()
     contfrac._excursions.cache_clear()
     assert hankel_det(HankelSpec(3, 1, 6)) == hankel_product(HankelSpec(3, 1, 6))
-    ladder = hankel_mod._ladder(3, 1)
-    held = [*ladder.minors,
-            *(u for row in ladder._upper for u in row.values()),
-            *(l for _, mults in ladder._lower for l in mults),
-            *(cell for column in contfrac._excursions(3)._e for cell in column)]
-    distinct = {id(poly): poly for poly in held}.values()
-    assert len(distinct) == 68
-    assert sum(poly.nterms for poly in distinct) == 47_144
+    held, seen = {}, set()
+    todo = gc.get_referents(hankel_mod._ladder(3, 1), contfrac._excursions(3))
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, algebra.MultiPoly):
+            held[id(obj)] = obj
+        elif isinstance(obj, (list, tuple, dict)) and id(obj) not in seen:
+            seen.add(id(obj))
+            todo.extend(gc.get_referents(obj))
+    assert len(held) == 87
+    assert sum(poly.nterms for poly in held.values()) == 60_267
 
 
 def test_hankel_entry_term_pairs(monkeypatch):
