@@ -13,9 +13,9 @@ copies (a relaxed expansion, van der Hoeven, JSC 2002).
 The paper's nested fraction Q = 1/(1 - t*P), P = prod_{0<i<p} V_i
 sigma^i(Q), is column 0: e[p-1] = P*e[0], so e[0] = 1 + t*P*e[0] is its
 fixed point (the path reading of continued fractions, Flajolet 1980).
-``expand_f`` reads column r, ``expand_fraction`` column 0, and the Hankel
-entries the cached ``_excursions(p)``, whose cells outlive a step that
-raises; the walk DP of ``paths.f_poly`` is the independent check.
+``expand_f`` reads column r (``expand_fraction`` is r = 0, shift 0) and
+the Hankel entries the cached ``_excursions(p)``, whose cells outlive a
+step that raises; the walk DP of ``paths.f_poly`` is the independent check.
 """
 
 from __future__ import annotations
@@ -114,12 +114,9 @@ def expand_fraction(p: int, order: int) -> TSeries:
     """Expansion of the nested fraction, exact through t^order.
 
     The fraction is Q = 1/(1 - t*P) with P = prod_{0<i<p} V_i sigma^i(Q),
-    the excursion series e[0]: column 0 of a fresh ``_Excursions(p)``.
+    the excursion series e[0]: ``expand_f`` at r = 0 and shift 0.
     """
-    _at_least(2, p=p)
-    _at_least(0, order=order)
-    cells = _Excursions(p)  # a fresh one makes no cell past (order, 0)
-    return TSeries(cells.coeff(n, 0) for n in range(order + 1))
+    return expand_f(p, 0, 0, order)
 
 
 def _convolved(a, b, n: int) -> MultiPoly:

@@ -5,16 +5,17 @@ weight V satisfies V = 1 + 2xV^2; the substitution variable y, defined
 through y + 1/y + 2 = 1/(xV), turns each level weight into an explicit
 ratio of the form V (1-y^i)(1-y^{i+4}) / ((1-y^{i+1})(1-y^{i+3})).  The
 banded determinants, the Hankel layout (``hankel._banded``) over those
-closed forms and rescaled by explicit powers of V, then march along a
-three-term recurrence shared with a Fibonacci-style polynomial family.
-That family is an ordinary ``MultiPoly`` in z = x1; ``verify_det3`` runs
-the same recurrence on the series z = xV to check the ladder end to end.
+closed forms and rescaled by explicit powers of V, one ladder set per
+context that every T_n reads, then march along a three-term recurrence
+shared with a Fibonacci-style polynomial family, an ordinary ``MultiPoly``
+in z = x1; ``verify_det3`` runs the same recurrence on the series z = xV
+to check the ladder end to end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
+from functools import cache, cached_property, lru_cache, partial
 from itertools import islice
 
 from ._layered import _Layered
@@ -63,12 +64,22 @@ def fib_chebyshev_check(n: int) -> bool:
 
 @dataclass(frozen=True)
 class EulerContext:
-    """Shared series data at one truncation order: V, y, and xV."""
+    """Shared series data at one truncation order: V, y, and xV, and the
+    three branch ladders that every ``t_n`` of the order reads."""
 
     order: int
     V: XSeries
     y: XSeries
     xV: XSeries
+
+    @cached_property
+    def _ladders(self) -> list:
+        # one ladder per branch s, the (3, s) banded layout over the closed
+        # forms, made on first use; the branches share cells, each built once
+        @cache
+        def cell(q, r):
+            return f_closed(q, self) if r == 0 else f1_closed(q, self)
+        return [_banded(3, s, cell) for s in range(3)]
 
 
 @lru_cache(maxsize=32)
@@ -146,26 +157,14 @@ def t_n(n: int, ctx: EulerContext) -> XSeries:
     branch s = (n-1) mod 3, the (3, s) banded layout of the Hankel
     matrices (``hankel._banded``) over f_closed/f1_closed; every leading minor
     is a smaller t determinant of the branch, with constant term 1, so the
-    ladder eliminates on unit pivots all the way.  For n <= 3 the matrix
-    is empty and the determinant is the series 1.
+    ladder eliminates on unit pivots all the way.  The ladders are the
+    context's, so a call adds only the borders no earlier call of the order
+    made.  For n <= 3 the matrix is empty and the determinant is 1.
     """
     _at_least(1, n=n)
-    return _t_n(n, ctx, _ladders(ctx))
-
-
-def _ladders(ctx: EulerContext) -> list:
-    # one ladder per branch s, the (3, s) banded layout of the Hankel
-    # matrices over the closed forms; the branches share cells, each built once
-    @cache
-    def cell(q, r):
-        return f_closed(q, ctx) if r == 0 else f1_closed(q, ctx)
-    return [_banded(3, s, cell) for s in range(3)]
-
-
-def _t_n(n: int, ctx: EulerContext, ladders) -> XSeries:
     k, s = divmod(n - 1, 3)
     one = XSeries.const(1, ctx.order)
-    det = ladders[s].minor(k - 1) if k else one
+    det = ctx._ladders[s].minor(k - 1) if k else one
     if s == 2:
         det = det * (one - ctx.xV)
     return det * ctx.V.pow(-(k * (3 * k + 2 * s - 1) // 2))
@@ -176,14 +175,13 @@ def verify_det3(kmax: int, order: int) -> bool:
 
     Runs n through 3*kmax + 3 for the closed form and through the same
     bound for recurrence instances T_{n+3} = (1-xV) T_{n+1} - xV T_n.
-    Every T_n is a leading minor of one of three ladders, one per branch.
+    Every T_n is ``t_n``'s, a minor of the one ladder set of the context.
     """
     _at_least(0, kmax=kmax)
     ctx = make_context(order)
     top = 3 * kmax + 3
     one = XSeries.const(1, ctx.order)
-    ladders = _ladders(ctx)
-    ts = {n: _t_n(n, ctx, ladders) for n in range(1, top + 4)}
+    ts = {n: t_n(n, ctx) for n in range(1, top + 4)}
     fibs = islice(_fib(ctx.xV, one), 1, None)  # fib_poly(n) at z = xV
     for n, fib in zip(range(1, top + 1), fibs):
         if ts[n] != fib or \

@@ -177,8 +177,6 @@ def lgv_signed_sum(spec: HankelSpec) -> MultiPoly:
     """Brute-force signed sum over bijections of source-to-sink path sums."""
     if spec.n > _DESK_LIMIT:
         raise OutOfRange(f"lgv_signed_sum is desk-scale only (n <= {_DESK_LIMIT})")
-    if spec.n == -1:
-        return MultiPoly.one()
     sources, sinks = _ends(spec)
     size = spec.n + 1
     sums = [[_path_sum(spec.p, a, b) for b in sinks] for a in sources]
@@ -201,8 +199,6 @@ def nilp_unique(spec: HankelSpec) -> tuple[int, MultiPoly]:
     """
     if spec.n > _DESK_LIMIT:
         raise OutOfRange(f"nilp_unique is desk-scale only (n <= {_DESK_LIMIT})")
-    if spec.n == -1:
-        return 1, MultiPoly.one()
     candidates = [enumerate_paths(spec.p, a, b) for a, b in zip(*_ends(spec))]
     found = list(islice(_disjoint(candidates, frozenset()), 2))
     if len(found) != 1:

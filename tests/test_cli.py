@@ -196,9 +196,8 @@ def _second_excursion_bumped(monkeypatch):
 def _ladder_doubled(monkeypatch):
     # every T_n doubled: the three-term recurrence still holds, so only the
     # comparison with fib_poly(n) at xV can see it
-    real = eulerian._t_n
-    monkeypatch.setattr(eulerian, "_t_n",
-                        lambda n, ctx, ladders: 2 * real(n, ctx, ladders))
+    real = eulerian.t_n
+    monkeypatch.setattr(eulerian, "t_n", lambda n, ctx: 2 * real(n, ctx))
 
 
 def _limit_one_sweep_short(monkeypatch):
@@ -212,8 +211,9 @@ def _limit_one_sweep_short(monkeypatch):
 
 
 def _top_coefficient_short(monkeypatch):
-    # expand_f's top coefficient without its first term; the Hankel ladders
-    # read their own expansion, so only the recursion check sees it
+    # expand_f's top coefficient without its first term; expand_fraction
+    # reads expand_f, so the fraction check sees it too, and the Hankel
+    # ladders read their own expansion
     real = contfrac.expand_f
 
     def expand_f(p, r, shift=0, order=0):
@@ -320,7 +320,8 @@ FAULT_ROWS = [
     # euler.level-weight-closed-form checks do not see this one
     (_limit_one_sweep_short, {"solver.scalar-fixed-point",
                               "solver.excursions-from-limit"}),
-    (_top_coefficient_short, {"contfrac.recursion-vs-paths"}),
+    (_top_coefficient_short, {"contfrac.recursion-vs-paths",
+                              "contfrac.fraction-vs-paths"}),
     # one count, three readers: the count check, f_from_v's lead and
     # brackets, and the cubic closed forms the t_n ladders read
     (_count_two_off_by_one, {"paths.count-closed-form",

@@ -168,24 +168,26 @@ class TestTriangularLadder:
     def test_branch_ladders_by_the_shift_recurrence(self, ctx):
         # row i+2 of a branch ladder is row i moved one column left; LU
         # factors are unique, so every minor is the plain elimination's
-        for ladder in eulerian._ladders(ctx):
+        for ladder in ctx._ladders:
             assert ladder._shift == 2
             plain = _Minors(ladder._entry)
             for n in range(8):
                 assert ladder.minor(n) == plain.minor(n), n
 
     def test_branch_ladders_match_one_shot(self, ctx, monkeypatch):
-        # verify_det3 reads every T_n off three branch ladders, one per
-        # (n-1) mod 3; each equals the T_n of a matrix of its own
+        # verify_det3 reads every T_n off the three branch ladders of the
+        # cached context, one per (n-1) mod 3; each equals the T_n of a
+        # fresh context, whose ladders start empty and make it in one shot
         seen = {}
-        real = eulerian._t_n
+        real = eulerian.t_n
 
-        def spy(n, context, ladders):
-            seen[n] = real(n, context, ladders)
+        def spy(n, context):
+            seen[n] = real(n, context)
             return seen[n]
-        monkeypatch.setattr(eulerian, "_t_n", spy)
+        monkeypatch.setattr(eulerian, "t_n", spy)
         assert verify_det3(12, ORDER)
         monkeypatch.undo()
         assert sorted(seen) == list(range(1, 43))
         for n in range(1, 40):
-            assert seen[n] == t_n(n, ctx), n
+            fresh = EulerContext(ctx.order, ctx.V, ctx.y, ctx.xV)
+            assert seen[n] == t_n(n, fresh), n

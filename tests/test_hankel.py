@@ -217,6 +217,11 @@ class TestInversion:
             assert hankel_det(spec) == hankel_product(spec), n
 
 
+# the LGV grid: n = -1..2 at p = 2, 3, and the empty system at p = 4
+_LGV_SPECS = [HankelSpec(p, m, n) for p in (2, 3) for m in range(p)
+              for n in range(-1, 3)] + [HankelSpec(4, m, -1) for m in range(4)]
+
+
 class TestLGV:
     def test_graph_geometry(self):
         sources, sinks = _ends(HankelSpec(3, 1, 1))
@@ -224,20 +229,16 @@ class TestLGV:
         assert sources == [(-1, 1), (-3, 0)]
 
     def test_signed_sum_is_determinant(self):
-        for p in (2, 3):
-            for m in range(p):
-                for n in range(-1, 3):
-                    spec = HankelSpec(p, m, n)
-                    assert lgv_signed_sum(spec) == hankel_det(spec), (p, m, n)
+        # at n = -1 the one empty permutation, of sign 1, gives 1
+        for spec in _LGV_SPECS:
+            assert lgv_signed_sum(spec) == hankel_det(spec), spec
 
     def test_disjoint_system_unique_with_product_weight(self):
-        for p in (2, 3):
-            for m in range(p):
-                for n in range(-1, 3):
-                    spec = HankelSpec(p, m, n)
-                    count, weight = nilp_unique(spec)
-                    assert count == 1, (p, m, n)
-                    assert weight == hankel_product(spec), (p, m, n)
+        # at n = -1 the empty path system is the one disjoint system
+        for spec in _LGV_SPECS:
+            count, weight = nilp_unique(spec)
+            assert count == 1, spec
+            assert weight == hankel_product(spec), spec
 
     def test_desk_scale_guard(self):
         with pytest.raises(ValueError):

@@ -150,6 +150,27 @@ def test_cached_solves_heap():
     assert kept <= 3_400 * 1024
 
 
+def test_cubic_ladders_one_set_per_context(monkeypatch):
+    # from cold caches, T_n for n = 1..40 at order 12 and then
+    # verify_det3(12, 12), counted in elimination borders: every T_n of
+    # one order is a minor of its context's three ladders, so the sweep
+    # makes each border once and verify_det3 only the two past n = 40.
+    # Three fresh ladders per T_n made 247 and 39
+    solver._limit.cache_clear()
+    eulerian.make_context.cache_clear()
+    real, counts = algebra._Minors._eliminate, {"borders": 0}
+
+    def counted(self, n):
+        counts["borders"] += 1
+        return real(self, n)
+    monkeypatch.setattr(algebra._Minors, "_eliminate", counted)
+    for n in range(1, 41):
+        eulerian.t_n(n, eulerian.make_context(12))
+    assert counts["borders"] == 37
+    assert eulerian.verify_det3(12, 12)
+    assert counts["borders"] == 39
+
+
 def test_cubic_ladder_series_products(monkeypatch):
     # from cold caches, verify_det3(3, 12) and the closed-form level weights
     # at order 12, counted as the benchmark's series_mul counts: V and y
