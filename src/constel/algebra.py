@@ -4,12 +4,14 @@ Everything downstream lives in the ring Z[V_1, V_2, ...; x_1, x_2, ...]:
 the V family carries fall-height weights, the x family carries face
 weights.  ``MultiPoly`` is the exact sparse polynomial type; ``XSeries``
 is a power series in the x family truncated at a total-degree bound,
-which is what the fixed-point solvers produce.  Coefficients are plain
-Python integers, so there is no precision ceiling anywhere and equality
-is literal equality.  Every determinant, over either ring, is a leading
-minor of ``_Minors``, one growing LU.  A pivot that breaks its ring's
-rule raises that ring's error (``NotDivisible``, ``NonUnitConstant``);
-there is no second engine to fall back on.
+which is what the fixed-point solvers produce.  Both rings share one term
+store, ``_Terms``, with every member that reads only the terms; the rest
+is each ring's own.  Coefficients are plain Python integers, so there is
+no precision ceiling anywhere and equality is literal equality.  Every
+determinant, over either ring, is a leading minor of ``_Minors``, one
+growing LU.  A pivot that breaks its ring's rule raises that ring's error
+(``NotDivisible``, ``NonUnitConstant``); there is no second engine to
+fall back on.
 ``_layered._Layered``, the solvers' relaxed series, makes each of its
 homogeneous layers by one ``_layer_sum`` and joins them by
 ``XSeries._of_layers``, so it never sees a packed key.  Both rings raise
@@ -197,10 +199,59 @@ def _text(v, x) -> str:
     return "*".join(parts) or "1"
 
 
-class MultiPoly:
-    """Sparse polynomial in Z[V_*; x_*] with exact integer coefficients."""
+class _Terms:
+    """The packed terms of both rings, and every member that reads only them."""
 
-    __slots__ = ("_terms", "_deg")
+    __slots__ = ("_terms",)
+
+    @property
+    def nterms(self) -> int:
+        return len(self._terms)
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def constant_term(self) -> int:
+        return self._terms.get(0, 0)
+
+    def __bool__(self):
+        return bool(self._terms)
+
+    def __hash__(self):
+        # a constant equals its int, so it hashes as that int
+        terms = self._terms
+        if terms.keys() <= {0}:
+            return hash(terms.get(0, 0))
+        return hash(frozenset(terms.items()))
+
+    def _check(self):
+        """Assert canonical form: nonzero int coefficients (no bool), and
+        non-negative keys whose fields sum to their degree (a carry breaks
+        that)."""
+        for key, coeff in self._terms.items():
+            if type(coeff) is not int or not coeff or key < 0:
+                raise AssertionError(f"stored term {key!r}: {coeff!r}")
+            if sum(map(sum, _used((key,)))) != key & _FIELD:
+                raise AssertionError(f"packed monomial {key:#x} is not canonical")
+        return self
+
+    def __neg__(self):
+        return self * -1
+
+    def __rsub__(self, other):
+        # other + (-self), so a foreign operand still gets NotImplemented
+        return (-self).__add__(other)
+
+    def __str__(self):
+        return _terms_text((_text(_nonzero(v, _NAMES), _nonzero(x, _NAMES)), c)
+                           for c, v, x in _ordered(self._terms))
+
+
+class MultiPoly(_Terms):
+    """Sparse polynomial in Z[V_*; x_*] with exact integer coefficients; its
+    terms live in ``_Terms``, and it keeps what its own ring decides."""
+
+    __slots__ = ("_deg",)
 
     def __init__(self, terms: dict):
         # trusts the caller: packed keys, no zero coefficients
@@ -245,16 +296,6 @@ class MultiPoly:
 
     # -- inspection ----------------------------------------------------
 
-    @property
-    def nterms(self) -> int:
-        return len(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def constant_term(self) -> int:
-        return self._terms.get(0, 0)
-
     def sorted_terms(self) -> list[tuple[tuple, int]]:
         """((v, x), coeff) pairs in canonical order."""
         return [((tuple(_nonzero(v, count(1))), tuple(_nonzero(x, count(1)))), c)
@@ -266,41 +307,18 @@ class MultiPoly:
             deg = self._deg = max((k & _FIELD for k in self._terms), default=0)
         return deg
 
-    def _check(self) -> "MultiPoly":
-        """Assert canonical form: nonzero int coefficients (no bool), and
-        non-negative keys whose fields sum to their degree (a carry breaks
-        that)."""
-        for key, coeff in self._terms.items():
-            if type(coeff) is not int or not coeff or key < 0:
-                raise AssertionError(f"stored term {key!r}: {coeff!r}")
-            if sum(map(sum, _used((key,)))) != key & _FIELD:
-                raise AssertionError(f"packed monomial {key:#x} is not canonical")
-        return self
-
     # -- ring operations ------------------------------------------------
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return MultiPoly(_merge(self._terms, other._terms, 1))
+        return MultiPoly(_merge(self._terms, other._terms, sign))
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return MultiPoly({m: -c for m, c in self._terms.items()})
-
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return MultiPoly(_merge(self._terms, other._terms, -1))
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return MultiPoly(_merge(other._terms, self._terms, -1))
+        return self.__add__(other, -1)
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -343,15 +361,7 @@ class MultiPoly:
             return NotImplemented
         return self._terms == other._terms
 
-    def __hash__(self):
-        # a constant equals its int, so it hashes as that int
-        terms = self._terms
-        if terms.keys() <= {0}:
-            return hash(terms.get(0, 0))
-        return hash(frozenset(terms.items()))
-
-    def __bool__(self):
-        return bool(self._terms)
+    __hash__ = _Terms.__hash__  # defining __eq__ unsets it
 
     def exact_div(self, other: "MultiPoly") -> "MultiPoly":
         """Exact quotient q with q * other == self, other a single term.
@@ -405,10 +415,6 @@ class MultiPoly:
         return _sum_products(pairs, self._terms, -1)
 
     # -- text and JSON ---------------------------------------------------
-
-    def __str__(self):
-        return _terms_text((_text(_nonzero(v, _NAMES), _nonzero(x, _NAMES)), c)
-                           for c, v, x in _ordered(self._terms))
 
     def __repr__(self):
         return f"MultiPoly({self})"
@@ -511,16 +517,16 @@ def _terms_text(pairs) -> str:
 # truncated power series in the x family
 
 
-class XSeries:
+class XSeries(_Terms):
     """Power series in Z[[x_1, x_2, ...]] truncated at total degree ``order``.
 
     Every x_k counts one toward the degree regardless of k.  Arithmetic
     truncates at the smaller operand order; equality means same order and
-    identical coefficients through it.  Terms are keyed by packed
-    monomials, as in ``MultiPoly``, with only x fields in use.
+    identical coefficients through it.  Its terms live in ``_Terms``, as
+    in ``MultiPoly``, x fields only; what reads the order is its own.
     """
 
-    __slots__ = ("order", "_terms", "_memo")
+    __slots__ = ("order", "_memo")
 
     def __init__(self, order: int, terms: dict):
         self.order = order
@@ -543,16 +549,6 @@ class XSeries:
             return cls(order, {})
         return cls(order, {_pack((), ((k, 1),)): 1})
 
-    @property
-    def nterms(self) -> int:
-        return len(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def constant_term(self) -> int:
-        return self._terms.get(0, 0)
-
     def coeff(self, exponents) -> int:
         return self._terms.get(_pack((), _as_exponents(exponents)), 0)
 
@@ -574,9 +570,9 @@ class XSeries:
         return cls(len(layers) - 1, terms)
 
     def _check(self) -> "XSeries":
-        """Assert canonical form: as ``MultiPoly._check``, within the order,
+        """Assert canonical form: as ``_Terms._check``, within the order,
         and x fields only."""
-        MultiPoly._check(self)
+        super()._check()
         if any(k & _FIELD > self.order for k in self._terms):
             raise AssertionError(f"a term's degree is past order {self.order}")
         if any(_used(self._terms)[0]):
@@ -596,17 +592,8 @@ class XSeries:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return XSeries(self.order, {k: -c for k, c in self._terms.items()})
-
     def __sub__(self, other):
         return self.__add__(other, -1)
-
-    def __rsub__(self, other):
-        other = _coerce_series(other, self.order)
-        if other is NotImplemented:
-            return NotImplemented
-        return other.__add__(self, -1)
 
     def __mul__(self, other):
         other = _coerce_series(other, self.order)
@@ -697,10 +684,7 @@ class XSeries:
             return NotImplemented
         return self.order == other.order and self._terms == other._terms
 
-    __hash__ = MultiPoly.__hash__  # equal series have equal terms
-
-    def __bool__(self):
-        return bool(self._terms)
+    __hash__ = _Terms.__hash__  # equal series have equal terms
 
     # -- text and JSON ----------------------------------------------------
 
@@ -708,16 +692,14 @@ class XSeries:
         """(x exponent tuple, coefficient) pairs in canonical order."""
         return [(tuple(_nonzero(x, count(1))), c) for c, _, x in _ordered(self._terms)]
 
-    __str__ = MultiPoly.__str__
-
     def __repr__(self):
         return f"XSeries(order={self.order}, {self})"
 
     def to_json(self) -> dict:
         return {
             "truncation_order": self.order,
-            "terms": [{"coeff": str(c), "x": {str(i): e for i, e in xs}}
-                      for xs, c in self.sorted_terms()],
+            "terms": [{"coeff": str(c), "x": dict(_nonzero(x, _NAMES)) if x else {}}
+                      for c, _, x in _ordered(self._terms)],
         }
 
     @classmethod

@@ -135,9 +135,25 @@ class TestXSeries:
         assert s.truncate(2).order == 2
         with pytest.raises(ValueError):
             s.truncate(9)
+        zero = XSeries.zero(3)
+        assert s.nterms == 1 and not s.is_zero() and s.constant_term() == 0 and s
+        assert zero.nterms == 0 and zero.is_zero() and zero.constant_term() == 0
+        assert not zero
 
     def test_equality_includes_order(self):
         assert XSeries.const(1, 3) != XSeries.const(1, 4)
+
+    def test_rings_never_mix(self):
+        # a polynomial and a series refuse each other's operands
+        v1, s = MultiPoly.v_var(1), XSeries.var(1, 3)
+        for left, right in ((v1, s), (s, v1), ("a", s)):
+            with pytest.raises(TypeError, match="for -:"):
+                left - right
+        with pytest.raises(TypeError):
+            v1 + s
+        with pytest.raises(TypeError):
+            s * v1
+        assert (v1 == s) is False and (s == v1) is False
 
     def test_truncating_arithmetic(self):
         a = XSeries.var(1, 5)

@@ -184,6 +184,7 @@ def test_series_ring_and_truncate_match_oracle(sa, sb):
         ta, {k: -c for k, c in tb.items()})
     assert _props.t_series(ok(5 - xa)) == _props.t_add(
         {(): 5}, {k: -c for k, c in a.items()})
+    assert _props.t_series(ok(-xa)) == {k: -c for k, c in a.items()}
     assert _props.t_series(ok(xa.truncate(order))) == _props.t_truncate(a, order)
     assert xa.sorted_terms() == _props.t_sorted_series(a)
 
