@@ -543,8 +543,7 @@ class XSeries(_Terms):
 
     @classmethod
     def var(cls, k: int, order: int) -> "XSeries":
-        if k < 1:
-            raise ValueError("x index must be >= 1")
+        _at_least(1, k=k)
         if order < 1:
             return cls(order, {})
         return cls(order, {_pack((), ((k, 1),)): 1})

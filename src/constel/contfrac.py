@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import MultiPoly, OutOfRange, _at_least, _sum_products
+from .algebra import (MultiPoly, OutOfRange, _at_least, _check_degree,
+                      _sum_products)
 
 
 class TSeries:
@@ -91,6 +92,8 @@ class _Excursions:
     def coeff(self, n: int, r: int) -> MultiPoly:
         """Coefficient n of e[r]: f_poly(p, n, r)."""
         e, raised = self._e, self._raised
+        if len(e[r]) <= n:  # no cell on the way has more falls than this one
+            _check_degree(n * (len(e) - 1) + r)
         while len(e[r]) <= n:
             # the next cell is (k, j): row k lacks columns j and on
             k = len(e[-1])

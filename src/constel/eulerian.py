@@ -14,7 +14,7 @@ to check the ladder end to end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache, cached_property, lru_cache, partial
 from itertools import islice
 
@@ -62,15 +62,11 @@ def fib_chebyshev_check(n: int) -> bool:
     return (1 - y) * cleared == 1 - y ** n
 
 
-@dataclass(frozen=True)
-class EulerContext:
+class EulerContext(namedtuple("EulerContext", "order V y xV")):
     """Shared series data at one truncation order: V, y, and xV, and the
     three branch ladders that every ``t_n`` of the order reads."""
 
-    order: int
-    V: XSeries
-    y: XSeries
-    xV: XSeries
+    # no __slots__: the cached ladders live in the instance dict
 
     @cached_property
     def _ladders(self) -> list:

@@ -13,8 +13,7 @@ vertex-disjoint configurations, both between the sources and sinks of
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache, partial
 from itertools import islice, permutations
 
@@ -38,19 +37,19 @@ def qr(k: int, p: int) -> tuple[int, int]:
     return divmod(k, p - 1)
 
 
-@dataclass(frozen=True)
-class HankelSpec:
+class HankelSpec(namedtuple("HankelSpec", "p m n")):
     """Size parameters of one banded determinant."""
 
-    p: int
-    m: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        _at_least(2, p=self.p)
-        if not 0 <= self.m <= self.p - 1:
+    def __new__(cls, p: int, m: int, n: int):
+        _at_least(2, p=p)
+        if not 0 <= m <= p - 1:
             raise OutOfRange("m must lie in [0, p-1]")
-        _at_least(-1, n=self.n)
+        _at_least(-1, n=n)
+        return super().__new__(cls, p, m, n)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
 
 def hankel_matrix(spec: HankelSpec) -> list[list[MultiPoly]]:

@@ -19,39 +19,38 @@ of its own, so it is an independent check of that recursion.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache
 from math import comb
 
-from .algebra import MultiPoly, OutOfRange, _at_least
+from .algebra import MultiPoly, OutOfRange, _at_least, _check_degree
 
 RISE = "R"
 FALL = "F"
 
 
-@dataclass(frozen=True)
-class PPath:
+class PPath(namedtuple("PPath", "p start steps")):
     """One concrete path: step size p, a start point, and the step word."""
 
-    p: int
-    start: tuple[int, int]
-    steps: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        _at_least(2, p=self.p)
-        if self.start[1] < 0:
+    def __new__(cls, p: int, start: tuple[int, int], steps: tuple[str, ...]):
+        _at_least(2, p=p)
+        if start[1] < 0:
             raise OutOfRange("start height must be >= 0")
-        h = self.start[1]
-        for s in self.steps:
+        h = start[1]
+        for s in steps:
             if s == RISE:
-                h += self.p - 1
+                h += p - 1
             elif s == FALL:
                 h -= 1
                 if h < 0:
                     raise ValueError("path dips below height 0")
             else:
                 raise ValueError(f"unknown step {s!r}")
+        return super().__new__(cls, p, start, steps)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
     def heights(self) -> list[int]:
         out = [self.start[1]]
@@ -171,6 +170,7 @@ def f_poly(p: int, n: int, r: int) -> MultiPoly:
     _at_least(0, n=n)
     if not 0 <= r <= p - 1:
         raise OutOfRange("r must lie in [0, p-1]")
+    _check_degree(n * (p - 1) + r)  # each term's degree, its number of falls
     return _weight_dp(p, n * p + r, r, 0, _v_weight, MultiPoly.one())
 
 

@@ -41,7 +41,7 @@ full order: the certificates check the solved series with them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache, partial
 from math import comb
 
@@ -50,19 +50,18 @@ from .algebra import OutOfRange, XSeries, _at_least
 from .paths import _weight_dp, count_closed
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(namedtuple("SolverConfig", "p deg kmax imax")):
     """Problem size: step p, x-degree deg, active x_1..x_kmax, V_1..V_imax."""
 
-    p: int
-    deg: int
-    kmax: int
-    imax: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        _at_least(2, p=self.p)
-        _at_least(0, deg=self.deg, kmax=self.kmax)
-        _at_least(1, imax=self.imax)
+    def __new__(cls, p: int, deg: int, kmax: int, imax: int):
+        _at_least(2, p=p)
+        _at_least(0, deg=deg, kmax=kmax)
+        _at_least(1, imax=imax)
+        return super().__new__(cls, p, deg, kmax, imax)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
     @property
     def window(self) -> int:

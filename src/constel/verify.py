@@ -7,7 +7,7 @@ calls them in order, reporting one line per parameter point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from . import contfrac, eulerian, hankel, paths, solver
 from .algebra import MultiPoly, NonUnitConstant, XSeries, _at_least
@@ -17,12 +17,9 @@ from .hankel import HankelSpec, IdentityViolation, NonUniqueNILP
 _REFUSALS = (IdentityViolation, NonUniqueNILP, NonUnitConstant)
 
 
-@dataclass
-class CheckResult:
-    name: str
-    params: str
-    ok: bool
-    detail: str = ""
+class CheckResult(namedtuple("CheckResult", "name params ok detail",
+                             defaults=("",))):
+    __slots__ = ()
 
     def line(self) -> str:
         status = "ok  " if self.ok else "FAIL"
@@ -129,7 +126,7 @@ def plan_solver(order) -> list:
         return None if solver.v_update(cfg, v) == v else "V is not a fixed point"
 
     def family_fixed_point():
-        fam = solver.solve_vi(replace(cfg, imax=cfg.imax + cfg.window))
+        fam = solver.solve_vi(cfg._replace(imax=cfg.imax + cfg.window))
         new = solver.vi_update(cfg, fam)
         bad = [i for i in range(1, cfg.imax + 1) if new[i] != fam[i]]
         return f"levels {bad} moved under one more sweep" if bad else None
@@ -145,7 +142,7 @@ def plan_solver(order) -> list:
 
     def cap_doubling():
         a = solver.solve_vi(cfg)
-        b = solver.solve_family(replace(cfg, imax=2 * cfg.imax))
+        b = solver.solve_family(cfg._replace(imax=2 * cfg.imax))
         bad = [i for i in a if a[i] != b[i]]
         return f"levels {bad} moved under cap doubling" if bad else None
 

@@ -4,13 +4,14 @@ import inspect
 import io
 import json
 import pkgutil
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 
 import pytest
 
 import constel
-from constel import contfrac, eulerian, hankel, paths, solver, verify
+from constel import algebra, contfrac, eulerian, hankel, paths, solver, verify
 from constel.algebra import ExponentOverflow, MultiPoly, OutOfRange, XSeries
 from constel.cli import run
 from constel.hankel import HankelSpec, IdentityViolation
@@ -575,6 +576,7 @@ class TestUsageErrors:
         ("verify_det3", lambda: eulerian.verify_det3(-1, 2), "kmax must be >= 0"),
         ("run_all", lambda: verify.run_all((), -1, 3), "n_max must be >= 0"),
         ("run_all-order", lambda: verify.run_all((), 0, -1), "order must be >= 0"),
+        ("XSeries.var", lambda: XSeries.var(0, 3), "k must be >= 1"),
     ]
 
     @pytest.mark.parametrize("call, message",
@@ -607,6 +609,42 @@ class TestResourceErrors:
         assert rc == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("input too large: ")
         assert "Traceback" not in err
+
+    # a term of f_poly(p, n, r), and of excursion cell (n, r), has degree
+    # n(p-1)+r; past the 16-bit field each of these once ran for minutes
+    @pytest.mark.parametrize("argv, degree", [pytest.param(
+        argv.split(), degree, id=argv) for argv, degree in [
+            ("fn --p 70000 --n 1", 69999), ("fn --p 3 --n 40000", 80000),
+            ("contfrac --p 70000 --order 1", 69999),
+            ("hankel --p 70000 --m 0 --n 1", 70000)]])
+    def test_over_wide_degree_refused_before_work(self, cold_caches, monkeypatch,
+                                                  argv, degree):
+        # f_poly walks nothing, and the excursion expansion makes at most a
+        # few small cells (the first Hankel entries) before it refuses
+        cells, convolve = [], contfrac._convolved
+
+        def convolved(*args):
+            cells.append(args)
+            assert len(cells) < 10, "the expansion started on the refused cell"
+            return convolve(*args)
+        monkeypatch.setattr(contfrac, "_convolved", convolved)
+        monkeypatch.setattr(paths, "_weight_dp", None)
+        start = time.perf_counter()
+        assert capture(argv) == (2, "", f"input too large: monomial degree {degree}"
+                                 " exceeds the 16-bit field limit 65535\n")
+        assert time.perf_counter() - start < 1
+
+    def test_degree_bound_is_exact(self, cold_caches, monkeypatch):
+        # under a 4-bit limit the cells of degree 15 are made and those of
+        # degree 16 refused, by f_poly and by the excursion expansion alike
+        want = paths.f_poly(3, 7, 1)
+        paths.f_poly.cache_clear()
+        monkeypatch.setattr(algebra, "_FIELD", 15)
+        cells = contfrac._Excursions(3)
+        assert paths.f_poly(3, 7, 1) == cells.coeff(7, 1) == want
+        for refused in (lambda: paths.f_poly(3, 8, 0), lambda: cells.coeff(8, 0)):
+            with pytest.raises(ExponentOverflow, match="degree 16 exceeds"):
+                refused()
 
     def test_module_caches_are_bounded(self):
         # every cache at module level must hold a finite number of entries

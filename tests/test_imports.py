@@ -3,7 +3,8 @@
 A deletion tends to leave its imports behind; this catches them.  A name
 counts as used when it is read anywhere in the module, as a bare name or
 as the root of an attribute, or when ``__all__`` lists it (a re-export).
-A fresh ``import constel`` must also leave ``fractions`` unloaded.
+A fresh ``import constel``, and the CLI's imports, must also leave
+``fractions`` and ``dataclasses`` (with what it loads) unloaded.
 """
 
 import ast
@@ -50,10 +51,13 @@ def test_detects_an_unused_import():
 
 
 def test_import_leaves_fractions_out():
-    # fractions, with the decimal module it imports, is milliseconds of
-    # every start; no module of the package needs it
-    code = "import sys, constel; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    # fractions, with the decimal module it imports, and dataclasses, with
+    # inspect, ast and dis, are each milliseconds and hundreds of KiB of
+    # every start; no module of the package needs them
+    heavy = {"fractions", "decimal", "dataclasses", "inspect", "ast", "dis"}
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    for imports in ("constel", "constel.cli, constel.verify"):
+        code = f"import sys, {imports}; print(sorted({heavy!r} & set(sys.modules)))"
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]", imports

@@ -1,7 +1,6 @@
 import inspect
 import sys
 from collections import Counter
-from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -98,7 +97,7 @@ class TestFamily:
         # evaluated term by term: V_i <- 1 + V_i * sum_n x_n * f_mid(p, n, i)(V)
         for p, kmax in ((2, 2), (3, 2), (4, 1)):
             cfg = SolverConfig(p=p, deg=3, kmax=kmax, imax=3)
-            family = solve_vi(replace(cfg, imax=3 + cfg.window))
+            family = solve_vi(cfg._replace(imax=3 + cfg.window))
             swept = vi_update(cfg, family)
             assert len(swept) == 3
             one = XSeries.const(1, 3)
@@ -124,7 +123,7 @@ class TestFamily:
         # at i = w*t: the boundary is felt exactly w levels further per layer
         cfg = SolverConfig(p=p, deg=4, kmax=kmax, imax=1)
         w = cfg.window
-        family = solve_family(replace(cfg, imax=w * cfg.deg + 2))
+        family = solve_family(cfg._replace(imax=w * cfg.deg + 2))
         limit = solve_v(cfg)
 
         def layer(s, t):
@@ -164,7 +163,7 @@ class TestFamily:
         monkeypatch.setattr(solver_mod._Family, "_rule", spy_rule)
         monkeypatch.setattr(_Layered, "_next", spy_step)
         solver_mod._family.cache_clear()
-        ladder = [solve_vi(replace(cfg, imax=i)) for i in range(1, 9)]
+        ladder = [solve_vi(cfg._replace(imax=i)) for i in range(1, 9)]
         # layer t >= 1 of levels 1..8+w*(deg-t), and the constant layer 0
         # of each level whose rule was built, each made once
         w = cfg.window
