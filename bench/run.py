@@ -54,7 +54,7 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("walk_fraction", "hankel_ladder", "solver_series", "verify_all")
-# (CLI arguments, time cap in s): the large sizes of ROADMAP item 1, and two
+# (CLI arguments, time cap in s): the large sizes of ROADMAP item 1, and three
 # inputs whose monomials no packed key can hold, which should fail at once
 LARGE = [
     ("invert --p 3 --i 25", 120),
@@ -64,6 +64,7 @@ LARGE = [
     ("fn --p 3 --n 11 --json", 120),
     ("fn --p 70000 --n 1", 15),
     ("contfrac --p 70000 --order 1", 15),
+    ("lgv --p 70000 --m 0 --n 1", 15),
 ]
 MEMORY_CAP = 2 << 30  # bytes of address space for each large-size child
 PERF_RUNS, PERF_SECONDS = 3, 5.0  # perfbench runs per workload, and their --seconds

@@ -80,24 +80,31 @@ def expand_f(p: int, r: int, shift: int = 0, order: int = 0) -> TSeries:
 class _Excursions:
     """The shift-0 series e[j] of each remainder j, made on request:
     e[0] = 1 + t*e[p-1] and e[j] = V_j sigma^j(e[0]) e[j-1].  Cells are
-    made in order of n, then j, until the one asked for exists.  A cell is
-    stored only once whole, so a step that raises keeps every cell made."""
+    made in order of n, then j, until the one asked for exists, and a
+    column with its first cell, so a refused request at a large p holds
+    no empty columns.  A cell is stored only once whole, so a step that
+    raises keeps every cell made."""
 
-    __slots__ = ("_e", "_raised")
+    __slots__ = ("_p", "_e", "_raised")
 
     def __init__(self, p: int):
-        self._e = [[] for _ in range(p)]
-        self._raised = [[] for _ in range(p)]  # [j][k]: V_j sigma^j(e[0][k])
+        self._p = p
+        self._e = []
+        self._raised = []  # [j][k]: V_j sigma^j(e[0][k])
 
     def coeff(self, n: int, r: int) -> MultiPoly:
         """Coefficient n of e[r]: f_poly(p, n, r)."""
-        e, raised = self._e, self._raised
-        if len(e[r]) <= n:  # no cell on the way has more falls than this one
-            _check_degree(n * (len(e) - 1) + r)
-        while len(e[r]) <= n:
+        e, raised, p = self._e, self._raised, self._p
+        if len(e) > r and len(e[r]) > n:
+            return e[r][n]
+        _check_degree(n * (p - 1) + r)  # no cell on the way has more falls
+        while len(e) <= r or len(e[r]) <= n:
             # the next cell is (k, j): row k lacks columns j and on
-            k = len(e[-1])
+            k = len(e[-1]) if len(e) == p else 0
             j = sum(len(column) > k for column in e)
+            if j == len(e):
+                e.append([])
+                raised.append([])
             if j == 0:
                 e[0].append(e[-1][k - 1] if k else MultiPoly.one())
                 continue

@@ -9,6 +9,9 @@ peel off a single V_i.  The (p, m) layout is one shifted elimination,
 signed brute-force sum over path systems and a direct search for
 vertex-disjoint configurations, both between the sources and sinks of
 ``_ends``, give fully independent desk-scale checks of the same collapse.
+They read the paths of each (p, source, sink), and their weight sum,
+from bounded memos (``_paths``, ``_path_sum``), so each path family is
+enumerated once per process.
 """
 
 from __future__ import annotations
@@ -139,10 +142,17 @@ def recover_vi(p: int, i: int) -> MultiPoly:
 _DESK_LIMIT = 3
 
 
+@lru_cache(maxsize=64)
+def _paths(p, src, dst) -> tuple:
+    # the paths from src to dst, enumerated once for every check that reads them
+    return tuple(enumerate_paths(p, src, dst))
+
+
+@lru_cache(maxsize=64)
 def _path_sum(p, src, dst) -> MultiPoly:
     # every path's weight, V_h for each fall from height h, in one sum
     return MultiPoly.from_terms(((Counter(path.fall_heights()), ()), 1)
-                                for path in enumerate_paths(p, src, dst))
+                                for path in _paths(p, src, dst))
 
 
 def _perm_sign(perm) -> int:
@@ -198,7 +208,7 @@ def nilp_unique(spec: HankelSpec) -> tuple[int, MultiPoly]:
     """
     if spec.n > _DESK_LIMIT:
         raise OutOfRange(f"nilp_unique is desk-scale only (n <= {_DESK_LIMIT})")
-    candidates = [enumerate_paths(spec.p, a, b) for a, b in zip(*_ends(spec))]
+    candidates = [_paths(spec.p, a, b) for a, b in zip(*_ends(spec))]
     found = list(islice(_disjoint(candidates, frozenset()), 2))
     if len(found) != 1:
         raise NonUniqueNILP(

@@ -98,6 +98,7 @@ def enumerate_paths(p: int, start: tuple[int, int],
     counts = _step_counts(p, start, end)
     if counts is None:
         return []
+    _check_degree(counts[1])  # a path's weight has one V per fall
     out: list[PPath] = []
     word: list[str] = []
 

@@ -36,7 +36,10 @@ The limit V does not depend on deg either: ``_limit`` keeps one layered
 node per (p, kmax), so a solve at a higher order makes only the layers
 no earlier solve made.
 ``v_update`` and ``vi_update`` are the sweeps of the fixed points at one
-full order: the certificates check the solved series with them.
+full order: the certificates check the solved series with them.  Like
+``_Family._rule``, they read every multi-length path sum off one walk DP
+(``every=True``): ``vi_update`` runs one per level, and
+``f1_tutte_check`` one per start height.
 """
 
 from __future__ import annotations
@@ -109,15 +112,16 @@ def vi_update(cfg: SolverConfig, family: dict[int, XSeries]) -> dict[int, XSerie
     returns levels 1..L-window, the ones whose mid paths stay inside
     the family.
     """
-    order = family[1].order
+    p, order = cfg.p, family[1].order
     one = XSeries.const(1, order)
     weight = family.__getitem__
     new = {}
     for i in range(1, len(family) - cfg.window + 1):
+        # M_(i,n) for every n off one walk DP, as in ``_Family._rule``
+        sums = _weight_dp(p, cfg.kmax * p - 1, i - 1, i, weight, one, every=True)
         total = XSeries.zero(order)
         for n in range(1, cfg.kmax + 1):
-            mid = _weight_dp(cfg.p, n * cfg.p - 1, i - 1, i, weight, one)
-            total = total + XSeries.var(n, order) * mid
+            total = total + XSeries.var(n, order) * sums[n * p - 1]
         new[i] = one + family[i] * total
     return new
 
@@ -232,15 +236,14 @@ def f1_tutte_check(cfg: SolverConfig, n: int) -> bool:
         SolverConfig(cfg.p, cfg.deg, cfg.kmax, need)
     family = solve_vi(big)
     one = XSeries.const(1, cfg.deg)
-
-    def walks(m, r):
-        # the excursion sum f_poly(3, m, r) with V_h = family[h]
-        return _weight_dp(3, 3 * m + r, r, 0, family.__getitem__, one)
-
-    lhs = walks(n, 1)
+    # the excursion sums f_poly(3, m, 0) with V_h = family[h], every m off
+    # one walk DP; walks[m] is the one of length 3m
+    walks = _weight_dp(3, 3 * (n + cfg.kmax), 0, 0, family.__getitem__, one,
+                       every=True)[::3]
+    lhs = _weight_dp(3, 3 * n + 1, 1, 0, family.__getitem__, one)
     rhs = XSeries.zero(cfg.deg)
     for l in range(1, cfg.kmax + 1):
-        rhs = rhs + XSeries.var(l, cfg.deg) * walks(n + l, 0)
+        rhs = rhs + XSeries.var(l, cfg.deg) * walks[n + l]
     for i in range(n + 1):
-        rhs = rhs + walks(i, 0) * walks(n - i, 0)
+        rhs = rhs + walks[i] * walks[n - i]
     return lhs == rhs

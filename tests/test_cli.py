@@ -269,6 +269,15 @@ def _disjoint_weight_doubled(monkeypatch):
     monkeypatch.setattr(hankel, "nilp_unique", nilp_unique)
 
 
+def _empty_path_listed_twice(monkeypatch):
+    # the one enumeration both brute-force checks read lists the empty path
+    # from (0, 0) twice: its path sum is 2, and two disjoint configurations
+    # exist at m = 0
+    real = hankel.enumerate_paths
+    monkeypatch.setattr(hankel, "enumerate_paths", lambda p, start, end:
+                        real(p, start, end) * (1 + (start == end)))
+
+
 def _fib_five_bumped(monkeypatch, bump):
     # fib_poly(5) + bump, read by the cleared substitution only: the
     # determinant ladder runs the recurrence at xV itself
@@ -334,6 +343,7 @@ FAULT_ROWS = [
     # weight is seen only here
     (_fifth_weight_as_sixth, {"hankel.recover-weight"}),
     (_disjoint_weight_doubled, {"hankel.nilp-unique"}),
+    (_empty_path_listed_twice, {"hankel.lgv-signed-sum", "hankel.nilp-unique"}),
     (_fib_five_off_by_x, {"euler.cleared-substitution"}),
     (_fib_five_past_degree_bound, {"euler.cleared-substitution"}),
     (_level_three_closed_bumped, {"euler.level-weight-closed-form"}),
@@ -611,16 +621,19 @@ class TestResourceErrors:
         assert "Traceback" not in err
 
     # a term of f_poly(p, n, r), and of excursion cell (n, r), has degree
-    # n(p-1)+r; past the 16-bit field each of these once ran for minutes
+    # n(p-1)+r, and a path's weight one V per fall; past the 16-bit field
+    # each of these once ran for minutes, or ran out of recursion depth
     @pytest.mark.parametrize("argv, degree", [pytest.param(
         argv.split(), degree, id=argv) for argv, degree in [
             ("fn --p 70000 --n 1", 69999), ("fn --p 3 --n 40000", 80000),
             ("contfrac --p 70000 --order 1", 69999),
-            ("hankel --p 70000 --m 0 --n 1", 70000)]])
+            ("hankel --p 70000 --m 0 --n 1", 70000),
+            ("lgv --p 70000 --m 0 --n 1", 69999)]])
     def test_over_wide_degree_refused_before_work(self, cold_caches, monkeypatch,
                                                   argv, degree):
-        # f_poly walks nothing, and the excursion expansion makes at most a
-        # few small cells (the first Hankel entries) before it refuses
+        # f_poly walks nothing, the excursion expansion makes at most a few
+        # small cells (the first Hankel entries), and the path enumeration
+        # only the empty path before it refuses
         cells, convolve = [], contfrac._convolved
 
         def convolved(*args):

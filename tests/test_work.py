@@ -1,5 +1,6 @@
-"""Work contracts: deterministic counts of the multiply kernels, and the
-heap that cached solves keep alive.
+"""Work contracts: deterministic counts of the multiply kernels, of the
+path enumerations and walk DPs the checks run, and the heap that cached
+solves and refused requests keep alive.
 
 Timings on a shared machine cannot catch a 10% regression; the number of
 term pairs a kernel multiplies on a fixed call is exact, and so, to within
@@ -10,8 +11,11 @@ below its pin; a change that lowers one lowers its pin.
 import gc
 import tracemalloc
 
-from constel import _layered, algebra, contfrac, eulerian, solver
+import pytest
+
+from constel import _layered, algebra, contfrac, eulerian, paths, solver, verify
 import constel.hankel as hankel_mod
+from constel.algebra import ExponentOverflow
 from constel.hankel import HankelSpec, hankel_det, hankel_matrix, hankel_product
 from constel.paths import f_poly
 
@@ -194,3 +198,86 @@ def test_cubic_ladder_series_products(monkeypatch):
         eulerian.v_closed(i, 12)
     assert counts["pairs"] <= 32_443
     assert counts["calls"] <= 264
+
+
+def test_refused_hankel_keeps_no_husk(cold_caches):
+    # hankel_det at p = 70000 makes entries (0, 0) and (0, 1), then refuses
+    # entry (1, 1), of degree 70000; the cached excursion table keeps those
+    # two cells and their two columns, not 2p empty ones (8.7 MB)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(ExponentOverflow, match="degree 70000 exceeds"):
+            hankel_det(HankelSpec(70000, 0, 1))
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert kept < 64 * 1024
+
+
+def test_lgv_checks_enumerate_each_path_family_once(cold_caches, monkeypatch):
+    # the LGV and NILP checks at p = 2, 3 read the paths of 27 distinct
+    # (p, source, sink) pairs; enumerated once per check and size, the
+    # same plan made 100 enumerations
+    real, calls = hankel_mod.enumerate_paths, []
+
+    def counted(p, start, end):
+        calls.append((p, start, end))
+        return real(p, start, end)
+    monkeypatch.setattr(hankel_mod, "enumerate_paths", counted)
+    assert all(res.ok for res in verify.run(verify.plan_lgv((2, 3), 3)))
+    assert len(calls) == len(set(calls)) == 27
+
+
+def test_path_memos_are_bounded_and_cleared(request):
+    # the enumerations and path sums are memos like f_poly's: bounded,
+    # and emptied by the cold_caches fixture
+    verify.run(verify.plan_lgv((2,), 1))
+    memos = (hankel_mod._paths, hankel_mod._path_sum)
+    for memo in memos:
+        assert memo.cache_info().maxsize is not None
+        assert memo.cache_info().currsize > 0
+    request.getfixturevalue("cold_caches")
+    assert [memo.cache_info().currsize for memo in memos] == [0, 0]
+
+
+def _count_walk_dps(monkeypatch, module):
+    # the walk DPs that ``module`` runs through its own binding of _weight_dp
+    real, calls = paths._weight_dp, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, "_weight_dp", counted)
+    return calls
+
+
+def test_vi_update_runs_one_walk_dp_per_level(monkeypatch):
+    # the mid-path sums of every face degree n come off one sweep per level;
+    # one DP per (level, n) made 12 at kmax = 2
+    cfg = solver.SolverConfig(3, 4, 2, 6)
+    family = solver.solve_vi(cfg._replace(imax=cfg.imax + cfg.window))
+    calls = _count_walk_dps(monkeypatch, solver)
+    new = solver.vi_update(cfg, family)
+    assert len(calls) == len(new) == 6
+    assert all(new[i] == family[i] for i in new)
+
+
+def test_certificates_run_one_walk_dp_per_start(monkeypatch):
+    # f1_tutte_check's excursion sums of every length come off one sweep,
+    # and its one-level-up sum off another (9 DPs at n = 2, kmax = 2); the
+    # excursions-from-limit check reads lengths 0, 3 and 6 off one (3)
+    cfg = solver.SolverConfig(3, 4, 2, 6)
+    solver.solve_vi(cfg._replace(imax=2 * (2 + cfg.kmax) + 1))
+    calls = _count_walk_dps(monkeypatch, solver)
+    for n in range(3):
+        calls.clear()
+        assert solver.f1_tutte_check(cfg, n)
+        assert len(calls) == 2
+    calls = _count_walk_dps(monkeypatch, paths)
+    check, = [job for job in verify.plan_solver(10)
+              if job[0] == "solver.excursions-from-limit"]
+    assert verify.run([check])[0].ok
+    assert len(calls) == 1
