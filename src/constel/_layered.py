@@ -8,7 +8,9 @@ don't be too lazy*, JSC 2002).  A layer is a ``MultiPoly`` in the x
 family, so the arithmetic is ``algebra``'s own, and packed monomials
 stay inside ``algebra``: a series is built from constants and x
 variables, never from an ``XSeries``, and leaves through
-``XSeries._of_layers``.
+``XSeries._of_layers``.  Each layer is one ``algebra._layer_sum`` of
+degree t, the convolution that also makes ``XSeries.inv``'s layers and
+``contfrac``'s excursion cells.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ class _Layered:
                 a.layer(hi)
                 b.layer(t - lo)
                 blocks.append((a._layers, b._layers, lo, hi))
-        out = _layer_sum(blocks, t)
+        out = _layer_sum(blocks, t, t)
         return out if out._terms else _EMPTY
 
     def _fold(self) -> list:

@@ -12,12 +12,15 @@ determinant, over either ring, is a leading minor of ``_Minors``, one
 growing LU.  A pivot that breaks its ring's rule raises that ring's error
 (``NotDivisible``, ``NonUnitConstant``); there is no second engine to
 fall back on.
-``_layered._Layered``, the solvers' relaxed series, makes each of its
-homogeneous layers by one ``_layer_sum`` and joins them by
-``XSeries._of_layers``, so it never sees a packed key.  Both rings raise
-to a power by halving, s^e = (s^(e//2))^2 * s^(e&1); an ``XSeries`` keeps
-each power it makes, and its inverse, in a memo of its own (``_memo``),
-so its sub-powers are shared across exponents and it is inverted once.
+Every convolution of homogeneous coefficients is one ``_layer_sum``: a
+layer of ``_layered._Layered``, the solvers' relaxed series, which joins
+them by ``XSeries._of_layers`` and so never sees a packed key, a layer of
+``XSeries.inv``, and an excursion cell of ``contfrac``.  The one other
+sum of products, the elimination update, is ``MultiPoly._minus_products``.
+Both rings raise to a power by halving, s^e = (s^(e//2))^2 * s^(e&1); an
+``XSeries`` keeps each power it makes, and its inverse, in a memo of its
+own (``_memo``), so its sub-powers are shared across exponents and it is
+inverted once.
 
 Packed monomials: inside both types a monomial is one non-negative
 Python int made of fixed-width fields of ``_WIDTH`` = 16 bits.  Field 0,
@@ -411,8 +414,33 @@ class MultiPoly(_Terms):
         return out
 
     def _minus_products(self, pairs) -> "MultiPoly":
-        """self - sum of a*b over (a, b) pairs: one elimination update."""
-        return _sum_products(pairs, self._terms, -1)
+        """self - sum of a*b over (a, b) pairs: one elimination update.
+
+        Every product accumulates into one dict and zeros are dropped once
+        at the end, where a running difference would copy it once per
+        product (the sum-of-products form of Monagan & Pearce, *Sparse
+        polynomial division using a heap*, JSC 2011).  The degree check of
+        ``__mul__`` runs per pair.  ``__mul__`` keeps its own loop, which
+        drops zeros as it goes: routed through this one, the hankel_ladder
+        benchmark ran 10% slower.
+        """
+        out = dict(self._terms)
+        get = out.get
+        top = -1
+        for a, b in pairs:
+            ta, tb = a._terms, b._terms
+            if not ta or not tb:
+                continue
+            deg = a.total_degree() + b.total_degree()
+            if deg > top:  # a degree at most top passed the check already
+                top = _check_degree(deg)
+            if len(ta) > len(tb):
+                ta, tb = tb, ta
+            for ma, ca in ta.items():
+                for mb, cb in tb.items():
+                    m = ma + mb
+                    out[m] = get(m, 0) - ca * cb
+        return MultiPoly({m: c for m, c in out.items() if c})
 
     # -- text and JSON ---------------------------------------------------
 
@@ -434,48 +462,14 @@ class MultiPoly(_Terms):
                               for term in data)
 
 
-def _sum_products(pairs, start=(), sign=1) -> MultiPoly:
-    """start + sign * sum of a*b over (a, b) MultiPoly pairs, start a dict.
-
-    Every product accumulates into one dict and zeros are dropped once at
-    the end, where a running sum of products would copy the sum once per
-    product (the sum-of-products form of Monagan & Pearce, *Sparse
-    polynomial division using a heap*, JSC 2011).  The degree check of
-    ``MultiPoly.__mul__`` runs per pair.  Top-degree terms can cancel
-    across the sum, so ``_deg`` is set to the largest pair degree only
-    when the first kept key has it, and never after a ``start``.
-    ``__mul__`` keeps its own loop, which drops zeros as it goes: routed
-    through this kernel, the hankel_ladder benchmark ran 10% slower.
-    """
-    out: dict[int, int] = dict(start)
-    get = out.get
-    top = -1
-    for a, b in pairs:
-        ta, tb = a._terms, b._terms
-        if not ta or not tb:
-            continue
-        deg = a.total_degree() + b.total_degree()
-        if deg > top:  # a degree at most top passed the check already
-            top = _check_degree(deg)
-        if len(ta) > len(tb):
-            ta, tb = tb, ta
-        for ma, ca in ta.items():
-            ca *= sign
-            for mb, cb in tb.items():
-                m = ma + mb
-                out[m] = get(m, 0) + ca * cb
-    total = MultiPoly({m: c for m, c in out.items() if c})
-    if not start and total._terms and next(iter(total._terms)) & _FIELD == top:
-        total._deg = top
-    return total
-
-
-def _layer_sum(blocks, t: int) -> MultiPoly:
-    """Layer t of a product of series given by their homogeneous layers, as
-    ``_layered._Layered`` and ``XSeries.inv`` make them: the sum over
-    (a, b, lo, hi) blocks of a[u] * b[t-u] for lo <= u <= hi.  Every
-    product has degree t, so one degree check covers the layer."""
-    _check_degree(t)
+def _layer_sum(blocks, t: int, deg: int) -> MultiPoly:
+    """Coefficient t of a product of series given by their homogeneous
+    coefficients: the sum over (a, b, lo, hi) blocks of a[u] * b[t-u] for
+    lo <= u <= hi.  Every product has degree ``deg``: t for a layer of
+    ``_layered._Layered`` or ``XSeries.inv``, n(p-1)+r for the excursion
+    cell (n, r) of ``contfrac``.  So one degree check covers the sum, and
+    its degree is ``deg`` unless it is zero."""
+    _check_degree(deg)
     out: dict[int, int] = {}
     get = out.get
     for a, b, lo, hi in blocks:
@@ -488,7 +482,7 @@ def _layer_sum(blocks, t: int) -> MultiPoly:
                     m = ma + mb
                     out[m] = get(m, 0) + ca * cb
     layer = MultiPoly({m: c for m, c in out.items() if c})
-    layer._deg = t if layer._terms else None
+    layer._deg = deg if layer._terms else None
     return layer
 
 
@@ -643,7 +637,7 @@ class XSeries(_Terms):
         # inverse layer d is the sum over k >= 1 of -c0 * a_k * inverse_(d-k)
         layers, inv = [MultiPoly(terms) for terms in by_deg], [MultiPoly({0: c0})]
         for d in range(1, order + 1):
-            inv.append(_layer_sum([(layers, inv, 1, d)], d))
+            inv.append(_layer_sum([(layers, inv, 1, d)], d, d))
         return memo.setdefault(-1, XSeries._of_layers(inv))
 
     def _divider(self):

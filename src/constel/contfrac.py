@@ -8,7 +8,9 @@ factor.  The series at shift s is the shift-0 series with every V_i
 renamed V_{i+s} (sigma^s, ``MultiPoly._raised``), so only the shift-0
 series e[j] of each remainder j are expanded, one t-coefficient at a
 time, and coefficient n reads only coefficients below n of their raised
-copies (a relaxed expansion, van der Hoeven, JSC 2002).
+copies (a relaxed expansion, van der Hoeven, JSC 2002).  Each such cell
+is one ``algebra._layer_sum``, the convolution the solvers' layers use
+too: cell (n, r) is homogeneous of degree n(p-1)+r, its number of falls.
 
 The paper's nested fraction Q = 1/(1 - t*P), P = prod_{0<i<p} V_i
 sigma^i(Q), is column 0: e[p-1] = P*e[0], so e[0] = 1 + t*P*e[0] is its
@@ -23,7 +25,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .algebra import (MultiPoly, OutOfRange, _at_least, _check_degree,
-                      _sum_products)
+                      _layer_sum)
 
 
 class TSeries:
@@ -110,7 +112,9 @@ class _Excursions:
                 continue
             if len(raised[j]) == k:
                 raised[j].append(e[0][k]._raised(j, MultiPoly.v_var(j)))
-            e[j].append(_convolved(raised[j], e[j - 1], k))
+            # e[j] = raised[j] * e[j-1]: a cell of degree k(p-1)+j
+            e[j].append(_layer_sum([(raised[j], e[j - 1], 0, k)], k,
+                                   k * (p - 1) + j))
         return e[r][n]
 
 
@@ -127,8 +131,3 @@ def expand_fraction(p: int, order: int) -> TSeries:
     the excursion series e[0]: ``expand_f`` at r = 0 and shift 0.
     """
     return expand_f(p, 0, 0, order)
-
-
-def _convolved(a, b, n: int) -> MultiPoly:
-    # coefficient n of the product of the series with coefficients a and b
-    return _sum_products((a[k], b[n - k]) for k in range(n + 1))

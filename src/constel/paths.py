@@ -100,22 +100,18 @@ def enumerate_paths(p: int, start: tuple[int, int],
         return []
     _check_degree(counts[1])  # a path's weight has one V per fall
     out: list[PPath] = []
-    word: list[str] = []
-
-    def walk(h, rises, falls):
-        if rises == 0 and falls == 0:
-            out.append(PPath(p, tuple(start), tuple(word)))
-            return
-        if rises:
-            word.append(RISE)
-            walk(h + p - 1, rises - 1, falls)
-            word.pop()
+    # an explicit stack, so a path may be longer than the recursion limit;
+    # the fall branch goes on first, so the rise branch is walked first
+    todo = [(start[1], *counts, ())]
+    while todo:
+        h, rises, falls, word = todo.pop()
+        if not rises and not falls:
+            out.append(PPath(p, tuple(start), word))
+            continue
         if falls and h >= 1:
-            word.append(FALL)
-            walk(h - 1, rises, falls - 1)
-            word.pop()
-
-    walk(start[1], counts[0], counts[1])
+            todo.append((h - 1, rises, falls - 1, word + (FALL,)))
+        if rises:
+            todo.append((h + p - 1, rises - 1, falls, word + (RISE,)))
     return out
 
 

@@ -36,7 +36,7 @@ from random import Random
 
 from constel._layered import _Layered
 from constel.algebra import (MultiPoly, NonUnitConstant, NotDivisible,
-                             XSeries, _Minors, _sum_products)
+                             XSeries, _Minors)
 from constel.contfrac import TSeries
 from constel.paths import _weight_dp, f_poly
 from constel.solver import SolverConfig, v_update, vi_update
@@ -481,12 +481,13 @@ def _rand_tseries(rng: Random, max_len=5) -> TSeries:
 
 
 def tseries_mul(a: TSeries, b: TSeries, order: int) -> TSeries:
-    """Product through t^order; either operand may be the shorter."""
+    """Product through t^order; either operand may be the shorter.  It
+    sums plain ring products, so it shares no kernel with the expansion."""
     a, b = a.coeffs, b.coeffs
     return TSeries(
-        _sum_products((a[i], b[n - i])
-                      for i in range(max(0, n - len(b) + 1),
-                                     min(n, len(a) - 1) + 1))
+        sum((a[i] * b[n - i] for i in range(max(0, n - len(b) + 1),
+                                            min(n, len(a) - 1) + 1)),
+            MultiPoly.zero())
         for n in range(order + 1))
 
 

@@ -104,6 +104,15 @@ class TestLGVCommand:
         assert rc == 0 and err == ""
         assert "disjoint count:  1" in out
 
+    def test_one_path_longer_than_the_recursion_limit(self):
+        # at p = 1000 the one path has 1000 steps
+        rc, out, err = capture(["lgv", "--p", "1000", "--m", "0", "--n", "1"])
+        assert rc == 0 and err == ""
+        values = dict(map(str.strip, line.split(":")) for line in out.splitlines())
+        assert values["disjoint count"] == "1"
+        assert values["signed sum"] == values["determinant"] \
+            == values["disjoint weight"]
+
     def test_json(self):
         rc, out, _ = capture(["lgv", "--p", "2", "--m", "1", "--n", "1",
                               "--json"])
@@ -634,13 +643,13 @@ class TestResourceErrors:
         # f_poly walks nothing, the excursion expansion makes at most a few
         # small cells (the first Hankel entries), and the path enumeration
         # only the empty path before it refuses
-        cells, convolve = [], contfrac._convolved
+        cells, convolve = [], contfrac._layer_sum
 
         def convolved(*args):
             cells.append(args)
             assert len(cells) < 10, "the expansion started on the refused cell"
             return convolve(*args)
-        monkeypatch.setattr(contfrac, "_convolved", convolved)
+        monkeypatch.setattr(contfrac, "_layer_sum", convolved)
         monkeypatch.setattr(paths, "_weight_dp", None)
         start = time.perf_counter()
         assert capture(argv) == (2, "", f"input too large: monomial degree {degree}"

@@ -4,7 +4,7 @@ import _props
 import pytest
 
 from constel import contfrac
-from constel.algebra import ExponentOverflow, MultiPoly, _sum_products
+from constel.algebra import ExponentOverflow, MultiPoly, _layer_sum
 from constel.contfrac import _Excursions, TSeries, expand_f, expand_fraction
 from constel.paths import f_poly
 
@@ -43,22 +43,13 @@ class TestTSeries:
         with pytest.raises(ExponentOverflow):
             _props.tseries_mul(big, big, 2)
 
-    def test_sum_of_products_leaves_degree_unset(self):
-        # the degree-2 products cancel, so the sum has degree 1
-        total = _sum_products([(V(1), V(1)), (V(1), -V(1)),
-                               (V(2), MultiPoly.const(2))])
-        assert _props.ok(total) == 2 * V(2)
+    def test_cancelled_layer_sum_leaves_degree_unset(self):
+        # the degree-2 products cancel, so the sum is zero, of no degree
+        total = _layer_sum([([V(1)], [V(1)], 0, 0), ([V(1)], [-V(1)], 0, 0)],
+                           0, 2)
+        assert _props.ok(total) == MultiPoly.zero()
         assert total._deg is None
-        assert total.total_degree() == 1
-
-    def test_homogeneous_sum_of_products_sets_degree(self):
-        # every pair has degree 3 and the first kept key is of degree 3
-        total = _sum_products([(V(1), V(2, 2)), (V(1, 2), V(3)),
-                               (V(1) * V(2), -V(3))])
-        assert total._deg == 3
-        assert _props.ok(total) == \
-            V(1) * V(2, 2) + V(1, 2) * V(3) - V(1) * V(2) * V(3)
-        # a start term keeps the kernel from setting it
+        # an elimination update never sets it
         assert V(1)._minus_products([(V(1), V(2, 2))])._deg is None
 
 
@@ -69,6 +60,19 @@ class TestRecursiveExpansion:
                 series = expand_f(p, r, shift=0, order=4)
                 for n in range(5):
                     assert series.coeff(n) == f_poly(p, n, r), (p, r, n)
+
+    def test_every_cell_carries_its_exact_degree(self):
+        # cell (n, r) is homogeneous of degree n(p-1)+r, which _layer_sum
+        # sets; cell (0, 0) is the unit, not a sum, and its degree is read
+        # by a scan
+        for p, order in ((2, 8), (3, 6), (4, 5)):
+            cells = _Excursions(p)
+            cells.coeff(order, p - 1)
+            for r, column in enumerate(cells._e):
+                for n, cell in enumerate(column):
+                    if n or r:
+                        assert cell._deg == n * (p - 1) + r == \
+                            MultiPoly(cell._terms).total_degree(), (p, n, r)
 
     def test_shift_covariance(self):
         for p in (2, 3):
@@ -140,17 +144,18 @@ class TestExcursions:
         # a MemoryError inside a step leaves every cell made before it, and
         # no half-made one, in the cached expansion: the retry convolves
         # only the cells still missing
-        real, calls, made = contfrac._convolved, [], []
+        real, calls, made = contfrac._layer_sum, [], []
         cells = _Excursions(3)
 
-        def failing(a, b, n):
+        def failing(blocks, n, deg):
             # the cell (n, j) being made: b is column j - 1
+            (a, b, lo, hi), = blocks
             calls.append((n, 1 + [c is b for c in cells._e].index(True)))
             if len(calls) == 3:
                 made.append([len(c) for c in cells._e])
                 raise MemoryError
-            return real(a, b, n)
-        monkeypatch.setattr(contfrac, "_convolved", failing)
+            return real(blocks, n, deg)
+        monkeypatch.setattr(contfrac, "_layer_sum", failing)
         with pytest.raises(MemoryError):
             cells.coeff(3, 2)
         lens, = made

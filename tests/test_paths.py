@@ -59,6 +59,13 @@ class TestEnumerate:
                     paths = enumerate_paths(p, (0, r), (n * p + r, 0))
                     assert weight_sum(paths) == f_poly(p, n, r), (p, n, r)
 
+    def test_path_longer_than_the_recursion_limit(self):
+        # one rise to height 1199 and 1199 falls: 1200 steps, more than
+        # Python's default recursion limit of 1000
+        path, = enumerate_paths(1200, (0, 0), (1200, 0))
+        assert path.steps == ("R",) + ("F",) * 1199
+        assert path.fall_heights() == tuple(range(1, 1200))
+
     def test_unreachable_endpoint(self):
         assert enumerate_paths(3, (0, 0), (4, 0)) == []
         assert enumerate_paths(3, (0, 0), (-3, 0)) == []

@@ -1,6 +1,8 @@
-"""Work contracts: deterministic counts of the multiply kernels, of the
-path enumerations and walk DPs the checks run, and the heap that cached
-solves and refused requests keep alive.
+"""Work contracts: deterministic counts of the two sum-of-products
+kernels (``_layer_sum``, every convolution of the relaxed expansions, and
+``MultiPoly._minus_products``, every elimination update), of the path
+enumerations and walk DPs the checks run, and the heap that cached solves
+and refused requests keep alive.
 
 Timings on a shared machine cannot catch a 10% regression; the number of
 term pairs a kernel multiplies on a fixed call is exact, and so, to within
@@ -22,30 +24,29 @@ from constel.paths import f_poly
 
 def count_sum_products(monkeypatch):
     """Count the calls of the sum-of-products kernels and their term pairs:
-    ``algebra._sum_products`` and ``algebra._layer_sum``.  ``contfrac``
-    binds the first by name and ``_layered`` the second, so their bindings
-    are patched too.
+    ``algebra._layer_sum`` and ``MultiPoly._minus_products``.  ``_layered``
+    and ``contfrac`` bind the first by name, so their bindings are patched
+    too.
     """
-    real, counts = algebra._sum_products, {"calls": 0, "pairs": 0}
-    real_layer = algebra._layer_sum
+    real, counts = algebra._layer_sum, {"calls": 0, "pairs": 0}
+    real_minus = algebra.MultiPoly._minus_products
 
     def count(pairs):
         counts["calls"] += 1
         counts["pairs"] += sum(len(a._terms) * len(b._terms) for a, b in pairs)
 
-    def counted(pairs, start=(), sign=1):
-        pairs = list(pairs)
-        count(pairs)
-        return real(pairs, start, sign)
-
-    def counted_layer(blocks, t):
+    def counted(blocks, t, deg):
         count([(a[u], b[t - u]) for a, b, lo, hi in blocks
                for u in range(lo, hi + 1)])
-        return real_layer(blocks, t)
-    monkeypatch.setattr(algebra, "_sum_products", counted)
-    monkeypatch.setattr(contfrac, "_sum_products", counted)
-    monkeypatch.setattr(algebra, "_layer_sum", counted_layer)
-    monkeypatch.setattr(_layered, "_layer_sum", counted_layer)
+        return real(blocks, t, deg)
+
+    def counted_minus(self, pairs):
+        pairs = list(pairs)
+        count(pairs)
+        return real_minus(self, pairs)
+    for module in (algebra, _layered, contfrac):
+        monkeypatch.setattr(module, "_layer_sum", counted)
+    monkeypatch.setattr(algebra.MultiPoly, "_minus_products", counted_minus)
     return counts
 
 
