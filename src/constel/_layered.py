@@ -66,11 +66,11 @@ class _Layered:
         return cls(1, 1, _KNOWN, layers=[_EMPTY, MultiPoly.x_var(k)])
 
     @classmethod
-    def later(cls, rule, c0=None) -> "_Layered":
+    def later(cls, rule, known=None) -> "_Layered":
         """The series s = rule(s), ``rule`` called when a layer is first
-        needed; with ``c0``, the constant term is known without it."""
-        return cls(0, _NEVER, _LATER, None,
-                   None if c0 is None else [MultiPoly.const(c0)], rule)
+        needed; ``known`` lists layers 0, 1, ... that are known without
+        it, so the rule is called only for a layer past them."""
+        return cls(0, _NEVER, _LATER, None, known, rule)
 
     def forget(self):
         """Drop the graph of a ``later`` node's rule, keeping the layers

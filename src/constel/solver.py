@@ -23,18 +23,30 @@ before, so a request never recurses through other levels' layers and
 the stack depth is that of one mid-path DP, whatever deg and imax.
 After round deg, levels 1..imax hold every layer through deg.
 
+Layer t of V_i is the limit's layer t whenever i > w*t, so a level starts
+with those layers.  For t = 0 both are 1.  For t >= 1, i > w: a mid path
+at level i dips at most (p-1)n - 1 <= w below i - 1, so the floor at
+height 0 cuts off none of them: they are all C(np-1, n) words of n rises
+and (p-1)n - 1 falls, each fall from a level >= i - w > w*(t-1).  So
+layer t of V_i is the limit's equation read at layers s < t of levels
+above w*s, each the limit's layer s by induction on t.  The tests check
+that the layers differ at i = w*t.
+
 One walk DP per level, over the longest mid path, (p*kmax - 1) steps,
 gives M_(i,n) for every n as its sum of length p*n - 1.  A level's DP is
-built once, when its layer 1 is first asked for, and dropped once its
-layers through deg are made.  A level's layers do not depend on how many
-levels the family holds, so ``solve_vi`` keeps one family per
+built once, when a layer past those it starts with is first asked for,
+and dropped once its layers through deg are made: in a solve, levels
+above (imax + w*deg)/2 build none.  A level's layers do not depend on
+how many levels the family holds, so ``solve_vi`` keeps one family per
 (p, deg, kmax) in a bounded cache: a request for a smaller imax reads
 the finished levels, and a larger one computes only the (level, layer)
 pairs it lacks.  ``solve_family`` runs the same solve without the cache
 and drops each level's DP as soon as the level holds its last layer.
 The limit V does not depend on deg either: ``_limit`` keeps one layered
 node per (p, kmax), so a solve at a higher order makes only the layers
-no earlier solve made.
+no earlier solve made.  The cached family reads it; ``solve_family``
+makes its own, so the two sides of a cap-doubling certificate share no
+cached object.
 ``v_update`` and ``vi_update`` are the sweeps of the fixed points at one
 full order: the certificates check the solved series with them.  Like
 ``_Family._rule``, they read every multi-length path sum off one walk DP
@@ -139,13 +151,19 @@ class _Family:
     def __init__(self, p: int, deg: int, kmax: int, keep: bool):
         self.cfg = SolverConfig(p, deg, kmax, 1)
         self.keep = keep
+        # a fresh family makes its own limit, sharing no cached object
+        self.limit = _limit(p, kmax) if keep else \
+            _Layered.later(partial(_limit_rule, p, kmax))
         self.levels: list = []  # levels[i - 1] is V_i, made on first use
 
     def level(self, i: int):
-        levels = self.levels
+        levels, deg, w = self.levels, self.cfg.deg, self.cfg.window
         while len(levels) < i:
-            rule = partial(self._rule, len(levels) + 1)
-            levels.append(_Layered.later(rule, 1))
+            j = len(levels) + 1
+            # layer t of V_j is the limit's for every t with w*t < j
+            known = range((min(deg, (j - 1) // w) if w else deg) + 1)
+            levels.append(_Layered.later(partial(self._rule, j),
+                                         [self.limit.layer(t) for t in known]))
         return levels[i - 1]
 
     def _rule(self, i: int, vi):

@@ -36,7 +36,7 @@ from random import Random
 
 from constel._layered import _Layered
 from constel.algebra import (MultiPoly, NonUnitConstant, NotDivisible,
-                             XSeries, _Minors)
+                             XSeries, _Minors, _layer_sum)
 from constel.contfrac import TSeries
 from constel.paths import _weight_dp, f_poly
 from constel.solver import SolverConfig, v_update, vi_update
@@ -383,7 +383,7 @@ def check_layered_ring(seed: int, cases: int) -> int:
     terms, +, - and *, with int operands, with operands of valuation >= 1,
     with nodes read twice (one of them folded into a sum before its second
     reader exists), and the fixed point s = 1 + r*s, r of valuation >= 1,
-    which is 1/(1 - r)."""
+    which is 1/(1 - r), also when started from its first layers."""
     rng = Random(seed)
     for _ in range(cases):
         order = rng.randint(0, 6)
@@ -407,6 +407,11 @@ def check_layered_ring(seed: int, cases: int) -> int:
         assert layered(once * once - la, order) == ok((a + b) * (a + b) - a)
         fixed = _Layered.later(lambda s: 1 + lr * s)
         assert layered(fixed, order) == ok((1 - r).inv())
+        # started from its first layers, the rule makes only the rest
+        known = fixed._layers[:rng.randint(1, order + 1)]
+        started = _Layered.later(lambda s: 1 + lr * s, list(known))
+        assert layered(started, order) == layered(fixed, order)
+        assert all(a is b for a, b in zip(started._layers, known))
     return cases
 
 
@@ -473,35 +478,19 @@ def check_json_roundtrip(seed: int, cases: int) -> int:
     return cases
 
 
-def _rand_tseries(rng: Random, max_len=5) -> TSeries:
-    # rand_poly is zero one time in five; one coefficient is zeroed outright
-    coeffs = [rand_poly(rng, max_terms=3) for _ in range(rng.randint(1, max_len))]
-    coeffs[rng.randrange(len(coeffs))] = MultiPoly.zero()
-    return TSeries(coeffs)
-
-
 def tseries_mul(a: TSeries, b: TSeries, order: int) -> TSeries:
-    """Product through t^order; either operand may be the shorter.  It
-    sums plain ring products, so it shares no kernel with the expansion."""
-    a, b = a.coeffs, b.coeffs
-    return TSeries(
-        sum((a[i] * b[n - i] for i in range(max(0, n - len(b) + 1),
-                                            min(n, len(a) - 1) + 1)),
-            MultiPoly.zero())
-        for n in range(order + 1))
+    """Product through t^order by the double loop over ``MultiPoly`` + and
+    *; either operand may be the shorter.  It shares no kernel with the
+    expansion."""
+    out = [MultiPoly.zero()] * (order + 1)
+    for i, x in enumerate(a.coeffs[:order + 1]):
+        for j, y in enumerate(b.coeffs[:order + 1 - i]):
+            out[i + j] = out[i + j] + x * y
+    return TSeries(out)
 
 
 def tseries_scale(s: TSeries, poly: MultiPoly) -> TSeries:
     return TSeries([poly * c for c in s.coeffs])
-
-
-def naive_tseries_mul(a: TSeries, b: TSeries, order: int) -> list:
-    out = [MultiPoly.zero()] * (order + 1)
-    for i, x in enumerate(a.coeffs):
-        for j, y in enumerate(b.coeffs):
-            if i + j <= order:
-                out[i + j] = out[i + j] + x * y
-    return out
 
 
 def naive_inv_unit(s: TSeries) -> list:
@@ -514,19 +503,50 @@ def naive_inv_unit(s: TSeries) -> list:
     return out
 
 
-def check_tseries_kernel(seed: int, cases: int) -> int:
-    """tseries_mul against double loops over MultiPoly + and *.
+def _rand_layer(rng: Random, t: int) -> MultiPoly:
+    # up to three signed terms V1^a x1^b x2^c with a + b + c = t, so that
+    # products of two such layers often share a monomial
+    pairs = []
+    for _ in range(rng.randint(0, 3)):
+        a = rng.randint(0, t)
+        b = rng.randint(0, t - a)
+        pairs.append((({1: a}, {1: b, 2: t - a - b}),
+                      rng.choice((-2, -1, 1, 2))))
+    return MultiPoly.from_terms(pairs)
 
-    Operands have unequal lengths and zero coefficients, and the requested
-    order runs up to two past the full product.
+
+def check_layer_sum(seed: int, cases: int) -> int:
+    """``algebra._layer_sum`` against the double loop over ``MultiPoly`` +
+    and *.
+
+    Each block is two lists of homogeneous layers (layer u of degree u)
+    with signed coefficients, so that products cancel, and a random
+    (lo, hi) range, empty ones among them; a block is sometimes followed
+    by the same products negated.  The sum's degree must be t, as a fresh
+    scan finds, or None when the sum is zero.
     """
     rng = Random(seed)
+    zeros = 0
     for _ in range(cases):
-        a, b = _rand_tseries(rng), _rand_tseries(rng)
-        order = rng.randint(0, a.order + b.order + 2)
-        got = tseries_mul(a, b, order)
-        assert got.order == order
-        assert [ok(c) for c in got.coeffs] == naive_tseries_mul(a, b, order)
+        t = rng.randint(0, 6)
+        blocks = []
+        for _ in range(rng.randint(1, 3)):
+            a = [_rand_layer(rng, u) for u in range(t + 1)]
+            b = [_rand_layer(rng, u) for u in range(t + 1)]
+            lo = rng.randint(0, t)
+            hi = rng.randint(lo - 1, t)
+            blocks.append((a, b, lo, hi))
+            if rng.random() < 0.2:
+                blocks.append((a, [-c for c in b], lo, hi))
+        want = MultiPoly.zero()
+        for a, b, lo, hi in blocks:
+            for u in range(lo, hi + 1):
+                want = want + a[u] * b[t - u]
+        got = ok(_layer_sum(blocks, t, t))
+        assert got == want, (t, blocks)
+        assert got._deg == (t if got else None), got._deg
+        zeros += not got
+    assert zeros, "no sum cancelled to zero"
     return cases
 
 

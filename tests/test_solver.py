@@ -120,11 +120,13 @@ class TestFamily:
                                          (3, 1), (5, 2), (4, 3)])
     def test_window_reaches_the_limit(self, p, kmax):
         # layer t of V_i is the limit's layer t for every i > w*t, and not
-        # at i = w*t: the boundary is felt exactly w levels further per layer
+        # at i = w*t: the boundary is felt exactly w levels further per layer.
+        # The solver starts each level from those layers, so the property
+        # is checked on the full-order sweeps, which never read the limit
         cfg = SolverConfig(p=p, deg=4, kmax=kmax, imax=1)
         w = cfg.window
-        family = solve_family(cfg._replace(imax=w * cfg.deg + 2))
-        limit = solve_v(cfg)
+        family = _props.full_order_family(cfg._replace(imax=w * cfg.deg + 2))
+        limit = _props.full_order_limit(cfg)
 
         def layer(s, t):
             return {x: c for x, c in s.sorted_terms()
@@ -142,10 +144,21 @@ class TestFamily:
         for i in range(1, 4):
             assert a[i] == b[i], i
 
+    def test_fresh_solve_reads_no_cached_limit(self, monkeypatch):
+        # the two sides of the cap-doubling certificate share no cached
+        # object: solve_family starts its levels from a limit of its own
+        def refuse(p, kmax):
+            raise AssertionError("solve_family read the cached limit")
+        monkeypatch.setattr(solver_mod, "_limit", refuse)
+        cfg = SolverConfig(p=3, deg=4, kmax=2, imax=3)
+        assert solve_family(cfg) == _props.full_order_family(cfg)
+
     def test_growing_imax_computes_each_layer_once(self, monkeypatch):
         # the v_series ladder asks for imax 1, 2, ..., 8 in turn; its
         # family makes each layer of each level once, in the graph of that
-        # level's rule, and never again in a rebuilt one
+        # level's rule, and never again in a rebuilt one.  Level i starts
+        # with the limit's layers 0..(i-1)//w, so it builds a rule only if
+        # it is asked for a layer past them
         cfg = SolverConfig(p=3, deg=6, kmax=1, imax=8)
         fresh = solve_family(cfg)
         roots, made = {}, Counter()
@@ -164,11 +177,10 @@ class TestFamily:
         monkeypatch.setattr(_Layered, "_next", spy_step)
         solver_mod._family.cache_clear()
         ladder = [solve_vi(cfg._replace(imax=i)) for i in range(1, 9)]
-        # layer t >= 1 of levels 1..8+w*(deg-t), and the constant layer 0
-        # of each level whose rule was built, each made once
-        w = cfg.window
-        assert made == {(i, t): 1 for t in range(cfg.deg + 1)
-                        for i in range(1, 9 + w * (cfg.deg - max(t, 1)))}
+        # w = 1: level i is asked for layers through min(6, 14 - i) and
+        # knows layers 0..min(6, i - 1), so levels 1..6 build a rule, whose
+        # graph makes each of layers 0..6 once; levels 7..13 build none
+        assert made == {(i, t): 1 for i in range(1, 7) for t in range(7)}
         for i, fam in enumerate(ladder, 1):
             assert sorted(fam) == list(range(1, i + 1))
             assert all(fam[j] == fresh[j] for j in fam), i

@@ -117,12 +117,34 @@ def test_expand_f_term_pairs(monkeypatch):
 
 
 def test_solve_family_term_pairs(monkeypatch):
-    # a fresh family, its limit included
-    solver._limit.cache_clear()
+    # a fresh family, its limit included; with every level computed from
+    # its own rule, 340,547 pairs over 3,298 calls
     counts = count_sum_products(monkeypatch)
     solver.solve_family(solver.SolverConfig(3, 8, 3, 6))
-    assert counts["pairs"] <= 340_547
-    assert counts["calls"] <= 3_298
+    assert counts["pairs"] <= 335_778
+    assert counts["calls"] <= 2_434
+
+
+def test_cold_solve_builds_only_the_rules_it_needs(monkeypatch):
+    # a cold cached solve: a level starts from the limit's layers
+    # 0..(i-1)//w, so only levels asked for a layer past those build a
+    # rule graph.  With every level built from its rule, 21 graphs and
+    # 654 layer sums
+    solver._limit.cache_clear()
+    solver._family.cache_clear()
+    real, rules = solver._Family._rule, []
+
+    def counted(family, i, vi):
+        rules.append(i)
+        return real(family, i, vi)
+    monkeypatch.setattr(solver._Family, "_rule", counted)
+    counts = count_sum_products(monkeypatch)
+    try:
+        solver.solve_vi(solver.SolverConfig(3, 6, 2, 6))
+    finally:
+        solver._family.cache_clear()
+    assert len(rules) == len(set(rules)) <= 12
+    assert counts["calls"] <= 531
 
 
 def test_make_context_term_pairs(monkeypatch):
@@ -137,8 +159,9 @@ def test_make_context_term_pairs(monkeypatch):
 
 def test_cached_solves_heap():
     # from fresh caches, the heap still alive after two cached solves of
-    # different families: 3,191 KiB, against 4,541 KiB when a solve keeps
-    # the DPs of the levels it returns (no ``forget``)
+    # different families: 2,555 KiB, against 3,163 KiB when every level
+    # builds its own rule graph and 4,541 KiB when a solve also keeps the
+    # DPs of the levels it returns (no ``forget``)
     solver._limit.cache_clear()
     solver._family.cache_clear()
     gc.collect()
@@ -152,7 +175,7 @@ def test_cached_solves_heap():
     finally:
         tracemalloc.stop()
         solver._family.cache_clear()
-    assert kept <= 3_400 * 1024
+    assert kept <= 2_770 * 1024
 
 
 def test_cubic_ladders_one_set_per_context(monkeypatch):
