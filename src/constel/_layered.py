@@ -39,10 +39,12 @@ class _Layered:
 
     Layers are made in order, so a request for layer t first makes the
     missing lower ones, and the recursion is as deep as the graph of
-    nodes whose layers are missing.  A sum, when it makes its first
-    layer, takes over the pairs of each summand that no other node reads
-    and that has made no layer: that summand's layers would be read once,
-    so they are never kept, and the summand is freed.
+    nodes whose layers are missing.  A sum forces a factor's layers only
+    when they are missing, and then reads the factor's own list, which
+    only ever grows.  A sum, when it makes its first layer, takes over
+    the pairs of each summand that no other node reads and that has made
+    no layer: that summand's layers would be read once, so they are never
+    kept, and the summand is freed.
     """
 
     __slots__ = ("val", "top", "_kind", "_parts", "_rule", "_layers", "_uses")
@@ -96,11 +98,18 @@ class _Layered:
         blocks = []
         for a, b in parts:
             # a_u * b_(t-u) for lo <= u <= hi: make those layers first
-            lo, hi = max(a.val, t - b.top), min(a.top, t - b.val)
+            lo, hi = t - b.top, t - b.val
+            if lo < a.val:
+                lo = a.val
+            if hi > a.top:
+                hi = a.top
             if lo <= hi:
-                a.layer(hi)
-                b.layer(t - lo)
-                blocks.append((a._layers, b._layers, lo, hi))
+                la, lb = a._layers, b._layers
+                if len(la) <= hi:
+                    a.layer(hi)
+                if len(lb) <= t - lo:
+                    b.layer(t - lo)
+                blocks.append((la, lb, lo, hi))
         out = _layer_sum(blocks, t, t)
         return out if out._terms else _EMPTY
 

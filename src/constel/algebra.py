@@ -481,8 +481,10 @@ def _layer_sum(blocks, t: int, deg: int) -> MultiPoly:
                 for mb, cb in tb.items():
                     m = ma + mb
                     out[m] = get(m, 0) + ca * cb
-    layer = MultiPoly({m: c for m, c in out.items() if c})
-    layer._deg = deg if layer._terms else None
+    if 0 in out.values():  # a coefficient cancelled: rare in a layer
+        out = {m: c for m, c in out.items() if c}
+    layer = MultiPoly(out)
+    layer._deg = deg if out else None
     return layer
 
 

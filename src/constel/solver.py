@@ -157,7 +157,10 @@ class _Family:
         self.levels: list = []  # levels[i - 1] is V_i, made on first use
 
     def level(self, i: int):
-        levels, deg, w = self.levels, self.cfg.deg, self.cfg.window
+        levels = self.levels
+        if i <= len(levels):
+            return levels[i - 1]
+        deg, w = self.cfg.deg, self.cfg.window
         while len(levels) < i:
             j = len(levels) + 1
             # layer t of V_j is the limit's for every t with w*t < j

@@ -1,6 +1,7 @@
 """Work contracts: deterministic counts of the two sum-of-products
 kernels (``_layer_sum``, every convolution of the relaxed expansions, and
-``MultiPoly._minus_products``, every elimination update), of the path
+``MultiPoly._minus_products``, every elimination update), of the products
+``MultiPoly.__mul__`` makes in ``f_poly``'s walk DP, of the path
 enumerations and walk DPs the checks run, and the heap that cached solves
 and refused requests keep alive.
 
@@ -48,6 +49,24 @@ def count_sum_products(monkeypatch):
         monkeypatch.setattr(module, "_layer_sum", counted)
     monkeypatch.setattr(algebra.MultiPoly, "_minus_products", counted_minus)
     return counts
+
+
+def test_walk_dp_term_pairs(monkeypatch):
+    # a cold f_poly(3, n, 0) table for n <= 8: each fall multiplies a V
+    # variable into a running sum, one MultiPoly product per fall edge
+    paths.f_poly.cache_clear()
+    real, counts = algebra.MultiPoly.__mul__, {"calls": 0, "pairs": 0}
+
+    def counted(a, b):
+        counts["calls"] += 1
+        counts["pairs"] += len(a._terms) * len(algebra._coerce(b)._terms)
+        return real(a, b)
+    monkeypatch.setattr(algebra.MultiPoly, "__mul__", counted)
+    monkeypatch.setattr(algebra.MultiPoly, "__rmul__", counted)
+    table = [f_poly(3, n, 0) for n in range(9)]
+    assert table[8].nterms == 3 ** 7
+    assert counts["pairs"] <= 14_562
+    assert counts["calls"] <= 240
 
 
 def test_hankel_ladder_term_pairs(monkeypatch):
