@@ -15,9 +15,10 @@ too: cell (n, r) is homogeneous of degree n(p-1)+r, its number of falls.
 The paper's nested fraction Q = 1/(1 - t*P), P = prod_{0<i<p} V_i
 sigma^i(Q), is column 0: e[p-1] = P*e[0], so e[0] = 1 + t*P*e[0] is its
 fixed point (the path reading of continued fractions, Flajolet 1980).
-``expand_f`` reads column r (``expand_fraction`` is r = 0, shift 0) and
-the Hankel entries the cached ``_excursions(p)``, whose cells outlive a
-step that raises; the walk DP of ``paths.f_poly`` is the independent check.
+``expand_f`` (column r; ``expand_fraction`` is r = 0, shift 0) and the
+Hankel entries share the cached ``_excursions(p)``, whose cells outlive
+a step that raises; only the walk DP of ``paths.f_poly`` makes them on
+its own, the independent check.
 """
 
 from __future__ import annotations
@@ -66,12 +67,13 @@ def expand_f(p: int, r: int, shift: int = 0, order: int = 0) -> TSeries:
 
     All fall-weight indices are offset by ``shift``.  Coefficient n of the
     r = 0 series is the weight polynomial of the length-np excursions.
+    Its cells are the shared ``_excursions(p)``, made once per process.
     """
     _at_least(2, p=p)
     if not 0 <= r <= p - 1:
         raise OutOfRange("r must lie in [0, p-1]")
     _at_least(0, shift=shift, order=order)
-    cells = _Excursions(p)  # a fresh one makes no cell past (order, r)
+    cells = _excursions(p)
     coeffs = [cells.coeff(n, r) for n in range(order + 1)]
     if shift:
         one = MultiPoly.one()
@@ -120,7 +122,7 @@ class _Excursions:
 
 @lru_cache(maxsize=8)
 def _excursions(p: int) -> _Excursions:
-    """The excursion cells of p, shared by every Hankel ladder of p."""
+    """The excursion cells of p, shared by every reader of p."""
     return _Excursions(p)
 
 

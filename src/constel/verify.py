@@ -63,18 +63,19 @@ def plan_paths(p_values, n_max) -> list:
 
 
 def plan_contfrac(p_values, n_max) -> list:
+    # the checks expand when they run, so building the plan does no work
     jobs = []
     for p in p_values:
-        series = contfrac.expand_fraction(p, n_max)
-        ladder = contfrac.expand_f(p, 0, 0, n_max)
         for n in range(n_max + 1):
             jobs += [("contfrac.fraction-vs-paths", f"p={p} n={n}",
-                      lambda p=p, n=n, s=series: _diff(
-                          "fraction coefficient", s.coeff(n),
+                      lambda p=p, n=n: _diff(
+                          "fraction coefficient",
+                          contfrac.expand_fraction(p, n_max).coeff(n),
                           paths.f_poly(p, n, 0))),
                      ("contfrac.recursion-vs-paths", f"p={p} n={n}",
-                      lambda p=p, n=n, s=ladder: _diff(
-                          "recursion coefficient", s.coeff(n),
+                      lambda p=p, n=n: _diff(
+                          "recursion coefficient",
+                          contfrac.expand_f(p, 0, 0, n_max).coeff(n),
                           paths.f_poly(p, n, 0)))]
     return jobs
 

@@ -223,7 +223,7 @@ def _limit_one_sweep_short(monkeypatch):
 def _top_coefficient_short(monkeypatch):
     # expand_f's top coefficient without its first term; expand_fraction
     # reads expand_f, so the fraction check sees it too, and the Hankel
-    # ladders read their own expansion
+    # ladders read the shared cells without it
     real = contfrac.expand_f
 
     def expand_f(p, r, shift=0, order=0):

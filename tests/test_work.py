@@ -51,6 +51,21 @@ def count_sum_products(monkeypatch):
     return counts
 
 
+def live_terms(*roots):
+    """The polynomials reachable from ``roots`` through lists, tuples and
+    dicts, each object counted once: (objects, terms)."""
+    held, seen = {}, set()
+    todo = gc.get_referents(*roots)
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, algebra.MultiPoly):
+            held[id(obj)] = obj
+        elif isinstance(obj, (list, tuple, dict)) and id(obj) not in seen:
+            seen.add(id(obj))
+            todo.extend(gc.get_referents(obj))
+    return len(held), sum(poly.nterms for poly in held.values())
+
+
 def test_walk_dp_term_pairs(monkeypatch):
     # a cold f_poly(3, n, 0) table for n <= 8: each fall multiplies a V
     # variable into a running sum, one MultiPoly product per fall edge
@@ -92,17 +107,8 @@ def test_hankel_ladder_live_terms():
     hankel_mod._ladder.cache_clear()
     contfrac._excursions.cache_clear()
     assert hankel_det(HankelSpec(3, 1, 6)) == hankel_product(HankelSpec(3, 1, 6))
-    held, seen = {}, set()
-    todo = gc.get_referents(hankel_mod._ladder(3, 1), contfrac._excursions(3))
-    while todo:
-        obj = todo.pop()
-        if isinstance(obj, algebra.MultiPoly):
-            held[id(obj)] = obj
-        elif isinstance(obj, (list, tuple, dict)) and id(obj) not in seen:
-            seen.add(id(obj))
-            todo.extend(gc.get_referents(obj))
-    assert len(held) == 87
-    assert sum(poly.nterms for poly in held.values()) == 60_267
+    assert live_terms(hankel_mod._ladder(3, 1), contfrac._excursions(3)) \
+        == (87, 60_267)
 
 
 def test_hankel_entry_term_pairs(monkeypatch):
@@ -119,7 +125,9 @@ def test_hankel_entry_term_pairs(monkeypatch):
 
 def test_expand_fraction_term_pairs(monkeypatch):
     # only the shift-0 level is expanded, one coefficient at a time; each
-    # level expanded on its own made 231,279 pairs over 200 calls
+    # level expanded on its own made 231,279 pairs over 200 calls.  The
+    # store is shared, so it is emptied first: warm, it would make none
+    contfrac._excursions.cache_clear()
     counts = count_sum_products(monkeypatch)
     contfrac.expand_fraction(3, 10)
     assert counts["pairs"] <= 123_019
@@ -129,10 +137,55 @@ def test_expand_fraction_term_pairs(monkeypatch):
 def test_expand_f_term_pairs(monkeypatch):
     # as above; one memoized series per (r, shift, order) made 332,165
     # pairs over 770 calls
+    contfrac._excursions.cache_clear()
     counts = count_sum_products(monkeypatch)
     contfrac.expand_f(3, 0, 0, 10)
     assert counts["pairs"] <= 123_019
     assert counts["calls"] <= 20
+
+
+def test_excursion_cells_made_once(monkeypatch):
+    # after a cold expand_f(3, 0, 0, 10), the fraction, another column and
+    # shift, and a Hankel matrix all read cells it made; with a fresh
+    # expansion per expand_f call the three made 47 more (20, 20 and 7)
+    contfrac._excursions.cache_clear()
+    counts = count_sum_products(monkeypatch)
+    contfrac.expand_f(3, 0, 0, 10)
+    assert counts["calls"] == 20
+    counts["calls"] = 0
+    contfrac.expand_fraction(3, 10)
+    contfrac.expand_f(3, 2, 1, 9)
+    hankel_matrix(HankelSpec(3, 1, 2))
+    assert counts["calls"] == 0
+
+
+def test_expand_fraction_live_terms():
+    # what the shared store of p = 3 keeps after a cold expand_fraction(3,
+    # 8), for the rest of the process: the cells of every column through
+    # row 8 and their raised copies.  A store bounded by terms moves it
+    contfrac._excursions.cache_clear()
+    contfrac.expand_fraction(3, 8)
+    assert live_terms(contfrac._excursions(3)) == (33, 7_656)
+
+
+def test_default_plans_do_no_work(cold_caches, monkeypatch):
+    # the default verify-all's plans only list their checks; the run then
+    # expands each p's excursion family once, where a fresh expansion per
+    # contfrac check and one for the Hankel entries built 9
+    counts = count_sum_products(monkeypatch)
+    real_run, real_cells, built = verify.run, contfrac._Excursions, []
+
+    def run(jobs):
+        assert counts == {"calls": 0, "pairs": 0} and built == []
+        return real_run(jobs)
+
+    def counted(p):
+        built.append(p)
+        return real_cells(p)
+    monkeypatch.setattr(verify, "run", run)
+    monkeypatch.setattr(contfrac, "_Excursions", counted)
+    assert all(result.ok for result in verify.run_all((2, 3, 4), 3, 10))
+    assert counts["calls"] > 0 and sorted(built) == [2, 3, 4]
 
 
 def test_solve_family_term_pairs(monkeypatch):
