@@ -180,11 +180,13 @@ def _quotient(a: int, b: int):
     return a - b
 
 
-def _merge(a: dict, b: dict, sign: int) -> dict:
-    """a + sign*b for sign +1 or -1, as one copy of a and one pass over b."""
+def _merge(a: dict, b: dict, sign: int) -> tuple[dict, bool]:
+    """a + sign*b for sign +1 or -1, as one copy of a and one pass over b,
+    and whether a coefficient cancelled: when none did, every key of a and
+    b survives, so the sum's degree is the larger of theirs."""
     if sign == 1 and len(a) < len(b):  # a sum copies its larger operand
         a, b = b, a
-    out = dict(a)
+    out, cancelled = dict(a), False
     get = out.get
     for key, coeff in b.items():
         c = get(key, 0) + sign * coeff
@@ -192,7 +194,8 @@ def _merge(a: dict, b: dict, sign: int) -> dict:
             out[key] = c
         else:
             del out[key]
-    return out
+            cancelled = True
+    return out, cancelled
 
 
 def _text(v, x) -> str:
@@ -313,10 +316,17 @@ class MultiPoly(_Terms):
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other, sign=1):
+        """self + sign*other.  The sum carries the larger of the operands'
+        known degrees when no coefficient cancelled, else none."""
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return MultiPoly(_merge(self._terms, other._terms, sign))
+        out, cancelled = _merge(self._terms, other._terms, sign)
+        total = MultiPoly(out)
+        da, db = self._deg, other._deg
+        if not cancelled and da is not None and db is not None:
+            total._deg = da if da > db else db
+        return total
 
     __radd__ = __add__
 
@@ -334,17 +344,21 @@ class MultiPoly(_Terms):
         deg = _check_degree(self.total_degree() + other.total_degree())
         if len(a) > len(b):
             a, b = b, a
-        out: dict[int, int] = {}
-        get = out.get
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                m = ma + mb
-                c = get(m, 0) + ca * cb
-                if c:
-                    out[m] = c
-                elif m in out:
-                    del out[m]
-        prod = MultiPoly(out)
+        if len(a) == 1:  # a key shift: no two keys collide, no zero appears
+            (ma, ca), = a.items()
+            prod = MultiPoly({ma + mb: ca * cb for mb, cb in b.items()})
+        else:
+            out: dict[int, int] = {}
+            get = out.get
+            for ma, ca in a.items():
+                for mb, cb in b.items():
+                    m = ma + mb
+                    c = get(m, 0) + ca * cb
+                    if c:
+                        out[m] = c
+                    elif m in out:
+                        del out[m]
+            prod = MultiPoly(out)
         prod._deg = deg  # the top-degree parts cannot cancel over Z
         return prod
 
@@ -583,7 +597,7 @@ class XSeries(_Terms):
             return NotImplemented
         order = min(self.order, other.order)
         return XSeries(order, _merge(self.truncate(order)._terms,
-                                     other.truncate(order)._terms, sign))
+                                     other.truncate(order)._terms, sign)[0])
 
     __radd__ = __add__
 

@@ -11,6 +11,7 @@ V = MultiPoly.v_var
 X = MultiPoly.x_var
 C = MultiPoly.const
 ORDER = 4
+ok = _props.ok
 
 
 def S(k):
@@ -305,6 +306,68 @@ class TestCanonicalCheck:
     def test_series_rejects(self, order, terms):
         with pytest.raises(AssertionError):
             XSeries(order, terms)._check()
+
+
+def known(poly: MultiPoly) -> MultiPoly:
+    poly.total_degree()  # caches the degree, as a product's operands have it
+    return poly
+
+
+def top_part(poly: MultiPoly) -> MultiPoly:
+    deg = poly.total_degree()
+    return MultiPoly.from_terms(
+        (m, c) for m, c in poly.sorted_terms()
+        if sum(e for part in m for _, e in part) == deg)
+
+
+class TestCarriedDegree:
+    """A sum or product carries a degree only when it is the one a fresh
+    scan finds; ``_props.ok`` compares the two."""
+
+    def test_cancellations_drop_the_degree(self):
+        head = known(X(1, 2) + X(1))
+        assert head._deg == 2
+        total = ok(head + known(-X(1, 2)))  # the top degree cancels alone
+        assert total == X(1) and total._deg is None
+        assert total.total_degree() == 1
+        assert ok(head - head)._deg is None and (head - head).is_zero()
+        assert ok(known(V(1) - V(2)) + known(V(2)))._deg is None
+
+    def test_sums_without_cancellation_keep_the_larger_degree(self):
+        low, high = known(V(1) + 3), known(2 * V(1) * V(2))
+        assert ok(low + high)._deg == ok(high - low)._deg == 2
+        assert ok(low + low)._deg == 1  # coefficients double, none cancels
+        assert ok(V(1) + high)._deg is None  # an operand of unknown degree
+
+    def test_zero_operands(self):
+        zero, a = known(MultiPoly.zero()), known(3 * V(2) ** 2 - X(1))
+        for result in (zero + a, a + zero, a - zero, zero - a, zero + zero,
+                       zero * a, a * zero, zero * zero):
+            ok(result)
+        assert (zero + a)._deg == (zero - a)._deg == 2
+        assert (zero + zero)._deg == 0
+
+    def test_one_term_products_match_the_naive_product(self):
+        rng = Random(1111)
+        for _ in range(150):
+            a = _props.rand_poly(rng)
+            b = MultiPoly.from_terms([(_props.rand_monomial(rng),
+                                       rng.choice((-6, -2, -1, 1, 3, 7)))])
+            if rng.random() < 0.5:
+                known(a)
+            for prod in (ok(a * b), ok(b * a), ok(a * known(b))):
+                assert _props.t_poly(prod) == _props.t_mul(_props.t_poly(a),
+                                                           _props.t_poly(b))
+
+    def test_random_sums_and_products(self):
+        rng = Random(1212)
+        for _ in range(150):
+            a, b = (_props.rand_poly(rng) for _ in range(2))
+            if rng.random() < 0.7:
+                known(a), known(b)
+            for c in (a, b, a * b, a - top_part(a), a + top_part(b)):
+                ok(c)
+                ok(c + a), ok(c - a), ok(c - c), ok(c * b), ok(known(c) * a)
 
 
 def full_minor(rows):

@@ -1,9 +1,9 @@
 """Work contracts: deterministic counts of the two sum-of-products
 kernels (``_layer_sum``, every convolution of the relaxed expansions, and
 ``MultiPoly._minus_products``, every elimination update), of the products
-``MultiPoly.__mul__`` makes in ``f_poly``'s walk DP, of the path
-enumerations and walk DPs the checks run, and the heap that cached solves
-and refused requests keep alive.
+``MultiPoly.__mul__`` makes in ``f_poly``'s walk DP and of the degree
+scans it leaves, of the path enumerations and walk DPs the checks run,
+and the heap that cached solves and refused requests keep alive.
 
 Timings on a shared machine cannot catch a 10% regression; the number of
 term pairs a kernel multiplies on a fixed call is exact, and so, to within
@@ -82,6 +82,27 @@ def test_walk_dp_term_pairs(monkeypatch):
     assert table[8].nterms == 3 ** 7
     assert counts["pairs"] <= 14_562
     assert counts["calls"] <= 240
+
+
+def test_walk_dp_degree_scans(monkeypatch):
+    # the same cold table: a product carries its degree, and so does a sum
+    # in which no coefficient cancels, so only the one-term weights and the
+    # DP's unit are scanned.  Sums that carried no degree made 164 scans
+    # over 12,878 keys
+    paths.f_poly.cache_clear()
+    paths._v_weight.cache_clear()
+    real, counts = algebra.MultiPoly.total_degree, {"scans": 0, "keys": 0}
+
+    def counted(poly):
+        if poly._deg is None:
+            counts["scans"] += 1
+            counts["keys"] += poly.nterms
+        return real(poly)
+    monkeypatch.setattr(algebra.MultiPoly, "total_degree", counted)
+    table = [f_poly(3, n, 0) for n in range(9)]
+    assert table[8].nterms == 3 ** 7
+    assert counts["scans"] <= 24
+    assert counts["keys"] <= 24
 
 
 def test_hankel_ladder_term_pairs(monkeypatch):
