@@ -24,10 +24,12 @@ holds:
   imports constel, compiling the package from source and reading its
   cached bytecode; the heap the import retains (tracemalloc); and which
   of a few heavy stdlib modules it loads;
-- ``large``: wall time, max RSS and exit code of each CLI size in
-  ``LARGE``, run once under a time cap and an address-space cap
-  (``MEMORY_CAP``); a run that hits one has ``capped`` set to ``"time"``
-  or ``"memory"``, and its time is the cap's, not the size's.
+- ``large``: each CLI size in ``LARGE``, run ``LARGE_RUNS`` times under a
+  time cap and an address-space cap (``MEMORY_CAP``): the median wall time
+  and max RSS, and every run's exit code and ``capped``, which is
+  ``"time"`` or ``"memory"`` for a run that hit a cap (its time is then
+  the cap's, not the size's).  The revisions take turns on each size, and
+  which goes first alternates from run to run.
 
 A row replaces the row of its label in ``--out`` and keeps the others,
 so a later change adds its own row to a BENCH file.  Timings are one
@@ -67,6 +69,7 @@ LARGE = [
     ("lgv --p 70000 --m 0 --n 1", 15),
 ]
 MEMORY_CAP = 2 << 30  # bytes of address space for each large-size child
+LARGE_RUNS = 3  # runs of each large size per revision
 PERF_RUNS, PERF_SECONDS = 3, 5.0  # perfbench runs per workload, and their --seconds
 SPAWNS = 15  # verify-all runs, and interpreter spawns per import mode
 HEAVY = ("ast", "dataclasses", "decimal", "dis", "fractions", "inspect")
@@ -203,6 +206,30 @@ def import_heap(tree: Path) -> dict:
     return {"retained_kib": round(int(out[0]) / 1024), "heavy_modules": json.loads(out[1])}
 
 
+def large(trees: dict) -> dict:
+    """Per revision, each size of ``LARGE`` run ``LARGE_RUNS`` times.  The
+    revisions take turns on a size, the first of one run last in the next,
+    as perfbench's alternating pairs do, so a slow phase of the machine
+    falls on every revision alike instead of on one whole row."""
+    rows = {label: [] for label in trees}
+    for cli, cap in LARGE:
+        order, runs = list(trees.items()), {label: [] for label in trees}
+        for rep in range(LARGE_RUNS):
+            for label, tree in order if rep % 2 == 0 else order[::-1]:
+                print(f"bench: {label} large {cli}", file=sys.stderr, flush=True)
+                runs[label].append(timed([sys.executable, "-m", "constel", *cli.split()],
+                                         tree, _env(tree), cap_s=cap, memory=MEMORY_CAP))
+        for label, samples in runs.items():
+            rows[label].append({
+                "argv": cli, "cap_s": cap,
+                "wall_s": statistics.median(s["wall_s"] for s in samples),
+                "max_rss_mib": statistics.median(s["max_rss_mib"] for s in samples),
+                "exit": [s["exit"] for s in samples],
+                "capped": [s["capped"] for s in samples],
+                "stderr_tail": samples[-1]["stderr_tail"]})
+    return rows
+
+
 def _perf_summary(samples: list[dict]) -> dict:
     errors = [s["error"] for s in samples if "error" in s]
     good = [s for s in samples if "error" not in s]
@@ -226,7 +253,7 @@ def main(argv=None) -> int:
     ap.add_argument("--out", required=True, help="the BENCH JSON file to merge into")
     args = ap.parse_args(argv)
     settings = {"perf_runs": PERF_RUNS, "perf_seconds": PERF_SECONDS, "spawns": SPAWNS,
-                "memory_cap_bytes": MEMORY_CAP}
+                "memory_cap_bytes": MEMORY_CAP, "large_runs": LARGE_RUNS}
 
     with tempfile.TemporaryDirectory(prefix="constel-bench-") as work:
         trees, rows = {}, {}
@@ -266,12 +293,8 @@ def main(argv=None) -> int:
         for label in rows:
             rows[label]["perfbench"] = {
                 w: _perf_summary([run[label] for run in perf[w]]) for w in WORKLOADS}
-        large = each("large", lambda tree: [
-            {"argv": cli, "cap_s": cap} | timed(
-                [sys.executable, "-m", "constel", *cli.split()], tree, _env(tree),
-                cap_s=cap, memory=MEMORY_CAP) for cli, cap in LARGE])
-        for label in rows:
-            rows[label]["large"] = large[label]
+        for label, sizes in large(trees).items():
+            rows[label]["large"] = sizes
 
     out = Path(args.out)
     kept = json.loads(out.read_text())["rows"] if out.exists() else []

@@ -81,6 +81,13 @@ def _at_least(low: int, **values: int) -> None:
             raise OutOfRange(f"{name} must be >= {low}")
 
 
+def _at_most(high: int, **values: int) -> None:
+    """Refuse the first of ``values``, in keyword order, above ``high``."""
+    for name, value in values.items():
+        if value > high:
+            raise OutOfRange(f"{name} must be <= {high}")
+
+
 # ---------------------------------------------------------------------------
 # packed monomials: one int, a 16-bit field per (family, index), degree low
 
@@ -808,4 +815,3 @@ class _Minors:
         self._lower.append((j0, mults))
         self._upper.append({n: pivot})
         self.minors.append(det)
-

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import (MultiPoly, OutOfRange, _at_least, _check_degree,
+from .algebra import (MultiPoly, _at_least, _at_most, _check_degree,
                       _layer_sum)
 
 
@@ -70,8 +70,8 @@ def expand_f(p: int, r: int, shift: int = 0, order: int = 0) -> TSeries:
     Its cells are the shared ``_excursions(p)``, made once per process.
     """
     _at_least(2, p=p)
-    if not 0 <= r <= p - 1:
-        raise OutOfRange("r must lie in [0, p-1]")
+    _at_least(0, r=r)
+    _at_most(p - 1, r=r)
     _at_least(0, shift=shift, order=order)
     cells = _excursions(p)
     coeffs = [cells.coeff(n, r) for n in range(order + 1)]

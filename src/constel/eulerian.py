@@ -15,7 +15,7 @@ to check the ladder end to end.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cache, cached_property, lru_cache, partial
+from functools import cache, lru_cache, partial
 from itertools import islice
 
 from ._layered import _Layered
@@ -63,19 +63,19 @@ def fib_chebyshev_check(n: int) -> bool:
 
 
 class EulerContext(namedtuple("EulerContext", "order V y xV")):
-    """Shared series data at one truncation order: V, y, and xV, and the
-    three branch ladders that every ``t_n`` of the order reads."""
+    """Shared series data at one truncation order: V, y, and xV."""
 
-    # no __slots__: the cached ladders live in the instance dict
+    __slots__ = ()
 
-    @cached_property
-    def _ladders(self) -> list:
-        # one ladder per branch s, the (3, s) banded layout over the closed
-        # forms, made on first use; the branches share cells, each built once
-        @cache
-        def cell(q, r):
-            return f_closed(q, self) if r == 0 else f1_closed(q, self)
-        return [_banded(3, s, cell) for s in range(3)]
+
+@lru_cache(maxsize=32)
+def _ladders(ctx: EulerContext) -> list:
+    # the branch ladders every t_n of the context reads, one per branch s: the
+    # (3, s) banded layout over the closed forms, sharing cells built once
+    @cache
+    def cell(q, r):
+        return f_closed(q, ctx) if r == 0 else f1_closed(q, ctx)
+    return [_banded(3, s, cell) for s in range(3)]
 
 
 @lru_cache(maxsize=32)
@@ -160,7 +160,7 @@ def t_n(n: int, ctx: EulerContext) -> XSeries:
     _at_least(1, n=n)
     k, s = divmod(n - 1, 3)
     one = XSeries.const(1, ctx.order)
-    det = ctx._ladders[s].minor(k - 1) if k else one
+    det = _ladders(ctx)[s].minor(k - 1) if k else one
     if s == 2:
         det = det * (one - ctx.xV)
     return det * ctx.V.pow(-(k * (3 * k + 2 * s - 1) // 2))

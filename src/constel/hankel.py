@@ -21,7 +21,7 @@ from functools import lru_cache, partial
 from itertools import islice, permutations
 
 from . import algebra
-from .algebra import MultiPoly, NotDivisible, OutOfRange, _at_least
+from .algebra import MultiPoly, NotDivisible, _at_least, _at_most
 from .contfrac import _excursions
 from .paths import enumerate_paths, path_weight
 
@@ -47,8 +47,8 @@ class HankelSpec(namedtuple("HankelSpec", "p m n")):
 
     def __new__(cls, p: int, m: int, n: int):
         _at_least(2, p=p)
-        if not 0 <= m <= p - 1:
-            raise OutOfRange("m must lie in [0, p-1]")
+        _at_least(0, m=m)
+        _at_most(p - 1, m=m)
         _at_least(-1, n=n)
         return super().__new__(cls, p, m, n)
 
@@ -139,9 +139,6 @@ def recover_vi(p: int, i: int) -> MultiPoly:
             f"(p={p}, i={i})") from exc
 
 
-_DESK_LIMIT = 3
-
-
 @lru_cache(maxsize=64)
 def _paths(p, src, dst) -> tuple:
     # the paths from src to dst, enumerated once for every check that reads them
@@ -184,8 +181,7 @@ def _ends(spec: HankelSpec):
 
 def lgv_signed_sum(spec: HankelSpec) -> MultiPoly:
     """Brute-force signed sum over bijections of source-to-sink path sums."""
-    if spec.n > _DESK_LIMIT:
-        raise OutOfRange(f"lgv_signed_sum is desk-scale only (n <= {_DESK_LIMIT})")
+    _at_most(3, n=spec.n)  # brute force, at desk scale only
     sources, sinks = _ends(spec)
     size = spec.n + 1
     sums = [[_path_sum(spec.p, a, b) for b in sinks] for a in sources]
@@ -206,8 +202,7 @@ def nilp_unique(spec: HankelSpec) -> tuple[int, MultiPoly]:
     Exactly one configuration must exist; it is also checked to thread
     path i through the pinch point (-m, m + ip).  Returns (1, weight).
     """
-    if spec.n > _DESK_LIMIT:
-        raise OutOfRange(f"nilp_unique is desk-scale only (n <= {_DESK_LIMIT})")
+    _at_most(3, n=spec.n)  # brute force, at desk scale only
     candidates = [_paths(spec.p, a, b) for a, b in zip(*_ends(spec))]
     found = list(islice(_disjoint(candidates, frozenset()), 2))
     if len(found) != 1:

@@ -23,7 +23,7 @@ from collections import Counter, namedtuple
 from functools import lru_cache
 from math import comb
 
-from .algebra import MultiPoly, OutOfRange, _at_least, _check_degree
+from .algebra import MultiPoly, _at_least, _at_most, _check_degree
 
 RISE = "R"
 FALL = "F"
@@ -36,8 +36,7 @@ class PPath(namedtuple("PPath", "p start steps")):
 
     def __new__(cls, p: int, start: tuple[int, int], steps: tuple[str, ...]):
         _at_least(2, p=p)
-        if start[1] < 0:
-            raise OutOfRange("start height must be >= 0")
+        _at_least(0, **{"start height": start[1]})
         h = start[1]
         for s in steps:
             if s == RISE:
@@ -165,8 +164,8 @@ def f_poly(p: int, n: int, r: int) -> MultiPoly:
     """Weight polynomial of the p-paths from (-r, r) to (np, 0)."""
     _at_least(2, p=p)
     _at_least(0, n=n)
-    if not 0 <= r <= p - 1:
-        raise OutOfRange("r must lie in [0, p-1]")
+    _at_least(0, r=r)
+    _at_most(p - 1, r=r)
     _check_degree(n * (p - 1) + r)  # each term's degree, its number of falls
     return _weight_dp(p, n * p + r, r, 0, _v_weight, MultiPoly.one())
 
@@ -175,8 +174,8 @@ def count_paths(p: int, n: int, r: int) -> int:
     """Number of p-paths from (-r, r) to (np, 0); r may reach p."""
     _at_least(2, p=p)
     _at_least(0, n=n)
-    if not 0 <= r <= p:
-        raise OutOfRange("r must lie in [0, p]")
+    _at_least(0, r=r)
+    _at_most(p, r=r)
     return _weight_dp(p, n * p + r, r, 0, lambda h: 1, 1)
 
 

@@ -61,7 +61,7 @@ from functools import lru_cache, partial
 from math import comb
 
 from ._layered import _Layered
-from .algebra import OutOfRange, XSeries, _at_least
+from .algebra import XSeries, _at_least, _at_most
 from .paths import _weight_dp, count_closed
 
 
@@ -170,10 +170,9 @@ class _Family:
         return levels[i - 1]
 
     def _rule(self, i: int, vi):
-        # 1 + V_i * sum_n x_n * M_(i,n), one walk DP for every n
+        # 1 + V_i * sum_n x_n * M_(i,n), one walk DP for every n; only a
+        # window w > 0 asks for it (see level), so kmax >= 1
         p, kmax = self.cfg.p, self.cfg.kmax
-        if not kmax:
-            return _Layered.const(1)
         sums = _weight_dp(p, kmax * p - 1, i - 1, i, self.level,
                           _Layered.const(1), every=True)
         faces = sum((_Layered.var(n) * sums[n * p - 1]
@@ -249,8 +248,8 @@ def f1_tutte_check(cfg: SolverConfig, n: int) -> bool:
     of deeper excursions plus the convolution of excursion series.  Only
     meaningful for p = 3, where one rise spans exactly two levels.
     """
-    if cfg.p != 3:
-        raise OutOfRange("the splitting identity is specific to p = 3")
+    _at_least(3, p=cfg.p)
+    _at_most(3, p=cfg.p)
     _at_least(0, n=n)
     need = 2 * (n + cfg.kmax) + 1
     big = cfg if cfg.imax >= need else \

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib
 import inspect
@@ -7,6 +8,7 @@ import pkgutil
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -126,6 +128,17 @@ class TestLGVCommand:
         rc, out, err = capture(["lgv", "--p", "3", "--m", "1", "--n", "1"])
         assert rc == 1
         assert "identity violation" in err
+
+
+class TestHankelCommand:
+    def test_refused_ladder_exits_one(self, crooked_walks):
+        # one crooked entry, f(4, 0), makes the (3, 1) ladder refuse minor 3
+        # (as in test_hankel); cli.run maps the violation to exit 1
+        _hankel_entry_bumped(crooked_walks)
+        rc, out, err = capture(["hankel", "--p", "3", "--m", "1", "--n", "3"])
+        assert rc == 1 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("identity violation: the (p=")
 
 
 class TestCheckPlan:
@@ -538,11 +551,11 @@ class TestUsageErrors:
          "start height must be >= 0"),
         ("enumerate_paths", lambda: paths.enumerate_paths(3, (0, 0), (3, -1)),
          "heights must be >= 0"),
-        ("f_poly", lambda: paths.f_poly(3, 0, 3), "r must lie in [0, p-1]"),
+        ("f_poly", lambda: paths.f_poly(3, 0, 3), "r must be <= 2"),
+        ("f_poly-r", lambda: paths.f_poly(3, 0, -1), "r must be >= 0"),
         ("f_poly-n", lambda: paths.f_poly(3, -1, 0), "n must be >= 0"),
         ("count_paths", lambda: paths.count_paths(3, -1, 0), "n must be >= 0"),
-        ("count_paths-r", lambda: paths.count_paths(3, 0, 4),
-         "r must lie in [0, p]"),
+        ("count_paths-r", lambda: paths.count_paths(3, 0, 4), "r must be <= 3"),
         ("count_closed", lambda: paths.count_closed(1, 2, 0), "p must be >= 2"),
         ("count_closed-r", lambda: paths.count_closed(3, 2, -1), "r must be >= 0"),
         ("expand_fraction", lambda: contfrac.expand_fraction(2, -1),
@@ -552,18 +565,17 @@ class TestUsageErrors:
         ("expand_f", lambda: contfrac.expand_f(3, 0, -1, 2), "shift must be >= 0"),
         ("expand_f-order", lambda: contfrac.expand_f(3, 0, 0, -1),
          "order must be >= 0"),
-        ("expand_f-r", lambda: contfrac.expand_f(3, 3, -1, -1),
-         "r must lie in [0, p-1]"),
+        ("expand_f-r", lambda: contfrac.expand_f(3, 3, -1, -1), "r must be <= 2"),
         ("qr", lambda: hankel.qr(-1, 3), "k must be >= 0"),
         ("HankelSpec", lambda: HankelSpec(3, 0, -2), "n must be >= -1"),
         ("HankelSpec-p", lambda: HankelSpec(1, 0, -2), "p must be >= 2"),
-        ("HankelSpec-m", lambda: HankelSpec(3, 3, -2), "m must lie in [0, p-1]"),
+        ("HankelSpec-m", lambda: HankelSpec(3, 3, -2), "m must be <= 2"),
         ("recover_vi", lambda: hankel.recover_vi(3, 0), "i must be >= 1"),
         ("recover_vi-p", lambda: hankel.recover_vi(1, 0), "p must be >= 2"),
         ("lgv_signed_sum", lambda: hankel.lgv_signed_sum(HankelSpec(3, 0, 4)),
-         "lgv_signed_sum is desk-scale only (n <= 3)"),
+         "n must be <= 3"),
         ("nilp_unique", lambda: hankel.nilp_unique(HankelSpec(3, 0, 4)),
-         "nilp_unique is desk-scale only (n <= 3)"),
+         "n must be <= 3"),
         ("SolverConfig", lambda: solver.SolverConfig(p=3, deg=2, kmax=1, imax=0),
          "imax must be >= 1"),
         ("SolverConfig-p", lambda: solver.SolverConfig(1, -1, -1, 0),
@@ -579,7 +591,10 @@ class TestUsageErrors:
          "n must be >= 0"),
         ("f1_tutte_check-p",
          lambda: solver.f1_tutte_check(solver.SolverConfig(2, 2, 1, 1), -1),
-         "the splitting identity is specific to p = 3"),
+         "p must be >= 3"),
+        ("f1_tutte_check-p4",
+         lambda: solver.f1_tutte_check(solver.SolverConfig(4, 2, 1, 1), -1),
+         "p must be <= 3"),
         ("fib_poly", lambda: eulerian.fib_poly(-1), "n must be >= 0"),
         ("fib_chebyshev_check", lambda: eulerian.fib_chebyshev_check(0),
          "n must be >= 1"),
@@ -606,6 +621,24 @@ class TestUsageErrors:
             call()
         assert type(refused.value) is OutOfRange
         assert str(refused.value) == message
+
+    def test_only_the_bound_helpers_raise_out_of_range(self):
+        # every range refusal is worded by algebra._at_least or _at_most: no
+        # other function raises OutOfRange, and only cli (which catches it)
+        # and __init__ (which exports it) import it
+        raisers, importers = [], set()
+        for path in sorted(Path(constel.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and \
+                        "OutOfRange" in (alias.name for alias in node.names):
+                    importers.add(path.stem)
+                if isinstance(node, ast.FunctionDef):
+                    raisers += [f"{path.stem}.{node.name}" for raised in ast.walk(node)
+                                if isinstance(raised, ast.Raise)
+                                and "OutOfRange" in ast.unparse(raised)]
+        assert raisers == ["algebra._at_least", "algebra._at_most"]
+        assert importers == {"cli", "__init__"}
 
     def test_internal_value_error_is_not_a_refusal(self, monkeypatch):
         # any other ValueError is a fault of the program, not of the input

@@ -222,7 +222,9 @@ def test_cold_solve_builds_only_the_rules_it_needs(monkeypatch):
     # a cold cached solve: a level starts from the limit's layers
     # 0..(i-1)//w, so only levels asked for a layer past those build a
     # rule graph.  With every level built from its rule, 21 graphs and
-    # 654 layer sums
+    # 654 layer sums.  A window of 0 (kmax = 0, or p = 2 with kmax = 1)
+    # starts every level with all of the limit's layers, so no level builds
+    # a graph at all
     solver._limit.cache_clear()
     solver._family.cache_clear()
     real, rules = solver._Family._rule, []
@@ -234,10 +236,16 @@ def test_cold_solve_builds_only_the_rules_it_needs(monkeypatch):
     counts = count_sum_products(monkeypatch)
     try:
         solver.solve_vi(solver.SolverConfig(3, 6, 2, 6))
+        assert len(rules) == len(set(rules)) <= 12
+        assert counts["calls"] <= 531
+        for cfg in [solver.SolverConfig(3, 5, 0, 4), solver.SolverConfig(2, 5, 1, 4),
+                    solver.SolverConfig(2, 6, 1, 9)]:
+            assert cfg.window == 0
+            rules.clear()
+            assert solver.solve_vi(cfg) == solver.solve_family(cfg), cfg
+            assert rules == [], cfg
     finally:
         solver._family.cache_clear()
-    assert len(rules) == len(set(rules)) <= 12
-    assert counts["calls"] <= 531
 
 
 def test_make_context_term_pairs(monkeypatch):
@@ -279,6 +287,7 @@ def test_cubic_ladders_one_set_per_context(monkeypatch):
     # Three fresh ladders per T_n made 247 and 39
     solver._limit.cache_clear()
     eulerian.make_context.cache_clear()
+    eulerian._ladders.cache_clear()
     real, counts = algebra._Minors._eliminate, {"borders": 0}
 
     def counted(self, n):
@@ -301,6 +310,7 @@ def test_cubic_ladder_series_products(monkeypatch):
     # once per T_n, the same calls made 460 products (51,104 pairs)
     solver._limit.cache_clear()
     eulerian.make_context.cache_clear()
+    eulerian._ladders.cache_clear()
     real, counts = algebra.XSeries.__mul__, {"calls": 0, "pairs": 0}
 
     def counted(a, b):
