@@ -25,55 +25,54 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _int(flag, **spec):
+    return flag, {"type": int, **spec}
+
+
+# a command over one step size, with optional JSON output
+_STEP = (_int("--p", required=True, help="step size, >= 2"),
+         ("--json", {"action": "store_true", "help": "machine readable output"}))
+
+# each command: its summary, then its options in the order its help lists them
+_COMMANDS = {
+    "fn": ("one path weight polynomial", *_STEP,
+           _int("--n", required=True, help="excursion index, >= 0"),
+           _int("--r", default=0, help="start level, in [0, p-1]")),
+    "contfrac": ("nested fraction expansion in t", *_STEP,
+                 _int("--order", required=True, help="t order, >= 0")),
+    "hankel": ("banded determinant", *_STEP,
+               _int("--m", required=True, help="row offset, in [0, p-1]"),
+               _int("--n", required=True, help="size parameter, >= -1")),
+    "invert": ("recover one weight from determinants", *_STEP,
+               _int("--i", required=True, help="weight index, >= 1")),
+    "lgv": ("brute-force path-system cross-check", *_STEP,
+            _int("--m", required=True), _int("--n", required=True)),
+    "euler-series": ("series of the solvable p=3 case", ("--what", {
+        "required": True, "choices": "v y xv vi vi-closed f f1 t".split()}),
+        _int("--i", help="level index for vi/vi-closed"),
+        _int("--n", help="index for f/f1/t"),
+        _int("--order", required=True), ("--json", {"action": "store_true"})),
+    "euler-verify": ("determinant ladder check",
+                     _int("--kmax", default=3), _int("--order", default=12)),
+    "verify-all": ("run every identity suite",
+                   _int("--p", nargs="*", default=(2, 3, 4)),
+                   _int("--n-max", default=3), _int("--order", default=10)),
+}
+
+
+def _build_parser(command=None) -> argparse.ArgumentParser:
+    """The top parser with the subparser of ``command`` alone, or of every
+    command when it is None: the top help and a mistyped command list all."""
     top = _Parser(
         prog="constel",
         description="exact path polynomials, nested fractions, banded "
                     "determinants, and their checks")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(name, summary):
-        # a command over one step size, with optional JSON output
-        p = sub.add_parser(name, help=summary)
-        p.add_argument("--p", type=int, required=True, help="step size, >= 2")
-        p.add_argument("--json", action="store_true",
-                       help="machine readable output")
-        return p
-
-    fn = common("fn", "one path weight polynomial")
-    fn.add_argument("--n", type=int, required=True, help="excursion index, >= 0")
-    fn.add_argument("--r", type=int, default=0, help="start level, in [0, p-1]")
-
-    cf = common("contfrac", "nested fraction expansion in t")
-    cf.add_argument("--order", type=int, required=True, help="t order, >= 0")
-
-    hk = common("hankel", "banded determinant")
-    hk.add_argument("--m", type=int, required=True, help="row offset, in [0, p-1]")
-    hk.add_argument("--n", type=int, required=True, help="size parameter, >= -1")
-
-    inv = common("invert", "recover one weight from determinants")
-    inv.add_argument("--i", type=int, required=True, help="weight index, >= 1")
-
-    lgv = common("lgv", "brute-force path-system cross-check")
-    lgv.add_argument("--m", type=int, required=True)
-    lgv.add_argument("--n", type=int, required=True)
-
-    es = sub.add_parser("euler-series", help="series of the solvable p=3 case")
-    es.add_argument("--what", required=True,
-                    choices=["v", "y", "xv", "vi", "vi-closed", "f", "f1", "t"])
-    es.add_argument("--i", type=int, help="level index for vi/vi-closed")
-    es.add_argument("--n", type=int, help="index for f/f1/t")
-    es.add_argument("--order", type=int, required=True)
-    es.add_argument("--json", action="store_true")
-
-    ev = sub.add_parser("euler-verify", help="determinant ladder check")
-    ev.add_argument("--kmax", type=int, default=3)
-    ev.add_argument("--order", type=int, default=12)
-
-    va = sub.add_parser("verify-all", help="run every identity suite")
-    va.add_argument("--p", type=int, nargs="*", default=[2, 3, 4])
-    va.add_argument("--n-max", type=int, default=3)
-    va.add_argument("--order", type=int, default=10)
+    for name, (summary, *options) in _COMMANDS.items():
+        if command in (None, name):
+            parser = sub.add_parser(name, help=summary)
+            for flag, spec in options:
+                parser.add_argument(flag, **spec)
     return top
 
 
@@ -86,7 +85,7 @@ def _emit_poly(args, payload: dict, poly):
 
 
 def run(argv) -> int:
-    parser = _build_parser()
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         return _dispatch(parser, args)

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import hashlib
 import importlib
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import constel
-from constel import algebra, contfrac, eulerian, hankel, paths, solver, verify
+from constel import algebra, cli, contfrac, eulerian, hankel, paths, solver, verify
 from constel.algebra import ExponentOverflow, MultiPoly, OutOfRange, XSeries
 from constel.cli import run
 from constel.hankel import HankelSpec, IdentityViolation
@@ -499,6 +500,32 @@ class TestVerifyAll:
         assert lines[-1] == "12 checks, 0 failures"
 
 
+COMMANDS = ["fn", "contfrac", "hankel", "invert", "lgv", "euler-series",
+            "euler-verify", "verify-all"]
+
+
+class TestHelp:
+    # a known command builds its own subparser alone; its help must be the
+    # one the build of every command gives it
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command_help_matches_the_full_build(self, command):
+        top = cli._build_parser()
+        sub, = (action for action in top._actions
+                if isinstance(action, argparse._SubParsersAction))
+        assert list(sub.choices) == COMMANDS
+        assert capture([command, "--help"]) == \
+            (0, sub.choices[command].format_help(), "")
+
+    def test_top_help_lists_every_command(self):
+        rc, out, err = capture(["--help"])
+        assert rc == 0 and err == ""
+        assert "{" + ",".join(COMMANDS) + "}" in out
+        rows = [line.split()[0] for line in out.splitlines()
+                if line.startswith("    ") and not line.startswith("     ")]
+        assert rows == COMMANDS
+
+
 class TestUsageErrors:
     BAD_VALUES = [
         ["fn", "--p", "1", "--n", "0"],
@@ -513,12 +540,15 @@ class TestUsageErrors:
     ]
 
     def test_missing_command(self):
-        rc, _, _ = capture([])
-        assert rc == 2
+        assert capture([]) == (
+            2, "", "constel: error: the following arguments are required: command\n")
 
     def test_unknown_command(self):
-        rc, _, _ = capture(["frobnicate"])
-        assert rc == 2
+        # argparse's wording on Python 3.10 and 3.11: every command, in order
+        assert capture(["frobnicate"]) == (
+            2, "", "constel: error: argument command: invalid choice: "
+            "'frobnicate' (choose from 'fn', 'contfrac', 'hankel', 'invert', "
+            "'lgv', 'euler-series', 'euler-verify', 'verify-all')\n")
 
     def test_bad_values(self):
         for argv in self.BAD_VALUES:

@@ -3,7 +3,8 @@ kernels (``_layer_sum``, every convolution of the relaxed expansions, and
 ``MultiPoly._minus_products``, every elimination update), of the products
 ``MultiPoly.__mul__`` makes in ``f_poly``'s walk DP and of the degree
 scans it leaves, of the path enumerations and walk DPs the checks run,
-and the heap that cached solves and refused requests keep alive.
+of the argument parsers a CLI run builds, and the heap that cached solves
+and refused requests keep alive.
 
 Timings on a shared machine cannot catch a 10% regression; the number of
 term pairs a kernel multiplies on a fixed call is exact, and so, to within
@@ -11,12 +12,15 @@ a few KiB, is the traced heap left behind.  Each count must stay at or
 below its pin; a change that lowers one lowers its pin.
 """
 
+import argparse
 import gc
+import io
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from constel import _layered, algebra, contfrac, eulerian, paths, solver, verify
+from constel import _layered, algebra, cli, contfrac, eulerian, paths, solver, verify
 import constel.hankel as hankel_mod
 from constel.algebra import ExponentOverflow
 from constel.hankel import HankelSpec, hankel_det, hankel_matrix, hankel_product
@@ -408,3 +412,20 @@ def test_certificates_run_one_walk_dp_per_start(monkeypatch):
               if job[0] == "solver.excursions-from-limit"]
     assert verify.run([check])[0].ok
     assert len(calls) == 1
+
+
+def test_a_command_builds_only_its_own_parser(monkeypatch):
+    # the top parser and the one subparser it runs; the top help and a
+    # missing command build every command's subparser, eight of them
+    real, built = argparse.ArgumentParser.__init__, []
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for argv, parsers in ((["verify-all", "--p", "--order", "0"], 2),
+                          (["--help"], 9), ([], 9)):
+        built.clear()
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            cli.run(argv)
+        assert len(built) == parsers, argv
